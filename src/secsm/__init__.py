@@ -7,7 +7,6 @@ receive beamformers that counter it and estimates secrecy rate, BER and
 SJNR by Monte-Carlo simulation.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .beamformers import (Beamformer, Method, ZfcInfeasibleError,
                           compute_beamformer, max_rp, max_rp_zfc, max_sjnr,
                           max_wfrp)
@@ -26,3 +25,5 @@ from .numerics import (NotHermitianError, NotPositiveDefiniteError,
                        null_space_basis, whitening_matrix)
 
 __version__ = "0.1.0"
+# Recorded in run manifests; the MI kernel is metrics.mi_inner_mean.
+kernel_backend = "numpy"

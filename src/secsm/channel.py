@@ -47,7 +47,6 @@ class SystemConfig:
     """Scenario parameters for one simulated link.
 
     n_tx          total transmit antennas at Alice
-    n_active      active transmit antennas, fixed at 2^floor(log2 n_tx)
     n_rx          receive antennas at Bob
     n_mallory     antennas at the full-duplex attacker
     power         Alice transmit power [W]
@@ -60,10 +59,12 @@ class SystemConfig:
     noise_var_eve receiver noise variance at the attacker
     mod_order     PSK constellation size
     seed          base seed for all derived rng streams
+
+    n_active, the number of active transmit antennas, is derived as
+    2^floor(log2 n_tx).
     """
 
     n_tx: int = 8
-    n_active: int = 8
     n_rx: int = 6
     n_mallory: int = 2
     power: float = 10.0
@@ -79,11 +80,6 @@ class SystemConfig:
     def __post_init__(self):
         if self.n_tx < 1:
             raise ValueError("n_tx must be at least 1")
-        expected = 1 << (self.n_tx.bit_length() - 1)
-        if self.n_active != expected:
-            raise ValueError(
-                f"n_active must equal 2^floor(log2 n_tx) = {expected}, "
-                f"got {self.n_active}")
         if self.n_rx < 1:
             raise ValueError("n_rx must be at least 1")
         if self.n_mallory < 1:
@@ -98,6 +94,11 @@ class SystemConfig:
             raise ValueError("beta must lie in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+
+    @property
+    def n_active(self):
+        """Active transmit antennas: the largest power of 2 <= n_tx."""
+        return 1 << (self.n_tx.bit_length() - 1)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels, metrics
+from . import metrics
 from .beamformers import Method, ZfcInfeasibleError, compute_beamformer
 from .channel import AN_MODES, SystemConfig, derive_rng, realize_channels
 from .metrics import MetricsRecord, mutual_info_mc
@@ -94,7 +94,6 @@ def _parse_float_list(text):
 # key is required, `simulate --print-defaults` emits the full template.
 _SCHEMA = {
     "n_tx": (SystemConfig, int),
-    "n_active": (SystemConfig, int),
     "n_rx": (SystemConfig, int),
     "n_mallory": (SystemConfig, int),
     "power": (SystemConfig, float),
@@ -156,14 +155,19 @@ def parse_config(text):
         try:
             return cls(**kwargs)
         except ValueError as exc:
-            # Map the constraint violation back to the offending line.
-            for f in fields(cls):
-                if f.name in str(exc):
-                    raise ConfigError(str(exc), key=f.name,
-                                      line=lines.get(f.name))
-            raise ConfigError(str(exc))
+            # Every constraint message starts with the field it checks.
+            key = str(exc).split(" ", 1)[0]
+            if key not in lines:
+                key = None
+            raise ConfigError(str(exc), key=key, line=lines.get(key))
 
-    return build(SystemConfig), build(SweepSpec)
+    cfg, spec = build(SystemConfig), build(SweepSpec)
+    if spec.an_mode == "nullspace" and cfg.n_rx >= cfg.n_active:
+        raise ConfigError(
+            f"null-space artificial noise needs n_rx < n_active = "
+            f"{cfg.n_active}, got {cfg.n_rx}", key="n_rx",
+            line=lines["n_rx"])
+    return cfg, spec
 
 
 def _fmt(value):
@@ -363,9 +367,9 @@ def write_outputs(records, cfg, spec, out_dir=None):
         (out / name).write_text("\n".join(lines) + "\n",
                                 encoding="utf-8", newline="\n")
 
-    from . import __version__
+    from . import __version__, kernel_backend
     manifest = (f"# secsm run manifest\nversion = {__version__}\n"
-                f"kernel_backend = {_kernels.BACKEND}\n\n"
+                f"kernel_backend = {kernel_backend}\n\n"
                 + emit_config(cfg, spec))
     (out / "manifest.txt").write_text(manifest, encoding="utf-8",
                                       newline="\n")

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import mi_inner_mean
 from .channel import crandn
 from .modulation import build_codebook, receive
 
@@ -80,6 +79,30 @@ def sjnr(u, chset, cfg):
     num = (cfg.beta * cfg.power / cfg.n_active
            * float(np.sum(np.abs(HT.conj().T @ u) ** 2)))
     return num / scalar_inpn_cov(u, chset, cfg, "bob")
+
+
+def mi_inner_mean(diffs, noise):
+    """Mean over entries i and draws t of
+    log2 sum_j exp(-|d_ij|^2 - 2 Re(d_ij conj(n_it))).
+
+    diffs is the K x K matrix of pairwise effective-symbol differences in
+    the whitened scalar channel; noise holds K x T unit-variance complex
+    draws, one row per codebook entry. The exponent equals
+    -|d_ij + n_it|^2 + |n_it|^2 written in a cancellation-free form.
+    """
+    diffs = np.asarray(diffs, dtype=np.complex128)
+    noise = np.asarray(noise, dtype=np.complex128)
+    K = diffs.shape[0]
+    if diffs.shape != (K, K) or noise.shape[0] != K or noise.shape[1] < 1:
+        raise ValueError(
+            f"shape mismatch: diffs {diffs.shape}, noise {noise.shape}")
+    sq = np.abs(diffs) ** 2
+    acc = 0.0
+    for i in range(K):
+        expo = -sq[i] - 2.0 * (np.real(noise[i])[:, None] * np.real(diffs[i])
+                               + np.imag(noise[i])[:, None] * np.imag(diffs[i]))
+        acc += float(np.log2(np.exp(expo).sum(axis=1)).mean())
+    return acc / K
 
 
 def mutual_info_mc(u, side, chset, cfg, n_noise, rng):

@@ -6,6 +6,7 @@ symbol. The receive samplers produce the pre-beamforming antenna vectors
 at Bob and at the attacker so several beamformers can share one sample.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,11 +55,14 @@ def _gray(k):
     return k ^ (k >> 1)
 
 
+@functools.cache
 def build_codebook(n_active, mod_order):
     """Enumerate the n_active * mod_order spatial-modulation hypotheses.
 
     PSK points s_k = exp(2j pi k / mod_order) carry Gray-coded symbol
     bits; the antenna index is encoded directly in the high-order bits.
+    One instance per (n_active, mod_order) is shared by every caller, so
+    its arrays are read-only.
     """
     for name, value in (("n_active", n_active), ("mod_order", mod_order)):
         if value < 1 or value & (value - 1):
@@ -73,9 +77,10 @@ def build_codebook(n_active, mod_order):
             labels.append((n << sym_bits) | _gray(k))
             antennas.append(n)
             symbols.append(points[k])
-    return TxCodebook(n_active=n_active, mod_order=mod_order,
-                      labels=np.array(labels), antennas=np.array(antennas),
-                      symbols=np.array(symbols))
+    arrays = [np.array(a) for a in (labels, antennas, symbols)]
+    for a in arrays:
+        a.flags.writeable = False
+    return TxCodebook(n_active, mod_order, *arrays)
 
 
 def transmit_alice(codebook, index, chset, cfg, rng):

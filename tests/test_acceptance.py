@@ -184,7 +184,7 @@ def test_criterion_05_ber_ordering_and_monotonicity(ber_sweep):
 
 
 def test_criterion_06_oracle_equivalence_small():
-    cfg = SystemConfig(n_tx=4, n_active=4, n_rx=3, n_mallory=2)
+    cfg = SystemConfig(n_tx=4, n_rx=3, n_mallory=2)
     rng = np.random.default_rng(606)
     worst = 0.0
     for r in range(50):

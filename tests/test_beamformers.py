@@ -31,7 +31,7 @@ def square_channel_set(n, rng, H=None):
 def square_cfg(n, **kw):
     kw.setdefault("beta", 1.0)
     kw.setdefault("power_mallory", 0.0)
-    return SystemConfig(n_tx=n, n_active=n, n_rx=n, **kw)
+    return SystemConfig(n_tx=n, n_rx=n, **kw)
 
 
 class TestMaxRp:

@@ -19,12 +19,6 @@ class TestConfig:
         assert (cfg.n_tx, cfg.n_active, cfg.n_rx) == (8, 8, 6)
         assert (cfg.power, cfg.mod_order, cfg.beta) == (10.0, 4, 0.5)
 
-    def test_active_count_must_match(self):
-        with pytest.raises(ValueError, match="n_active"):
-            default_cfg(n_tx=12, n_active=12)
-        cfg = default_cfg(n_tx=12, n_active=8)
-        assert cfg.n_active == 8
-
     def test_range_checks(self):
         with pytest.raises(ValueError, match="beta"):
             default_cfg(beta=1.5)
@@ -170,7 +164,8 @@ class TestMalloryChain:
 
 class TestChannelSetInvariants:
     def test_invariants_100_realizations(self):
-        cfg = default_cfg(n_tx=12, n_active=8, n_mallory=4)
+        cfg = default_cfg(n_tx=12, n_mallory=4)
+        assert cfg.n_active == 8
         for r in range(100):
             ch = realize_channels(cfg, r)
             # T: one 1 per column, distinct identity columns

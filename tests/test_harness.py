@@ -4,13 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secsm.beamformers import Method
-from secsm.channel import SystemConfig
+from secsm.channel import AN_MODES, SystemConfig
 from secsm.cli import main
 from secsm.harness import (ConfigError, SweepSpec, default_config_text,
                            emit_config, parse_config, run_sweep,
                            snr_to_noise_var, write_outputs)
+
+
+def line_of(text, key):
+    """1-based line number of `key = ...` in a configuration document."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.partition("=")[0].strip() == key:
+            return lineno
+    raise KeyError(key)
 
 
 def tiny_spec(**kw):
@@ -33,7 +43,7 @@ class TestParseConfig:
             (10.0, 4, 0.5, 1)
 
     def test_round_trip(self):
-        cfg = SystemConfig(n_tx=12, n_active=8, beta=0.25, seed=9)
+        cfg = SystemConfig(n_tx=12, beta=0.25, seed=9)
         spec = tiny_spec(snr_grid_db=(-5.0, 2.5), p_m_list=(1.0, 10.0))
         cfg2, spec2 = parse_config(emit_config(cfg, spec))
         assert cfg2 == cfg
@@ -46,9 +56,35 @@ class TestParseConfig:
         assert info.value.key == "beta"
         assert info.value.line is not None
 
+    @pytest.mark.parametrize("key", ["power_mallory", "noise_var_bob"])
+    def test_range_error_names_exact_key(self, key):
+        # a key whose name extends another key's (power_mallory, power)
+        text = "\n".join(f"{key} = -1.0" if line.startswith(f"{key} =")
+                         else line
+                         for line in default_config_text().splitlines())
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.key == key
+        assert info.value.line == line_of(text, key)
+
+    def test_nullspace_an_needs_fewer_rx_than_active(self):
+        for n_rx in (8, 9):
+            text = default_config_text().replace("n_rx = 6", f"n_rx = {n_rx}")
+            with pytest.raises(ConfigError, match="n_active") as info:
+                parse_config(text)
+            assert info.value.key == "n_rx"
+            assert info.value.line == line_of(text, "n_rx")
+        cfg, spec = parse_config(text.replace("an_mode = nullspace",
+                                              "an_mode = random"))
+        assert (cfg.n_rx, spec.an_mode) == (9, "random")
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(default_config_text() + "bogus = 1\n")
+        # n_active is derived from n_tx, not configured
+        with pytest.raises(ConfigError, match="unknown key") as info:
+            parse_config(default_config_text() + "n_active = 8\n")
+        assert info.value.key == "n_active"
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -72,6 +108,42 @@ class TestParseConfig:
             "methods = max_rp, max_zf")
         with pytest.raises(ConfigError, match="max_zf"):
             parse_config(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        nonneg = st.floats(min_value=0.0, allow_infinity=False)
+        an_mode = data.draw(st.sampled_from(AN_MODES))
+        nullspace = an_mode == "nullspace"
+        # null-space AN needs n_rx < n_active, so at least 2 TX antennas
+        n_tx = data.draw(st.integers(2 if nullspace else 1, 64))
+        max_rx = SystemConfig(n_tx=n_tx).n_active - 1 if nullspace else 64
+        cfg = SystemConfig(
+            n_tx=n_tx, n_rx=data.draw(st.integers(1, max_rx)),
+            n_mallory=data.draw(st.integers(1, 16)),
+            power=data.draw(nonneg), power_mallory=data.draw(nonneg),
+            beta=data.draw(st.floats(0.0, 1.0)),
+            an_var=data.draw(nonneg), jam_var=data.draw(nonneg),
+            noise_var_bob=data.draw(nonneg),
+            noise_var_eve=data.draw(nonneg),
+            mod_order=1 << data.draw(st.integers(1, 8)),
+            seed=data.draw(st.integers(0, 2 ** 63)))
+        spec = SweepSpec(
+            snr_grid_db=tuple(data.draw(st.lists(finite, min_size=1,
+                                                 max_size=5))),
+            p_m_list=tuple(data.draw(st.lists(nonneg, min_size=1,
+                                              max_size=5))),
+            methods=tuple(data.draw(st.lists(st.sampled_from(Method),
+                                             min_size=1, max_size=4))),
+            n_realizations=data.draw(st.integers(1, 10 ** 6)),
+            n_noise=data.draw(st.integers(1, 10 ** 6)),
+            n_ber_trials=data.draw(st.integers(1, 10 ** 9)),
+            an_mode=an_mode,
+            output_dir=data.draw(st.text(
+                "abcXYZ019_-./ ", min_size=1).map(str.strip)
+                .filter(bool)))
+        assert parse_config(emit_config(cfg, spec)) == (cfg, spec)
 
     def test_comments_and_blanks(self):
         text = default_config_text() + "\n# trailing comment\n\n"

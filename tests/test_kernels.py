@@ -1,10 +1,9 @@
-"""Backend agreement for the mutual-information inner kernel."""
+"""The mutual-information inner kernel against its defining formula."""
 
 import numpy as np
 import pytest
 
-from secsm import _kernels
-from secsm._kernels import mi_inner_mean, mi_inner_mean_numpy
+from secsm.metrics import mi_inner_mean
 
 from helpers import crandn_t
 
@@ -30,32 +29,7 @@ def test_numpy_matches_reference():
     g = crandn_t(rng, 8)
     diffs = g[:, None] - g[None, :]
     noise = crandn_t(rng, 8, 16)
-    assert mi_inner_mean_numpy(diffs, noise) == \
-        pytest.approx(reference_mean(diffs, noise), rel=1e-12)
-
-
-def test_active_backend_matches_numpy():
-    rng = np.random.default_rng(2)
-    for K, T in ((4, 32), (32, 100)):
-        g = 2.0 * crandn_t(rng, K)
-        diffs = g[:, None] - g[None, :]
-        noise = crandn_t(rng, K, T)
-        a = mi_inner_mean(diffs, noise)
-        b = mi_inner_mean_numpy(diffs, noise)
-        assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_compiled_backend_when_available():
-    try:
-        from secsm._kernels import _mi_cython
-    except ImportError:
-        pytest.skip("compiled kernel not built; numpy fallback active")
-    assert _kernels.BACKEND == "cython"
-    rng = np.random.default_rng(3)
-    g = crandn_t(rng, 16)
-    diffs = g[:, None] - g[None, :]
-    noise = crandn_t(rng, 16, 64)
-    assert _mi_cython.mi_inner_mean(diffs, noise) == \
+    assert mi_inner_mean(diffs, noise) == \
         pytest.approx(reference_mean(diffs, noise), rel=1e-12)
 
 

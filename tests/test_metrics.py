@@ -29,7 +29,7 @@ def scalar_channel_set():
 
 
 def scalar_cfg(noise_var, power=1.0):
-    return SystemConfig(n_tx=1, n_active=1, n_rx=1, mod_order=2,
+    return SystemConfig(n_tx=1, n_rx=1, mod_order=2,
                         beta=1.0, power=power, power_mallory=0.0,
                         noise_var_bob=noise_var, noise_var_eve=noise_var)
 
@@ -195,7 +195,7 @@ class TestMutualInfo:
 class TestSecrecyRate:
     def test_symmetric_link_zero(self):
         # make the attacker's view identical to Bob's
-        cfg = SystemConfig(n_tx=4, n_active=4, n_rx=4, n_mallory=4,
+        cfg = SystemConfig(n_tx=4, n_rx=4, n_mallory=4,
                            beta=1.0, power_mallory=0.0)
         rng = derive_rng(3, 9, 11)
         H = crandn(rng, 4, 4)

@@ -42,6 +42,13 @@ class TestCodebook:
         for a, b in zip(labels, np.roll(labels, -1)):
             assert int(a ^ b).bit_count() == 1
 
+    def test_shared_instance_read_only(self):
+        cb = build_codebook(8, 4)
+        assert build_codebook(8, 4) is cb
+        for arr in (cb.labels, cb.antennas, cb.symbols):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
             build_codebook(3, 4)
