@@ -82,8 +82,9 @@ class SystemConfig:
             raise ValueError("n_tx must be at least 1")
         if self.n_rx < 1:
             raise ValueError("n_rx must be at least 1")
-        if self.n_mallory < 1:
-            raise ValueError("n_mallory must be at least 1")
+        if self.n_mallory < 2:
+            raise ValueError("n_mallory must be at least 2: the attacker "
+                             "jams on n_mallory - 1 streams")
         if not _is_pow2(self.mod_order):
             raise ValueError("mod_order must be a power of 2")
         for name in ("power", "power_mallory", "an_var", "jam_var",

@@ -59,6 +59,19 @@ class SweepSpec:
             raise ValueError("output_dir must be non-empty")
 
 
+def check_feasible(cfg, spec):
+    """Reject a (cfg, spec) pair that no realization could satisfy.
+
+    Null-space artificial noise needs n_rx < n_active, or Bob's channel
+    leaves no null space to hide the noise in. The message starts with
+    the offending key.
+    """
+    if spec.an_mode == "nullspace" and cfg.n_rx >= cfg.n_active:
+        raise ValueError(
+            f"n_rx must be below n_active = {cfg.n_active} for null-space "
+            f"artificial noise, got {cfg.n_rx}")
+
+
 class ConfigError(ValueError):
     """A configuration document failed to parse or validate."""
 
@@ -150,10 +163,9 @@ def parse_config(text):
     if missing:
         raise ConfigError("missing required key", key=missing[0])
 
-    def build(cls):
-        kwargs = {k: values[k] for k, (t, _) in _SCHEMA.items() if t is cls}
+    def checked(check, *args, **kwargs):
         try:
-            return cls(**kwargs)
+            return check(*args, **kwargs)
         except ValueError as exc:
             # Every constraint message starts with the field it checks.
             key = str(exc).split(" ", 1)[0]
@@ -161,12 +173,12 @@ def parse_config(text):
                 key = None
             raise ConfigError(str(exc), key=key, line=lines.get(key))
 
+    def build(cls):
+        return checked(cls, **{k: values[k] for k, (t, _) in _SCHEMA.items()
+                                if t is cls})
+
     cfg, spec = build(SystemConfig), build(SweepSpec)
-    if spec.an_mode == "nullspace" and cfg.n_rx >= cfg.n_active:
-        raise ConfigError(
-            f"null-space artificial noise needs n_rx < n_active = "
-            f"{cfg.n_active}, got {cfg.n_rx}", key="n_rx",
-            line=lines["n_rx"])
+    checked(check_feasible, cfg, spec)
     return cfg, spec
 
 
@@ -262,8 +274,10 @@ def run_sweep(cfg, spec, threads=1):
     """Run the full (SNR, P_M, method) grid and aggregate MetricsRecords.
 
     Realizations are independent work items reduced in index order, so
-    the result is identical for any `threads` value.
+    the result is identical for any `threads` value. An infeasible
+    (cfg, spec) pair raises ValueError before any realization starts.
     """
+    check_feasible(cfg, spec)
     started = time.perf_counter()
     tasks = [(cfg, spec, r) for r in range(spec.n_realizations)]
     if threads > 1:

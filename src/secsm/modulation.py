@@ -20,7 +20,8 @@ class TxCodebook:
     """Enumeration of all (antenna, symbol) transmit hypotheses.
 
     labels[i] is the bit pattern carried by entry i; antennas[i] the
-    0-based active-antenna index; symbols[i] the unit-energy PSK symbol.
+    0-based active-antenna index; symbols[i] the unit-energy PSK symbol;
+    bit_errors[i, j] the number of bits in which labels i and j differ.
     """
 
     n_active: int
@@ -28,6 +29,7 @@ class TxCodebook:
     labels: np.ndarray
     antennas: np.ndarray
     symbols: np.ndarray
+    bit_errors: np.ndarray
 
     @property
     def size(self):
@@ -78,6 +80,10 @@ def build_codebook(n_active, mod_order):
             antennas.append(n)
             symbols.append(points[k])
     arrays = [np.array(a) for a in (labels, antennas, symbols)]
+    # popcount of labels[i] ^ labels[j], one bit plane at a time
+    diff = arrays[0][:, None] ^ arrays[0][None, :]
+    arrays.append(sum((diff >> b) & 1
+                      for b in range(int(math.log2(n_active * mod_order)))))
     for a in arrays:
         a.flags.writeable = False
     return TxCodebook(n_active, mod_order, *arrays)

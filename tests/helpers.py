@@ -73,3 +73,26 @@ def bpsk_mi_quadrature(d, n_nodes=201):
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     f = np.log2(1.0 + np.exp(-d * d - 2.0 * d * nodes))
     return 1.0 - float(weights @ f) / np.sqrt(np.pi)
+
+
+def ber_counts_per_trial(beamformer, chset, cfg, codebook, n_trials, rng):
+    """Sample-level BER reference: one modulation.receive and one
+    metrics.ml_detect per trial, bit errors by popcount of the labels.
+
+    Returns (uses, bit_errors, squared_error_sum) like
+    metrics._ber_counts, from a different draw order.
+    """
+    from secsm.metrics import ml_detect
+    from secsm.modulation import receive
+
+    labels = codebook.labels
+    errors = 0
+    squared = 0
+    for _ in range(n_trials):
+        idx = int(rng.integers(codebook.size))
+        sample = receive(codebook, idx, chset, cfg, rng)
+        detected = ml_detect(sample.y_bob, beamformer, chset, cfg)
+        e = int(labels[idx] ^ labels[detected]).bit_count()
+        errors += e
+        squared += e * e
+    return n_trials, errors, squared

@@ -27,6 +27,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="power"):
             default_cfg(power=-1.0)
 
+    def test_attacker_needs_two_antennas(self):
+        # one antenna leaves no self-interference-free jamming stream
+        for n_mallory in (0, 1):
+            with pytest.raises(ValueError, match="^n_mallory"):
+                default_cfg(n_mallory=n_mallory)
+        assert default_cfg(n_mallory=2).n_mallory == 2
+
 
 class TestSampling:
     def test_shapes(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secsm import harness
 from secsm.beamformers import Method
 from secsm.channel import AN_MODES, SystemConfig
 from secsm.cli import main
@@ -78,6 +79,14 @@ class TestParseConfig:
                                               "an_mode = random"))
         assert (cfg.n_rx, spec.an_mode) == (9, "random")
 
+    def test_single_antenna_attacker_rejected(self):
+        text = default_config_text().replace("n_mallory = 2",
+                                             "n_mallory = 1")
+        with pytest.raises(ConfigError, match="at least 2") as info:
+            parse_config(text)
+        assert info.value.key == "n_mallory"
+        assert info.value.line == line_of(text, "n_mallory")
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(default_config_text() + "bogus = 1\n")
@@ -121,7 +130,7 @@ class TestParseConfig:
         max_rx = SystemConfig(n_tx=n_tx).n_active - 1 if nullspace else 64
         cfg = SystemConfig(
             n_tx=n_tx, n_rx=data.draw(st.integers(1, max_rx)),
-            n_mallory=data.draw(st.integers(1, 16)),
+            n_mallory=data.draw(st.integers(2, 16)),
             power=data.draw(nonneg), power_mallory=data.draw(nonneg),
             beta=data.draw(st.floats(0.0, 1.0)),
             an_var=data.draw(nonneg), jam_var=data.draw(nonneg),
@@ -222,6 +231,18 @@ class TestRunSweep:
         rand = run_sweep(cfg, tiny_spec(an_mode="random"))[0]
         # leaked AN at Bob changes the interference statistics
         assert rand.avg_sjnr_db != null.avg_sjnr_db
+
+    def test_infeasible_nullspace_rejected_before_any_realization(
+            self, monkeypatch):
+        def unreachable(args):
+            raise AssertionError("a realization started")
+
+        monkeypatch.setattr(harness, "_realization_task", unreachable)
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match="^n_rx .*n_active = 8"):
+                run_sweep(SystemConfig(n_rx=9), tiny_spec(), threads=threads)
+        with pytest.raises(AssertionError, match="a realization started"):
+            run_sweep(SystemConfig(n_rx=9), tiny_spec(an_mode="random"))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="n_realizations"):

@@ -10,12 +10,13 @@ import pytest
 from secsm.beamformers import Method, compute_beamformer, max_sjnr
 from secsm.channel import (ChannelSet, SystemConfig, crandn, derive_rng,
                            realize_channels)
-from secsm.metrics import (ber, flop_estimate, ml_detect, mutual_info_mc,
+from secsm.metrics import (BER_BLOCK_TRIALS, _ber_counts, ber,
+                           flop_estimate, ml_detect, mutual_info_mc,
                            noise_cov_bob, scalar_inpn_cov, secrecy_rate,
                            sjnr)
 from secsm.modulation import build_codebook, receive
 
-from helpers import bpsk_mi_quadrature
+from helpers import ber_counts_per_trial, bpsk_mi_quadrature
 
 
 def scalar_channel_set():
@@ -272,7 +273,10 @@ class TestBer:
         cfg = SystemConfig(beta=1.0, power_mallory=0.0,
                            noise_var_bob=0.0, noise_var_eve=0.0)
         sets = [realize_channels(cfg, r) for r in range(3)]
-        assert ber(Method.MAX_RP, sets, cfg, 300, derive_rng(3, 9, 18)) == 0.0
+        # one full block and a one-trial block per realization
+        n = 3 * (BER_BLOCK_TRIALS + 1)
+        for method in (Method.MAX_RP, Method.MAX_RP_ZFC):
+            assert ber(method, sets, cfg, n, derive_rng(3, 9, 18)) == 0.0
 
     def test_monotone_in_snr(self):
         cfg = SystemConfig()
@@ -307,6 +311,61 @@ class TestBer:
         with pytest.raises(ValueError):
             ber(Method.MAX_RP, [realize_channels(cfg, 0)], cfg, 0,
                 derive_rng(3, 9, 21))
+
+
+def ber_and_se(counts, bits):
+    """BER and its standard error from (uses, errors, squared errors)."""
+    uses, errors, squared = counts
+    mean = errors / uses
+    var = max(squared / uses - mean * mean, 0.0)
+    return mean / bits, math.sqrt(var / uses) / bits
+
+
+class TestBatchedBerCounts:
+    """metrics._ber_counts against the sample-level per-trial loop."""
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_agrees_with_per_trial_reference(self, method):
+        cfg = SystemConfig()
+        ch = realize_channels(cfg, 2)
+        cb = build_codebook(cfg.n_active, cfg.mod_order)
+        n = 20_000
+        for k, snr in enumerate((0.0, 5.0, 10.0)):
+            nv = 10.0 ** (-snr / 10.0)
+            point = replace(cfg, noise_var_bob=nv, noise_var_eve=nv)
+            bf = compute_beamformer(method, ch, point)
+            batched = _ber_counts(bf, ch, point, cb, n,
+                                  derive_rng(3, 9, 30, k))
+            looped = ber_counts_per_trial(bf, ch, point, cb, n,
+                                          derive_rng(3, 9, 31, k))
+            assert batched[0] == looped[0] == n
+            b, b_se = ber_and_se(batched, cb.bits_per_use)
+            r, r_se = ber_and_se(looped, cb.bits_per_use)
+            assert b > 0.0
+            assert abs(b - r) <= 3.0 * math.hypot(b_se, r_se), (snr, b, r)
+
+    @pytest.mark.parametrize("n_trials", [1, BER_BLOCK_TRIALS + 1,
+                                          3 * BER_BLOCK_TRIALS - 37])
+    def test_exact_uses(self, n_trials):
+        cfg = SystemConfig()
+        ch = realize_channels(cfg, 0)
+        cb = build_codebook(cfg.n_active, cfg.mod_order)
+        bf = compute_beamformer(Method.MAX_SJNR, ch, cfg)
+        uses, errors, squared = _ber_counts(bf, ch, cfg, cb, n_trials,
+                                            derive_rng(3, 9, 32))
+        assert uses == n_trials
+        assert 0 <= errors <= squared <= n_trials * cb.bits_per_use ** 2
+        assert errors <= n_trials * cb.bits_per_use
+
+    def test_same_seed_same_counts(self):
+        cfg = SystemConfig(power_mallory=2.0)
+        ch = realize_channels(cfg, 1)
+        cb = build_codebook(cfg.n_active, cfg.mod_order)
+        bf = compute_beamformer(Method.MAX_WFRP, ch, cfg)
+        runs = [_ber_counts(bf, ch, cfg, cb, 1000, derive_rng(3, 9, 34))
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0][1] > 0
 
 
 class TestFlops:

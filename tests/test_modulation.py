@@ -45,9 +45,18 @@ class TestCodebook:
     def test_shared_instance_read_only(self):
         cb = build_codebook(8, 4)
         assert build_codebook(8, 4) is cb
-        for arr in (cb.labels, cb.antennas, cb.symbols):
+        for arr in (cb.labels, cb.antennas, cb.symbols, cb.bit_errors):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
+
+    @pytest.mark.parametrize("n_active,mod_order", [(1, 2), (8, 4), (4, 16)])
+    def test_bit_error_table(self, n_active, mod_order):
+        cb = build_codebook(n_active, mod_order)
+        labels = [int(v) for v in cb.labels]
+        expected = [[(a ^ b).bit_count() for b in labels] for a in labels]
+        np.testing.assert_array_equal(cb.bit_errors, expected)
+        np.testing.assert_array_equal(cb.bit_errors, cb.bit_errors.T)
+        assert not np.diagonal(cb.bit_errors).any()
 
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
