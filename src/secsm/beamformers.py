@@ -57,8 +57,7 @@ class Beamformer:
 
 
 def _signal_gram(chset):
-    HT = chset.H @ chset.T
-    return HT @ HT.conj().T
+    return chset.HT @ chset.HT.conj().T
 
 
 def max_rp(chset, cfg):
@@ -88,7 +87,7 @@ def max_wfrp(chset, cfg):
     """
     R_w = noise_cov_bob(chset, cfg)
     W = whitening_matrix(R_w)
-    HT_w = W @ (chset.H @ chset.T)
+    HT_w = W @ chset.HT
     w, lam = max_eigvec_hermitian(HT_w @ HT_w.conj().T)
     u = W.conj().T @ w
     u = canonical_phase(u / np.linalg.norm(u))
@@ -104,7 +103,7 @@ def max_rp_zfc(chset, cfg):
     A = (U^H U)^{-1} (beta P U^H H T T^H H^H U). Raises
     ZfcInfeasibleError when the jamming subspace has full row rank.
     """
-    jam = chset.F @ chset.P_JM
+    jam = chset.F_JM
     U = null_space_basis(jam)
     if U.shape[1] == 0:
         raise ZfcInfeasibleError(

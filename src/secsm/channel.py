@@ -9,6 +9,7 @@ receive vector / self-interference-free jamming precoder pair.
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,6 +116,10 @@ class ChannelSet:
     u_er    attacker's unit receive vector
     P_JM    n_mallory x (n_mallory - 1) jamming precoder with
             u_er^H M_self P_JM = 0
+
+    The channel products every SNR and jamming-power point reuses are
+    computed on first use and kept, read-only: HT = H T, HT_AN =
+    (H T) P_AN, GT_AN = (G T) P_AN, F_JM = F P_JM and M_JM = M_self P_JM.
     """
 
     H: np.ndarray
@@ -125,6 +130,31 @@ class ChannelSet:
     P_AN: np.ndarray
     u_er: np.ndarray
     P_JM: np.ndarray
+
+    @cached_property
+    def HT(self):
+        return _read_only(self.H @ self.T)
+
+    @cached_property
+    def HT_AN(self):
+        return _read_only(self.HT @ self.P_AN)
+
+    @cached_property
+    def GT_AN(self):
+        return _read_only(self.G @ self.T @ self.P_AN)
+
+    @cached_property
+    def F_JM(self):
+        return _read_only(self.F @ self.P_JM)
+
+    @cached_property
+    def M_JM(self):
+        return _read_only(self.M_self @ self.P_JM)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def sample_channels(cfg, rng):

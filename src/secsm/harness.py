@@ -10,7 +10,6 @@ powers enter separately through the system configuration.
 """
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -233,9 +232,10 @@ def _realization_task(args):
 
     Returns {(snr_idx, pm_idx, method): (feasible, sr, sjnr,
     ber_uses, bit_errors, squared_errors)}. The attacker's rate is
-    method-independent and computed once per grid point; Bob-side noise
-    and BER draws reuse one stream per grid point across methods
-    (common random numbers), which sharpens method comparisons.
+    method-independent and computed once per grid point; Bob's rates for
+    all feasible methods come from one stacked call, so they share one
+    noise draw, and BER draws reuse one stream per grid point across
+    methods (common random numbers), which sharpens method comparisons.
     """
     cfg, spec, r = args
     chset = realize_channels(cfg, r, an_mode=spec.an_mode)
@@ -249,15 +249,19 @@ def _realization_task(args):
             i_eve = mutual_info_mc(
                 chset.u_er, "mallory", chset, point, spec.n_noise,
                 derive_rng(cfg.seed, _STREAM_MI_EVE, r, si, pi))
+            built = {}
             for method in spec.methods:
                 try:
-                    bf = compute_beamformer(method, chset, point)
+                    built[method] = compute_beamformer(method, chset, point)
                 except ZfcInfeasibleError:
                     out[si, pi, method] = (False, 0.0, 0.0, 0, 0, 0)
-                    continue
-                i_bob = mutual_info_mc(
-                    bf.u, "bob", chset, point, spec.n_noise,
-                    derive_rng(cfg.seed, _STREAM_MI_BOB, r, si, pi))
+            if not built:
+                continue
+            i_bobs = mutual_info_mc(
+                np.array([bf.u for bf in built.values()]), "bob", chset,
+                point, spec.n_noise,
+                derive_rng(cfg.seed, _STREAM_MI_BOB, r, si, pi))
+            for (method, bf), i_bob in zip(built.items(), i_bobs.tolist()):
                 sr = max(0.0, i_bob - i_eve)
                 ratio = metrics.sjnr(bf.u, chset, point)
                 uses = errors = squared = 0
@@ -278,7 +282,6 @@ def run_sweep(cfg, spec, threads=1):
     (cfg, spec) pair raises ValueError before any realization starts.
     """
     check_feasible(cfg, spec)
-    started = time.perf_counter()
     tasks = [(cfg, spec, r) for r in range(spec.n_realizations)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -287,7 +290,6 @@ def run_sweep(cfg, spec, threads=1):
                                      chunksize=chunk))
     else:
         partials = [_realization_task(t) for t in tasks]
-    elapsed = time.perf_counter() - started
 
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
     bits = codebook.bits_per_use
@@ -322,8 +324,7 @@ def run_sweep(cfg, spec, threads=1):
                         "n_ber_uses": uses,
                         "n_bit_errors": errors,
                         "ber_squared_errors": squared,
-                    },
-                    wall_clock_s=elapsed))
+                    }))
     return records
 
 

@@ -196,3 +196,15 @@ class TestChannelSetInvariants:
         np.testing.assert_array_equal(a.P_AN, b.P_AN)
         np.testing.assert_array_equal(a.u_er, b.u_er)
         np.testing.assert_array_equal(a.P_JM, b.P_JM)
+
+    def test_cached_products(self):
+        ch = realize_channels(default_cfg(power_mallory=2.0), 3)
+        fresh = {"HT": ch.H @ ch.T, "HT_AN": ch.H @ ch.T @ ch.P_AN,
+                 "GT_AN": ch.G @ ch.T @ ch.P_AN, "F_JM": ch.F @ ch.P_JM,
+                 "M_JM": ch.M_self @ ch.P_JM}
+        for name, expected in fresh.items():
+            cached = getattr(ch, name)
+            # same association order, so the same bits
+            np.testing.assert_array_equal(cached, expected)
+            assert getattr(ch, name) is cached
+            assert not cached.flags.writeable

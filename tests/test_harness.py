@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secsm import harness
-from secsm.beamformers import Method
-from secsm.channel import AN_MODES, SystemConfig
+from secsm.beamformers import Method, ZfcInfeasibleError, compute_beamformer
+from secsm.channel import AN_MODES, SystemConfig, derive_rng, realize_channels
 from secsm.cli import main
 from secsm.harness import (ConfigError, SweepSpec, default_config_text,
                            emit_config, parse_config, run_sweep,
                            snr_to_noise_var, write_outputs)
+from secsm.metrics import mutual_info_mc
 
 
 def line_of(text, key):
@@ -224,6 +225,37 @@ class TestRunSweep:
         assert rec.trial_counts["n_zfc_infeasible"] == 3
         assert rec.trial_counts["n_feasible"] == 0
         assert math.isnan(rec.avg_sr)
+
+    @pytest.mark.parametrize("n_mallory", [2, 7])
+    def test_realization_rates_match_single_calls(self, n_mallory):
+        # n_mallory = 7: six jamming streams fill C^6, ZFC is infeasible
+        cfg = SystemConfig(n_mallory=n_mallory, seed=8)
+        spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
+                         methods=tuple(Method), n_realizations=3,
+                         n_ber_trials=3)
+        r = 2
+        out = harness._realization_task((cfg, spec, r))
+        chset = realize_channels(cfg, r, an_mode=spec.an_mode)
+        for si, snr_db in enumerate(spec.snr_grid_db):
+            for pi, p_m in enumerate(spec.p_m_list):
+                point = harness._point_config(cfg, snr_db, p_m)
+                i_eve = mutual_info_mc(
+                    chset.u_er, "mallory", chset, point, spec.n_noise,
+                    derive_rng(cfg.seed, harness._STREAM_MI_EVE, r, si, pi))
+                for method in spec.methods:
+                    feasible, sr, *_ = out[si, pi, method]
+                    try:
+                        bf = compute_beamformer(method, chset, point)
+                    except ZfcInfeasibleError:
+                        assert (method, n_mallory) == (Method.MAX_RP_ZFC, 7)
+                        assert (feasible, sr) == (False, 0.0)
+                        continue
+                    i_bob = mutual_info_mc(
+                        bf.u, "bob", chset, point, spec.n_noise,
+                        derive_rng(cfg.seed, harness._STREAM_MI_BOB, r, si,
+                                   pi))
+                    assert feasible
+                    assert sr == max(0.0, i_bob - i_eve)
 
     def test_random_an_mode(self):
         cfg = SystemConfig(seed=7)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from secsm.metrics import mi_inner_mean
+from secsm.metrics import MI_BLOCK_ROWS, mi_inner_mean
 
 from helpers import crandn_t
 
@@ -29,6 +29,20 @@ def test_numpy_matches_reference():
     g = crandn_t(rng, 8)
     diffs = g[:, None] - g[None, :]
     noise = crandn_t(rng, 8, 16)
+    assert mi_inner_mean(diffs, noise) == \
+        pytest.approx(reference_mean(diffs, noise), rel=1e-12)
+
+
+@pytest.mark.parametrize("K, T, scale", [(7, 16, 1.0), (7, 1, 3.0),
+                                         (32, 3, 0.5)])
+def test_blocks_match_reference(K, T, scale):
+    # a last block shorter than MI_BLOCK_ROWS, a single draw, and the
+    # default 32-entry codebook over several blocks
+    assert K % MI_BLOCK_ROWS or K > MI_BLOCK_ROWS
+    rng = np.random.default_rng(K + T)
+    g = scale * crandn_t(rng, K)
+    diffs = g[:, None] - g[None, :]
+    noise = crandn_t(rng, K, T)
     assert mi_inner_mean(diffs, noise) == \
         pytest.approx(reference_mean(diffs, noise), rel=1e-12)
 

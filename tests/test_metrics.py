@@ -185,6 +185,25 @@ class TestMutualInfo:
         half = mutual_info_mc(u, "bob", ch, point, 250, derive_rng(3, 9, 9))
         assert abs(full - half) < 0.03
 
+    def test_stacked_equals_single_calls(self):
+        cfg = SystemConfig(power_mallory=2.0)
+        ch = realize_channels(cfg, 5)
+        U = np.array([compute_beamformer(m, ch, cfg).u for m in Method])
+        for side, stack in (("bob", U), ("mallory", U[:, :2])):
+            stacked = mutual_info_mc(stack, side, ch, cfg, 300,
+                                     derive_rng(3, 9, 40))
+            single = [mutual_info_mc(u, side, ch, cfg, 300,
+                                     derive_rng(3, 9, 40)) for u in stack]
+            assert isinstance(stacked, np.ndarray)
+            assert stacked.tolist() == single
+
+    def test_single_combiner_returns_float(self):
+        cfg = SystemConfig()
+        ch = realize_channels(cfg, 0)
+        bits = mutual_info_mc(ch.u_er, "mallory", ch, cfg, 20,
+                              derive_rng(3, 9, 41))
+        assert type(bits) is float
+
     def test_rejects_zero_draws(self):
         cfg = SystemConfig()
         ch = realize_channels(cfg, 0)
@@ -251,21 +270,6 @@ class TestMlDetect:
             a = ml_detect(smp.y_bob, bf, ch, cfg)
             b = ml_detect(3.0 * smp.y_bob, bf9, ch, big)
             assert a == b
-
-    def test_uniform_guess_limit(self):
-        cfg = SystemConfig(beta=1.0, power_mallory=0.0,
-                           noise_var_bob=1e8)
-        ch = realize_channels(cfg, 1)
-        cb = build_codebook(8, 4)
-        bf = compute_beamformer(Method.MAX_RP, ch, cfg)
-        rng = derive_rng(3, 9, 17)
-        n = 100_000
-        errs = 0
-        for _ in range(n):
-            idx = int(rng.integers(32))
-            smp = receive(cb, idx, ch, cfg, rng)
-            errs += ml_detect(smp.y_bob, bf, ch, cfg) != idx
-        assert errs / n == pytest.approx(31 / 32, abs=0.02)
 
 
 class TestBer:
@@ -356,6 +360,19 @@ class TestBatchedBerCounts:
         assert uses == n_trials
         assert 0 <= errors <= squared <= n_trials * cb.bits_per_use ** 2
         assert errors <= n_trials * cb.bits_per_use
+
+    def test_uniform_guess_limit(self):
+        # at -70 dB the decision does not depend on the uniform truth, so
+        # E[popcount(idx ^ j)] = 2.5 of 5 bits for any decision j
+        cfg = SystemConfig(beta=1.0, power_mallory=0.0,
+                           noise_var_bob=1e8)
+        ch = realize_channels(cfg, 1)
+        cb = build_codebook(8, 4)
+        bf = compute_beamformer(Method.MAX_RP, ch, cfg)
+        uses, errors, _ = _ber_counts(bf, ch, cfg, cb, 100_000,
+                                      derive_rng(3, 9, 17))
+        assert errors / (uses * cb.bits_per_use) == \
+            pytest.approx(0.5, abs=0.01)
 
     def test_same_seed_same_counts(self):
         cfg = SystemConfig(power_mallory=2.0)
