@@ -54,15 +54,15 @@ class SystemConfig:
     power_mallory jamming power [W]
     beta          fraction of Alice's power spent on the data symbol,
                   the rest carries artificial noise
-    an_var        variance of the artificial-noise vector entries
-    jam_var       variance of the jamming vector entries
     noise_var_bob receiver noise variance at Bob
     noise_var_eve receiver noise variance at the attacker
     mod_order     PSK constellation size
     seed          base seed for all derived rng streams
 
+    A sweep sets power_mallory and both noise variances per grid point.
     n_active, the number of active transmit antennas, is derived as
-    2^floor(log2 n_tx).
+    2^floor(log2 n_tx). an_var and jam_var, the AN and jamming entry
+    variances, are constants equal to 1: P_AN and P_JM have unit trace.
     """
 
     n_tx: int = 8
@@ -71,12 +71,11 @@ class SystemConfig:
     power: float = 10.0
     power_mallory: float = 1.0
     beta: float = 0.5
-    an_var: float = 1.0
-    jam_var: float = 1.0
     noise_var_bob: float = 1.0
     noise_var_eve: float = 1.0
     mod_order: int = 4
     seed: int = 1
+    an_var = jam_var = 1.0  # class constants, not fields
 
     def __post_init__(self):
         if self.n_tx < 1:
@@ -88,10 +87,10 @@ class SystemConfig:
                              "jams on n_mallory - 1 streams")
         if not _is_pow2(self.mod_order):
             raise ValueError("mod_order must be a power of 2")
-        for name in ("power", "power_mallory", "an_var", "jam_var",
-                     "noise_var_bob", "noise_var_eve"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for name in ("power", "power_mallory", "noise_var_bob",
+                     "noise_var_eve"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
         if self.seed < 0:
@@ -184,14 +183,14 @@ def build_tas_matrix(H, n_active):
     return np.eye(n_tx)[:, selected]
 
 
-def build_an_projection(H, T, an_var, mode="nullspace", rng=None):
-    """Artificial-noise projection matrix, scaled to unit AN power.
+def build_an_projection(H, T, mode="nullspace", rng=None):
+    """Artificial-noise projection matrix, scaled to unit trace.
 
     In "nullspace" mode the leading columns form a basis of the null
     space of the effective channel H T (so Bob never sees the AN),
     zero-padded to a square n_active x n_active matrix. In "random" mode
     the matrix is a scaled random unitary, which leaks AN into Bob's
-    receiver. Either way trace(P_AN P_AN^H) * an_var = 1.
+    receiver. Either way trace(P_AN P_AN^H) = 1.
     """
     if mode not in AN_MODES:
         raise ValueError(f"unknown AN mode {mode!r}; expected one of {AN_MODES}")
@@ -201,7 +200,7 @@ def build_an_projection(H, T, an_var, mode="nullspace", rng=None):
             raise ValueError("random AN mode needs an rng")
         Q, R = np.linalg.qr(crandn(rng, n_active, n_active))
         Q = Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
-        return Q / math.sqrt(n_active * an_var)
+        return Q / math.sqrt(n_active)
     effective = H @ T
     # Null space of the operator H T = complement of the columns of (H T)^H.
     basis = null_space_basis(effective.conj().T)
@@ -211,17 +210,17 @@ def build_an_projection(H, T, an_var, mode="nullspace", rng=None):
             "AN null space empty: n_active must exceed n_rx for "
             "null-space artificial noise")
     P = np.zeros((n_active, n_active), dtype=np.complex128)
-    P[:, :width] = basis / math.sqrt(width * an_var)
+    P[:, :width] = basis / math.sqrt(width)
     return P
 
 
-def build_mallory_chain(G, T, M_self, cfg):
+def build_mallory_chain(G, T, M_self):
     """The attacker's receive vector and jamming precoder.
 
     u_er maximizes intercepted signal power (dominant eigenvector of
     G T T^H G^H); P_JM spans the orthogonal complement of M_self^H u_er,
     which cancels the attacker's self-interference exactly, scaled so
-    trace(P_JM P_JM^H) * jam_var = 1.
+    trace(P_JM P_JM^H) = 1.
     """
     n_mallory = G.shape[0]
     if n_mallory < 2:
@@ -237,9 +236,7 @@ def build_mallory_chain(G, T, M_self, cfg):
         basis = np.eye(n_mallory, dtype=np.complex128)[:, :n_mallory - 1]
     else:
         basis = null_space_basis(back.reshape(-1, 1))
-    width = basis.shape[1]
-    P_JM = basis / math.sqrt(width * cfg.jam_var)
-    return u_er, P_JM
+    return u_er, basis / math.sqrt(basis.shape[1])
 
 
 def realize_channels(cfg, index, an_mode="nullspace"):
@@ -251,7 +248,7 @@ def realize_channels(cfg, index, an_mode="nullspace"):
     rng = derive_rng(cfg.seed, CHANNEL_STREAM, index)
     H, G, F, M_self = sample_channels(cfg, rng)
     T = build_tas_matrix(H, cfg.n_active)
-    P_AN = build_an_projection(H, T, cfg.an_var, mode=an_mode, rng=rng)
-    u_er, P_JM = build_mallory_chain(G, T, M_self, cfg)
+    P_AN = build_an_projection(H, T, mode=an_mode, rng=rng)
+    u_er, P_JM = build_mallory_chain(G, T, M_self)
     return ChannelSet(H=H, G=G, F=F, M_self=M_self, T=T, P_AN=P_AN,
                       u_er=u_er, P_JM=P_JM)

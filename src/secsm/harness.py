@@ -11,7 +11,7 @@ powers enter separately through the system configuration.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +43,15 @@ class SweepSpec:
     output_dir: str = "results"
 
     def __post_init__(self):
-        if not self.snr_grid_db:
-            raise ValueError("snr_grid_db must be non-empty")
-        if not self.p_m_list or any(p < 0 for p in self.p_m_list):
-            raise ValueError("p_m_list must be non-empty and non-negative")
-        if not self.methods:
-            raise ValueError("methods must be non-empty")
+        # a repeat (0.0 == -0.0 too) would give one cell two rows
+        for name in ("snr_grid_db", "p_m_list", "methods"):
+            values = getattr(self, name)
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{name} must be non-empty without repeats")
+        if not all(math.isfinite(s) for s in self.snr_grid_db):
+            raise ValueError("snr_grid_db must be finite")
+        if not all(0.0 <= p < math.inf for p in self.p_m_list):
+            raise ValueError("p_m_list must be finite and non-negative")
         for name in ("n_realizations", "n_noise", "n_ber_trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -109,12 +112,7 @@ _SCHEMA = {
     "n_rx": (SystemConfig, int),
     "n_mallory": (SystemConfig, int),
     "power": (SystemConfig, float),
-    "power_mallory": (SystemConfig, float),
     "beta": (SystemConfig, float),
-    "an_var": (SystemConfig, float),
-    "jam_var": (SystemConfig, float),
-    "noise_var_bob": (SystemConfig, float),
-    "noise_var_eve": (SystemConfig, float),
     "mod_order": (SystemConfig, int),
     "seed": (SystemConfig, int),
     "snr_grid_db": (SweepSpec, _parse_float_list),
@@ -190,24 +188,23 @@ def _fmt(value):
 def emit_config(cfg, spec):
     """Render (cfg, spec) as a canonical configuration document.
 
-    parse_config(emit_config(cfg, spec)) reproduces the inputs exactly.
+    parse_config(emit_config(cfg, spec)) reproduces the document keys
+    exactly; cfg's operating point (power_mallory and the noise
+    variances, which a sweep sets per grid point) is not in it.
     """
     out = ["# secsm simulation configuration (all keys required)", ""]
-    out.append("# system")
-    for f in fields(SystemConfig):
-        out.append(f"{f.name} = {_fmt(getattr(cfg, f.name))}")
-    out.append("")
-    out.append("# sweep")
-    for f in fields(SweepSpec):
-        value = getattr(spec, f.name)
-        if f.name == "methods":
-            rendered = ", ".join(m.value for m in value)
-        elif isinstance(value, tuple):
-            rendered = ", ".join(_fmt(v) for v in value)
-        else:
-            rendered = _fmt(value)
-        out.append(f"{f.name} = {rendered}")
-    out.append("")
+    for title, obj in (("system", cfg), ("sweep", spec)):
+        out.append(f"# {title}")
+        for key in (k for k, (t, _) in _SCHEMA.items() if t is type(obj)):
+            value = getattr(obj, key)
+            if key == "methods":
+                rendered = ", ".join(m.value for m in value)
+            elif isinstance(value, tuple):
+                rendered = ", ".join(_fmt(v) for v in value)
+            else:
+                rendered = _fmt(value)
+            out.append(f"{key} = {rendered}")
+        out.append("")
     return "\n".join(out)
 
 
@@ -359,8 +356,8 @@ def write_outputs(records, cfg, spec, out_dir=None):
         rows.append(",".join([
             rec.method.value, _fmt(rec.snr_db), _fmt(rec.p_m),
             _fmt(rec.avg_sr), _fmt(rec.ber), _fmt(rec.avg_sjnr_db),
-            str(counts.get("n_realizations", len(rec.sr_samples))),
-            str(counts.get("n_zfc_infeasible", 0)),
+            str(counts["n_realizations"]),
+            str(counts["n_zfc_infeasible"]),
         ]))
     (out / "results.csv").write_text("\n".join(rows) + "\n",
                                      encoding="utf-8", newline="\n")

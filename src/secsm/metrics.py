@@ -50,13 +50,16 @@ class MetricsRecord:
 def noise_cov_bob(chset, cfg):
     """Interference-plus-noise covariance at Bob.
 
-    R_w = (1-beta) P an_var (H T P_AN)(H T P_AN)^H
-        + P_M jam_var (F P_JM)(F P_JM)^H + noise_var_bob I.
+    R_w = (1-beta) P (H T P_AN)(H T P_AN)^H + P_M (F P_JM)(F P_JM)^H
+        + noise_var_bob I,
+
+    with unit-variance AN and jamming entries (P_AN and P_JM carry the
+    unit-power normalisation).
     """
     an = chset.HT_AN
     jam = chset.F_JM
-    R = ((1.0 - cfg.beta) * cfg.power * cfg.an_var * (an @ an.conj().T)
-         + cfg.power_mallory * cfg.jam_var * (jam @ jam.conj().T)
+    R = ((1.0 - cfg.beta) * cfg.power * (an @ an.conj().T)
+         + cfg.power_mallory * (jam @ jam.conj().T)
          + cfg.noise_var_bob * np.eye(cfg.n_rx))
     return 0.5 * (R + R.conj().T)
 
@@ -78,10 +81,9 @@ def scalar_inpn_cov(u, chset, cfg, side="bob"):
     """
     an, jam, noise_var = _side_terms(chset, cfg, side)
     u = np.asarray(u)
-    return float((1.0 - cfg.beta) * cfg.power * cfg.an_var
+    return float((1.0 - cfg.beta) * cfg.power
                  * np.sum(np.abs(an.conj().T @ u) ** 2)
-                 + cfg.power_mallory * cfg.jam_var
-                 * np.sum(np.abs(jam.conj().T @ u) ** 2)
+                 + cfg.power_mallory * np.sum(np.abs(jam.conj().T @ u) ** 2)
                  + noise_var * np.sum(np.abs(u) ** 2))
 
 
@@ -229,10 +231,9 @@ def _ber_counts(beamformer, chset, cfg, codebook, n_trials, rng):
     receiver noise does not reach Bob and is not drawn.
     """
     w, refs = _whitened_detector(beamformer, chset, cfg, codebook)
-    an_row = (math.sqrt((1.0 - cfg.beta) * cfg.power * cfg.an_var)
+    an_row = (math.sqrt((1.0 - cfg.beta) * cfg.power)
               * (w @ chset.H @ chset.T @ chset.P_AN))
-    jam_row = (math.sqrt(cfg.power_mallory * cfg.jam_var)
-               * (w @ chset.F @ chset.P_JM))
+    jam_row = math.sqrt(cfg.power_mallory) * (w @ chset.F @ chset.P_JM)
     noise_row = math.sqrt(cfg.noise_var_bob) * w
     errors = 0
     squared = 0

@@ -98,7 +98,7 @@ def transmit_alice(codebook, index, chset, cfg, rng):
     """
     e = np.zeros(cfg.n_active, dtype=np.complex128)
     e[codebook.antennas[index]] = codebook.symbols[index]
-    n_a = math.sqrt(cfg.an_var) * crandn(rng, cfg.n_active)
+    n_a = crandn(rng, cfg.n_active)
     inner = (math.sqrt(cfg.beta * cfg.power) * e
              + math.sqrt((1.0 - cfg.beta) * cfg.power) * (chset.P_AN @ n_a))
     return chset.T @ inner
@@ -106,7 +106,7 @@ def transmit_alice(codebook, index, chset, cfg, rng):
 
 def transmit_mallory(chset, cfg, rng):
     """The attacker's jamming signal x_m = sqrt(P_M) P_JM n_m."""
-    n_m = math.sqrt(cfg.jam_var) * crandn(rng, chset.P_JM.shape[1])
+    n_m = crandn(rng, chset.P_JM.shape[1])
     return math.sqrt(cfg.power_mallory) * (chset.P_JM @ n_m)
 
 

@@ -1,6 +1,8 @@
 """Channel sampling, antenna selection, AN projection and the attacker
 chain."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,21 @@ class TestConfig:
             default_cfg(mod_order=3)
         with pytest.raises(ValueError, match="power"):
             default_cfg(power=-1.0)
+        for name in ("power", "power_mallory", "noise_var_bob",
+                     "noise_var_eve"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"^{name} .*finite"):
+                    default_cfg(**{name: value})
+
+    def test_variances_fixed(self):
+        # AN and jamming entry variances are constants, not fields
+        cfg = default_cfg()
+        assert (cfg.an_var, cfg.jam_var) == (1.0, 1.0)
+        for name in ("an_var", "jam_var"):
+            with pytest.raises(TypeError):
+                default_cfg(**{name: 2.0})
+            with pytest.raises(AttributeError):
+                setattr(cfg, name, 2.0)
 
     def test_attacker_needs_two_antennas(self):
         # one antenna leaves no self-interference-free jamming stream
@@ -98,25 +115,25 @@ class TestAnProjection:
         rng = derive_rng(7, 0, 0)
         H = crandn(rng, 6, 8)
         T = np.eye(8)
-        P = build_an_projection(H, T, an_var=1.0)
+        P = build_an_projection(H, T)
         assert P.shape == (8, 8)
         # 8 - 6 = 2 live columns, the rest zero padding
         assert np.linalg.norm(P[:, 2:]) == 0
         assert np.linalg.norm(H @ T @ P) <= 1e-10
 
     def test_power_normalization(self):
+        # unit trace: unit-variance AN entries carry unit total power
         rng = derive_rng(7, 0, 1)
         H = crandn(rng, 6, 8)
-        for an_var in (0.5, 1.0, 2.0):
-            P = build_an_projection(H, np.eye(8), an_var=an_var)
+        for mode in ("nullspace", "random"):
+            P = build_an_projection(H, np.eye(8), mode=mode, rng=rng)
             tr = float(np.real(np.trace(P @ P.conj().T)))
-            assert tr * an_var == pytest.approx(1.0, abs=1e-12)
+            assert tr == pytest.approx(1.0, abs=1e-12)
 
     def test_random_mode_orthonormal(self):
         rng = derive_rng(7, 0, 2)
         H = crandn(rng, 6, 8)
-        P = build_an_projection(H, np.eye(8), an_var=1.0, mode="random",
-                                rng=rng)
+        P = build_an_projection(H, np.eye(8), mode="random", rng=rng)
         PtP = P.conj().T @ P
         np.testing.assert_allclose(PtP, PtP[0, 0] * np.eye(8), atol=1e-10)
 
@@ -124,7 +141,7 @@ class TestAnProjection:
         rng = derive_rng(7, 0, 3)
         H = crandn(rng, 8, 8)
         with pytest.raises(ValueError, match="null space"):
-            build_an_projection(H, np.eye(8), an_var=1.0)
+            build_an_projection(H, np.eye(8))
 
     def test_bob_an_term_vanishes(self):
         # first term of Bob's interference covariance is zero for any u
@@ -135,36 +152,33 @@ class TestAnProjection:
         for _ in range(10):
             u = crandn(rng, cfg.n_rx)
             u /= np.linalg.norm(u)
-            term = ((1 - cfg.beta) * cfg.power * cfg.an_var
+            term = ((1 - cfg.beta) * cfg.power
                     * np.sum(np.abs(an.conj().T @ u) ** 2))
             assert term <= 1e-12
 
 
 class TestMalloryChain:
     def test_identity_self_channel(self):
-        cfg = default_cfg(n_mallory=4)
         rng = derive_rng(9, 0, 0)
         G = crandn(rng, 4, 8)
-        u_er, P_JM = build_mallory_chain(G, np.eye(8), np.eye(4), cfg)
+        u_er, P_JM = build_mallory_chain(G, np.eye(8), np.eye(4))
         assert np.linalg.norm(u_er.conj() @ P_JM) <= 1e-10
 
     def test_dimensions_and_orthonormal(self):
-        cfg = default_cfg(n_mallory=4)
         rng = derive_rng(9, 0, 1)
         G = crandn(rng, 4, 8)
         M = crandn(rng, 4, 4)
-        u_er, P_JM = build_mallory_chain(G, np.eye(8), M, cfg)
+        u_er, P_JM = build_mallory_chain(G, np.eye(8), M)
         assert P_JM.shape == (4, 3)
         PtP = P_JM.conj().T @ P_JM
         np.testing.assert_allclose(PtP, PtP[0, 0] * np.eye(3), atol=1e-12)
 
     def test_self_interference_power(self):
-        cfg = default_cfg(n_mallory=4)
         rng = derive_rng(9, 0, 2)
         for _ in range(20):
             G = crandn(rng, 4, 8)
             M = crandn(rng, 4, 4)
-            u_er, P_JM = build_mallory_chain(G, np.eye(8), M, cfg)
+            u_er, P_JM = build_mallory_chain(G, np.eye(8), M)
             leak = u_er.conj() @ M @ P_JM
             assert float(np.sum(np.abs(leak) ** 2)) <= 1e-18
 
@@ -185,8 +199,8 @@ class TestChannelSetInvariants:
             assert leak.max() <= 1e-10
             tr_an = float(np.real(np.trace(ch.P_AN @ ch.P_AN.conj().T)))
             tr_jm = float(np.real(np.trace(ch.P_JM @ ch.P_JM.conj().T)))
-            assert tr_an * cfg.an_var == pytest.approx(1.0, abs=1e-10)
-            assert tr_jm * cfg.jam_var == pytest.approx(1.0, abs=1e-10)
+            assert tr_an == pytest.approx(1.0, abs=1e-10)
+            assert tr_jm == pytest.approx(1.0, abs=1e-10)
 
     def test_realize_deterministic(self):
         cfg = default_cfg()

@@ -1,6 +1,7 @@
 """Configuration parsing, sweep bookkeeping/determinism and file export."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,12 @@ def line_of(text, key):
         if line.partition("=")[0].strip() == key:
             return lineno
     raise KeyError(key)
+
+
+def set_key(text, key, value):
+    """The document with `key`'s value replaced."""
+    return "\n".join(f"{key} = {value}" if line.startswith(f"{key} =")
+                     else line for line in text.splitlines()) + "\n"
 
 
 def tiny_spec(**kw):
@@ -50,6 +57,17 @@ class TestParseConfig:
         cfg2, spec2 = parse_config(emit_config(cfg, spec))
         assert cfg2 == cfg
         assert spec2 == spec
+        # the operating point is not in the document; a sweep sets it
+        point = replace(cfg, power_mallory=5.0, noise_var_bob=0.1,
+                        noise_var_eve=0.2)
+        assert parse_config(emit_config(point, spec)) == (cfg, spec)
+
+    def test_document_keys(self):
+        keys = [line.partition("=")[0].strip()
+                for line in default_config_text().splitlines()
+                if "=" in line]
+        assert keys == list(harness._SCHEMA)
+        assert len(keys) == 15
 
     def test_range_error_names_key_and_line(self):
         text = default_config_text().replace("beta = 0.5", "beta = 1.5")
@@ -58,13 +76,34 @@ class TestParseConfig:
         assert info.value.key == "beta"
         assert info.value.line is not None
 
-    @pytest.mark.parametrize("key", ["power_mallory", "noise_var_bob"])
+    @pytest.mark.parametrize("key", ["power", "seed"])
     def test_range_error_names_exact_key(self, key):
-        # a key whose name extends another key's (power_mallory, power)
-        text = "\n".join(f"{key} = -1.0" if line.startswith(f"{key} =")
-                         else line
-                         for line in default_config_text().splitlines())
+        # the key comes from the constraint message, the line from the key
+        text = set_key(default_config_text(), key, "-1")
+        with pytest.raises(ConfigError, match="non-negative") as info:
+            parse_config(text)
+        assert info.value.key == key
+        assert info.value.line == line_of(text, key)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["power", "beta", "snr_grid_db",
+                                     "p_m_list"])
+    def test_non_finite_rejected(self, key, value):
+        text = set_key(default_config_text(), key, f"1.0, {value}"
+                       if key in ("snr_grid_db", "p_m_list") else value)
         with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.key == key
+        assert info.value.line == line_of(text, key)
+
+    @pytest.mark.parametrize("key,value", [
+        ("snr_grid_db", "0, -0"), ("snr_grid_db", "-5, 5, -5.0"),
+        ("p_m_list", "1, 10, 1.0"),
+        ("methods", "max_rp, max_sjnr, max_rp")])
+    def test_repeated_value_rejected(self, key, value):
+        # one grid cell must not produce two rows or merge two CDFs
+        text = set_key(default_config_text(), key, value)
+        with pytest.raises(ConfigError, match="repeat") as info:
             parse_config(text)
         assert info.value.key == key
         assert info.value.line == line_of(text, key)
@@ -91,10 +130,15 @@ class TestParseConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(default_config_text() + "bogus = 1\n")
-        # n_active is derived from n_tx, not configured
-        with pytest.raises(ConfigError, match="unknown key") as info:
-            parse_config(default_config_text() + "n_active = 8\n")
-        assert info.value.key == "n_active"
+        # n_active is derived from n_tx; the operating point is set per
+        # grid point; the AN and jamming entry variances are fixed at 1
+        text = default_config_text()
+        for key in ("n_active", "power_mallory", "noise_var_bob",
+                    "noise_var_eve", "an_var", "jam_var"):
+            with pytest.raises(ConfigError, match="unknown key") as info:
+                parse_config(text + f"{key} = 1.0\n")
+            assert info.value.key == key
+            assert info.value.line == len(text.splitlines()) + 1
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -132,20 +176,19 @@ class TestParseConfig:
         cfg = SystemConfig(
             n_tx=n_tx, n_rx=data.draw(st.integers(1, max_rx)),
             n_mallory=data.draw(st.integers(2, 16)),
-            power=data.draw(nonneg), power_mallory=data.draw(nonneg),
+            power=data.draw(nonneg),
             beta=data.draw(st.floats(0.0, 1.0)),
-            an_var=data.draw(nonneg), jam_var=data.draw(nonneg),
-            noise_var_bob=data.draw(nonneg),
-            noise_var_eve=data.draw(nonneg),
             mod_order=1 << data.draw(st.integers(1, 8)),
             seed=data.draw(st.integers(0, 2 ** 63)))
+        # grid values and methods may not repeat (0.0 and -0.0 are one)
         spec = SweepSpec(
-            snr_grid_db=tuple(data.draw(st.lists(finite, min_size=1,
-                                                 max_size=5))),
-            p_m_list=tuple(data.draw(st.lists(nonneg, min_size=1,
-                                              max_size=5))),
-            methods=tuple(data.draw(st.lists(st.sampled_from(Method),
-                                             min_size=1, max_size=4))),
+            snr_grid_db=tuple(data.draw(st.lists(
+                finite, min_size=1, max_size=5, unique=True))),
+            p_m_list=tuple(data.draw(st.lists(
+                nonneg, min_size=1, max_size=5, unique=True))),
+            methods=tuple(data.draw(st.lists(
+                st.sampled_from(Method), min_size=1, max_size=4,
+                unique=True))),
             n_realizations=data.draw(st.integers(1, 10 ** 6)),
             n_noise=data.draw(st.integers(1, 10 ** 6)),
             n_ber_trials=data.draw(st.integers(1, 10 ** 9)),
@@ -283,6 +326,14 @@ class TestRunSweep:
             tiny_spec(an_mode="off")
         with pytest.raises(ValueError, match="snr_grid_db"):
             tiny_spec(snr_grid_db=())
+        with pytest.raises(ValueError, match="^snr_grid_db .*finite"):
+            tiny_spec(snr_grid_db=(0.0, math.nan))
+        with pytest.raises(ValueError, match="^p_m_list .*finite"):
+            tiny_spec(p_m_list=(math.inf,))
+        with pytest.raises(ValueError, match="^snr_grid_db .*repeat"):
+            tiny_spec(snr_grid_db=(0.0, -0.0))
+        with pytest.raises(ValueError, match="^methods .*repeat"):
+            tiny_spec(methods=(Method.MAX_RP, Method.MAX_RP))
 
 
 class TestWriteOutputs:

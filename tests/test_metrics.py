@@ -46,8 +46,7 @@ class TestNoiseCov:
         cfg = SystemConfig(power_mallory=2.0, noise_var_bob=0.5)
         ch = realize_channels(cfg, 1)
         jam = ch.F @ ch.P_JM
-        expect = (2.0 * cfg.jam_var * (jam @ jam.conj().T)
-                  + 0.5 * np.eye(6))
+        expect = 2.0 * (jam @ jam.conj().T) + 0.5 * np.eye(6)
         np.testing.assert_allclose(noise_cov_bob(ch, cfg), expect,
                                    atol=1e-12)
 
@@ -58,9 +57,9 @@ class TestNoiseCov:
         R = noise_cov_bob(ch, cfg)
         rng = derive_rng(3, 9, 0)
         n = 100_000
-        an = (math.sqrt((1 - cfg.beta) * cfg.power * cfg.an_var)
+        an = (math.sqrt((1 - cfg.beta) * cfg.power)
               * (ch.H @ ch.T @ ch.P_AN @ crandn(rng, 8, n).reshape(8, n)))
-        jam = (math.sqrt(cfg.power_mallory * cfg.jam_var)
+        jam = (math.sqrt(cfg.power_mallory)
                * (ch.F @ ch.P_JM @ crandn(rng, 3, n)))
         w = an + jam + math.sqrt(cfg.noise_var_bob) * crandn(rng, 6, n)
         emp = (w @ w.conj().T) / n
@@ -80,7 +79,7 @@ class TestScalarCov:
         ch = realize_channels(cfg, 1)
         an = ch.G @ ch.T @ ch.P_AN
         u = ch.u_er
-        expect = ((1 - cfg.beta) * cfg.power * cfg.an_var
+        expect = ((1 - cfg.beta) * cfg.power
                   * np.sum(np.abs(an.conj().T @ u) ** 2)
                   + cfg.noise_var_eve)
         assert scalar_inpn_cov(u, ch, cfg, "mallory") == \
