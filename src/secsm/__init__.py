@@ -15,11 +15,9 @@ from .channel import (ChannelSet, SystemConfig, build_an_projection,
                       derive_rng, realize_channels, sample_channels)
 from .harness import (ConfigError, SweepSpec, default_config_text,
                       emit_config, parse_config, run_sweep, write_outputs)
-from .metrics import (MetricsRecord, ber, flop_estimate, ml_detect,
-                      mutual_info_mc, noise_cov_bob, scalar_inpn_cov,
-                      secrecy_rate, sjnr)
-from .modulation import (RxSample, TxCodebook, build_codebook, receive,
-                         transmit_alice, transmit_mallory)
+from .metrics import (MetricsRecord, flop_estimate, mutual_info_mc,
+                      noise_cov_bob, scalar_inpn_cov, sjnr)
+from .modulation import TxCodebook, build_codebook
 from .numerics import (NotHermitianError, NotPositiveDefiniteError,
                        canonical_phase, gen_max_eigvec, max_eigvec_hermitian,
                        null_space_basis, whitening_matrix)

@@ -44,16 +44,12 @@ class Beamformer:
     """A receive combining vector with its achieved objective.
 
     u is unit norm with canonical phase and multiplies the raw receive
-    vector. For max_wfrp, `whitener` keeps the whitening filter W and u
-    is the composed effective vector W^H w (normalized), where w solves
-    the whitened-domain maximization; the stored u is therefore what any
-    consumer (detector, rate estimator) should apply.
+    vector.
     """
 
     method: Method
     u: np.ndarray
     objective: float
-    whitener: np.ndarray | None = None
 
 
 def _signal_gram(chset):
@@ -92,7 +88,7 @@ def max_wfrp(chset, cfg):
     u = W.conj().T @ w
     u = canonical_phase(u / np.linalg.norm(u))
     obj = cfg.beta * cfg.power * lam / cfg.n_active
-    return Beamformer(method=Method.MAX_WFRP, u=u, objective=obj, whitener=W)
+    return Beamformer(method=Method.MAX_WFRP, u=u, objective=obj)
 
 
 def max_rp_zfc(chset, cfg):

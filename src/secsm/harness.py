@@ -48,8 +48,15 @@ class SweepSpec:
             values = getattr(self, name)
             if not values or len(set(values)) < len(values):
                 raise ValueError(f"{name} must be non-empty without repeats")
-        if not all(math.isfinite(s) for s in self.snr_grid_db):
-            raise ValueError("snr_grid_db must be finite")
+        for snr_db in self.snr_grid_db:
+            try:
+                nv = snr_to_noise_var(float(snr_db))
+            except OverflowError:
+                nv = math.inf
+            if not 0.0 < nv < math.inf:
+                raise ValueError(
+                    f"snr_grid_db must give a finite, positive noise "
+                    f"variance 10^(-snr/10), got {snr_db!r}")
         if not all(0.0 <= p < math.inf for p in self.p_m_list):
             raise ValueError("p_m_list must be finite and non-negative")
         for name in ("n_realizations", "n_noise", "n_ber_trials"):

@@ -1,5 +1,5 @@
 """Performance quantities: covariances, SJNR, Monte-Carlo mutual
-information and secrecy rate, ML detection, BER and FLOP estimates.
+information, the BER tally of whitened ML detection, FLOP estimates.
 
 Mutual information follows the discrete-input estimator for the
 post-beamforming scalar channel: the combined output is whitened by the
@@ -176,47 +176,6 @@ def mutual_info_mc(u, side, chset, cfg, n_noise, rng):
     return bits[0] if u.ndim == 1 else np.array(bits)
 
 
-def secrecy_rate(beamformer, chset, cfg, n_noise, rng):
-    """Per-realization secrecy rate max(0, I_bob - I_attacker).
-
-    Bob combines with the supplied beamformer, the attacker with its own
-    u_er; draws come sequentially from the one rng (Bob first).
-    """
-    i_b = mutual_info_mc(beamformer.u, "bob", chset, cfg, n_noise, rng)
-    i_e = mutual_info_mc(chset.u_er, "mallory", chset, cfg, n_noise, rng)
-    return max(0.0, i_b - i_e)
-
-
-def _whitened_detector(beamformer, chset, cfg, codebook):
-    """Whitened combiner row and the symbol hypotheses it sees at Bob.
-
-    Returns (w, refs): w = u^H / sqrt(u^H R_w u), so the interference
-    plus noise after combining has unit power, and refs[k] the noiseless
-    combined output for codebook entry k. A zero-power degenerate case
-    (noiseless, no interference) skips the whitening, which cannot change
-    a nearest-hypothesis decision.
-    """
-    u = np.asarray(beamformer.u)
-    power = scalar_inpn_cov(u, chset, cfg, "bob")
-    scale = 1.0 / math.sqrt(power) if power > 0.0 else 1.0
-    w = scale * u.conj()
-    refs = (math.sqrt(cfg.beta * cfg.power)
-            * codebook.effective_scalars(w @ chset.H @ chset.T))
-    return w, refs
-
-
-def ml_detect(y_bob, beamformer, chset, cfg):
-    """Maximum-likelihood detection of the codebook index from y_bob.
-
-    Projects onto the whitened combiner and picks the nearest whitened
-    symbol hypothesis; ties break to the lowest index.
-    """
-    codebook = build_codebook(cfg.n_active, cfg.mod_order)
-    w, refs = _whitened_detector(beamformer, chset, cfg, codebook)
-    z = complex(w @ y_bob)
-    return int(np.argmin(np.abs(z - refs)))
-
-
 def _ber_counts(beamformer, chset, cfg, codebook, n_trials, rng):
     """Bit-error tally over n_trials random codebook transmissions.
 
@@ -226,11 +185,18 @@ def _ber_counts(beamformer, chset, cfg, codebook, n_trials, rng):
     Trials run in blocks of BER_BLOCK_TRIALS. Per block the draws come
     in a fixed order (codebook indices, Alice's AN vectors, the jamming
     vectors, Bob's noise vectors), each projected through the whitened
-    combiner; detection is one argmin over a (trials x K) distance array
-    with ties to the lowest index, as in ml_detect. The attacker's
-    receiver noise does not reach Bob and is not drawn.
+    combiner w = u^H / sqrt(u^H R_w u); a zero-power degenerate case
+    (noiseless, no interference) skips the whitening, which cannot change
+    a decision. ML detection is one argmin over a (trials x K) distance
+    array to the noiseless combined outputs, ties to the lowest index.
+    The attacker's receiver noise does not reach Bob and is not drawn.
     """
-    w, refs = _whitened_detector(beamformer, chset, cfg, codebook)
+    u = np.asarray(beamformer.u)
+    power = scalar_inpn_cov(u, chset, cfg, "bob")
+    scale = 1.0 / math.sqrt(power) if power > 0.0 else 1.0
+    w = scale * u.conj()
+    refs = (math.sqrt(cfg.beta * cfg.power)
+            * codebook.effective_scalars(w @ chset.H @ chset.T))
     an_row = (math.sqrt((1.0 - cfg.beta) * cfg.power)
               * (w @ chset.H @ chset.T @ chset.P_AN))
     jam_row = math.sqrt(cfg.power_mallory) * (w @ chset.F @ chset.P_JM)
@@ -248,34 +214,6 @@ def _ber_counts(beamformer, chset, cfg, codebook, n_trials, rng):
         errors += int(e.sum())
         squared += int((e * e).sum())
     return n_trials, errors, squared
-
-
-def ber(method, channel_sets, cfg, n_trials, rng):
-    """Monte-Carlo bit error rate of one method over a channel stream.
-
-    Trials are spread as evenly as possible over the supplied channel
-    realizations; each counts both spatial and symbol bit errors from the
-    codebook labels.
-    """
-    from .beamformers import compute_beamformer
-
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    channel_sets = list(channel_sets)
-    if not channel_sets:
-        raise ValueError("need at least one channel realization")
-    codebook = build_codebook(cfg.n_active, cfg.mod_order)
-    base, extra = divmod(n_trials, len(channel_sets))
-    uses = errors = 0
-    for k, chset in enumerate(channel_sets):
-        block = base + (1 if k < extra else 0)
-        if block == 0:
-            continue
-        bf = compute_beamformer(method, chset, cfg)
-        n, e, _ = _ber_counts(bf, chset, cfg, codebook, block, rng)
-        uses += n
-        errors += e
-    return errors / (uses * codebook.bits_per_use)
 
 
 _FLOP_COEFFS = {

@@ -1,9 +1,8 @@
-"""Spatial-modulation codebook and transmit/receive sampling.
+"""Spatial-modulation codebook.
 
 Each channel use carries log2(n_active * mod_order) bits: the high-order
 bits pick the active antenna, the low-order bits pick a Gray-labeled PSK
-symbol. The receive samplers produce the pre-beamforming antenna vectors
-at Bob and at the attacker so several beamformers can share one sample.
+symbol.
 """
 
 import functools
@@ -11,8 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .channel import crandn
 
 
 @dataclass(frozen=True)
@@ -42,15 +39,6 @@ class TxCodebook:
     def effective_scalars(self, row):
         """Post-beamforming symbol hypotheses for a 1 x n_active channel row."""
         return row[self.antennas] * self.symbols
-
-
-@dataclass(frozen=True)
-class RxSample:
-    """Pre-beamforming receive vectors for one transmitted entry."""
-
-    y_bob: np.ndarray
-    y_eve: np.ndarray
-    truth: int
 
 
 def _gray(k):
@@ -87,40 +75,3 @@ def build_codebook(n_active, mod_order):
     for a in arrays:
         a.flags.writeable = False
     return TxCodebook(n_active, mod_order, *arrays)
-
-
-def transmit_alice(codebook, index, chset, cfg, rng):
-    """Alice's antenna-space signal for codebook entry `index`.
-
-    Superimposes the power-scaled data symbol on the selected antenna
-    with projected artificial noise, then maps through the antenna
-    selection: x_a = T (sqrt(beta P) e_n s + sqrt((1-beta) P) P_AN n_a).
-    """
-    e = np.zeros(cfg.n_active, dtype=np.complex128)
-    e[codebook.antennas[index]] = codebook.symbols[index]
-    n_a = crandn(rng, cfg.n_active)
-    inner = (math.sqrt(cfg.beta * cfg.power) * e
-             + math.sqrt((1.0 - cfg.beta) * cfg.power) * (chset.P_AN @ n_a))
-    return chset.T @ inner
-
-
-def transmit_mallory(chset, cfg, rng):
-    """The attacker's jamming signal x_m = sqrt(P_M) P_JM n_m."""
-    n_m = crandn(rng, chset.P_JM.shape[1])
-    return math.sqrt(cfg.power_mallory) * (chset.P_JM @ n_m)
-
-
-def receive(codebook, index, chset, cfg, rng):
-    """One pre-beamforming receive sample at Bob and at the attacker.
-
-    y_bob = H x_a + F x_m + n_b and y_eve = G x_a + M_self x_m + n_e with
-    independent receiver noise; draw order is fixed (AN, jamming, Bob
-    noise, attacker noise) so samples reproduce under a seeded rng.
-    """
-    x_a = transmit_alice(codebook, index, chset, cfg, rng)
-    x_m = transmit_mallory(chset, cfg, rng)
-    n_b = math.sqrt(cfg.noise_var_bob) * crandn(rng, cfg.n_rx)
-    n_e = math.sqrt(cfg.noise_var_eve) * crandn(rng, cfg.n_mallory)
-    y_bob = chset.H @ x_a + chset.F @ x_m + n_b
-    y_eve = chset.G @ x_a + chset.M_self @ x_m + n_e
-    return RxSample(y_bob=y_bob, y_eve=y_eve, truth=int(index))

@@ -75,24 +75,57 @@ def bpsk_mi_quadrature(d, n_nodes=201):
     return 1.0 - float(weights @ f) / np.sqrt(np.pi)
 
 
-def ber_counts_per_trial(beamformer, chset, cfg, codebook, n_trials, rng):
-    """Sample-level BER reference: one modulation.receive and one
-    metrics.ml_detect per trial, bit errors by popcount of the labels.
+def transmit_alice(codebook, idx, chset, cfg, rng):
+    """Alice's antenna-space signals for the codebook entries idx, one row
+    each: x_a = T (sqrt(beta P) e_n s + sqrt((1-beta) P) P_AN n_a)."""
+    n = len(idx)
+    e = np.zeros((n, chset.T.shape[1]), dtype=complex)
+    e[np.arange(n), codebook.antennas[idx]] = codebook.symbols[idx]
+    an = crandn_t(rng, n, chset.P_AN.shape[1]) @ chset.P_AN.T
+    return (np.sqrt(cfg.beta * cfg.power) * e
+            + np.sqrt((1 - cfg.beta) * cfg.power) * an) @ chset.T.T
 
-    Returns (uses, bit_errors, squared_error_sum) like
-    metrics._ber_counts, from a different draw order.
+
+def transmit_mallory(chset, cfg, n, rng):
+    """n jamming signals x_m = sqrt(P_M) P_JM n_m, one row each."""
+    return (np.sqrt(cfg.power_mallory)
+            * crandn_t(rng, n, chset.P_JM.shape[1]) @ chset.P_JM.T)
+
+
+def receive_bob(codebook, idx, chset, cfg, rng):
+    """Bob's antenna-domain samples y = H x_a + F x_m + n_b, one row per
+    entry of idx; draws in the order AN, jamming, noise."""
+    x_a = transmit_alice(codebook, idx, chset, cfg, rng)
+    x_m = transmit_mallory(chset, cfg, len(idx), rng)
+    n_b = np.sqrt(cfg.noise_var_bob) * crandn_t(rng, len(idx),
+                                                chset.H.shape[0])
+    return x_a @ chset.H.T + x_m @ chset.F.T + n_b
+
+
+def ber_counts_antenna_domain(beamformer, chset, cfg, codebook, n_trials,
+                              rng):
+    """Antenna-domain BER reference for all n_trials at once.
+
+    Draws receive_bob samples, builds R_w from the ChannelSet matrices,
+    whitens with u^H / sqrt(u^H R_w u) and detects by ML over the
+    codebook; bit errors are popcounts of the label differences. Returns
+    (uses, bit_errors, squared_error_sum) like metrics._ber_counts, from
+    a different draw order.
     """
-    from secsm.metrics import ml_detect
-    from secsm.modulation import receive
-
-    labels = codebook.labels
-    errors = 0
-    squared = 0
-    for _ in range(n_trials):
-        idx = int(rng.integers(codebook.size))
-        sample = receive(codebook, idx, chset, cfg, rng)
-        detected = ml_detect(sample.y_bob, beamformer, chset, cfg)
-        e = int(labels[idx] ^ labels[detected]).bit_count()
-        errors += e
-        squared += e * e
-    return n_trials, errors, squared
+    H, T = chset.H, chset.T
+    idx = rng.integers(codebook.size, size=n_trials)
+    y = receive_bob(codebook, idx, chset, cfg, rng)
+    A = H @ T @ chset.P_AN
+    J = chset.F @ chset.P_JM
+    R_w = ((1 - cfg.beta) * cfg.power * A @ A.conj().T
+           + cfg.power_mallory * J @ J.conj().T
+           + cfg.noise_var_bob * np.eye(H.shape[0]))
+    u = beamformer.u
+    w = u.conj() / np.sqrt(np.real(u.conj() @ R_w @ u))
+    hyp = (np.sqrt(cfg.beta * cfg.power) * (w @ H @ T)[codebook.antennas]
+           * codebook.symbols)
+    detected = np.argmin(np.abs((y @ w)[:, None] - hyp[None, :]), axis=1)
+    diff = (codebook.labels[idx] ^ codebook.labels[detected]).astype(">u8")
+    errs = np.unpackbits(diff.view(np.uint8).reshape(n_trials, 8),
+                         axis=1).sum(axis=1).astype(np.int64)
+    return n_trials, int(errs.sum()), int((errs * errs).sum())

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secsm.beamformers import (Method, ZfcInfeasibleError,
                                compute_beamformer, max_rp, max_rp_zfc,
@@ -200,3 +202,42 @@ class TestCrossMethodProperties:
             u1 = compute_beamformer(method, ch, cfg).u
             u2 = compute_beamformer(method, scaled, cfg).u
             assert abs(u1.conj() @ u2) >= 1.0 - 1e-9
+
+
+@st.composite
+def nullspace_scenarios(draw):
+    """A SystemConfig with n_rx < n_active (null-space AN) and one of its
+    realizations."""
+    n_tx = draw(st.integers(2, 16))
+    n_active = SystemConfig(n_tx=n_tx).n_active
+    n_rx = draw(st.integers(1, n_active - 1))
+    cfg = SystemConfig(n_tx=n_tx, n_rx=n_rx,
+                       n_mallory=draw(st.integers(2, n_rx + 2)),
+                       seed=draw(st.integers(0, 2 ** 32)))
+    r = draw(st.integers(0, 10 ** 6))
+    return cfg, realize_channels(cfg, r, an_mode="nullspace")
+
+
+class TestBeamformerProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(nullspace_scenarios())
+    def test_invariants(self, scenario):
+        cfg, ch = scenario
+        ratios = {}
+        for method in Method:
+            try:
+                bf = compute_beamformer(method, ch, cfg)
+            except ZfcInfeasibleError:
+                assert method is Method.MAX_RP_ZFC
+                assert cfg.n_mallory - 1 >= cfg.n_rx
+                continue
+            if method is Method.MAX_RP_ZFC:
+                assert cfg.n_mallory - 1 < cfg.n_rx
+                jam = ch.F @ ch.P_JM
+                resid = np.abs(bf.u.conj() @ jam)
+                assert resid.max() <= 1e-10 * np.linalg.norm(jam)
+            ratios[method] = sjnr(bf.u, ch, cfg)
+        best = ratios[Method.MAX_SJNR]
+        for ratio in ratios.values():
+            assert best >= ratio * (1.0 - 1e-9)
+        assert abs(best - ratios[Method.MAX_WFRP]) <= 1e-9 * best

@@ -166,7 +166,6 @@ class TestParseConfig:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_round_trip_property(self, data):
-        finite = st.floats(allow_nan=False, allow_infinity=False)
         nonneg = st.floats(min_value=0.0, allow_infinity=False)
         an_mode = data.draw(st.sampled_from(AN_MODES))
         nullspace = an_mode == "nullspace"
@@ -180,10 +179,12 @@ class TestParseConfig:
             beta=data.draw(st.floats(0.0, 1.0)),
             mod_order=1 << data.draw(st.integers(1, 8)),
             seed=data.draw(st.integers(0, 2 ** 63)))
-        # grid values and methods may not repeat (0.0 and -0.0 are one)
+        # grid values and methods may not repeat (0.0 and -0.0 are one);
+        # 10^(-snr/10) must stay finite and positive
         spec = SweepSpec(
             snr_grid_db=tuple(data.draw(st.lists(
-                finite, min_size=1, max_size=5, unique=True))),
+                st.floats(-3000.0, 3000.0), min_size=1, max_size=5,
+                unique=True))),
             p_m_list=tuple(data.draw(st.lists(
                 nonneg, min_size=1, max_size=5, unique=True))),
             methods=tuple(data.draw(st.lists(
@@ -322,12 +323,18 @@ class TestRunSweep:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="n_realizations"):
             tiny_spec(n_realizations=0)
+        with pytest.raises(ValueError, match="n_ber_trials"):
+            tiny_spec(n_ber_trials=0)
         with pytest.raises(ValueError, match="an_mode"):
             tiny_spec(an_mode="off")
         with pytest.raises(ValueError, match="snr_grid_db"):
             tiny_spec(snr_grid_db=())
         with pytest.raises(ValueError, match="^snr_grid_db .*finite"):
             tiny_spec(snr_grid_db=(0.0, math.nan))
+        # 10^(-snr/10) overflows to inf / underflows to 0.0
+        for snr_db in (-4000.0, 4000.0):
+            with pytest.raises(ValueError, match="^snr_grid_db .*positive"):
+                tiny_spec(snr_grid_db=(0.0, snr_db))
         with pytest.raises(ValueError, match="^p_m_list .*finite"):
             tiny_spec(p_m_list=(math.inf,))
         with pytest.raises(ValueError, match="^snr_grid_db .*repeat"):
@@ -432,6 +439,16 @@ class TestCli:
         path.write_text("beta = 2.0\n")
         assert main(["--config", str(path)]) != 0
         assert "error" in capsys.readouterr().err
+
+    def test_snr_out_of_range_exits_cleanly(self, tmp_path, capsys):
+        text = set_key(default_config_text(), "snr_grid_db", "0, -4000")
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: snr_grid_db")
+        assert f"line {line_of(text, 'snr_grid_db')}" in err
+        assert "Traceback" not in err
 
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.cfg")]) != 0
