@@ -85,8 +85,8 @@ class SystemConfig:
         if self.n_mallory < 2:
             raise ValueError("n_mallory must be at least 2: the attacker "
                              "jams on n_mallory - 1 streams")
-        if not _is_pow2(self.mod_order):
-            raise ValueError("mod_order must be a power of 2")
+        if self.mod_order < 2 or not _is_pow2(self.mod_order):
+            raise ValueError("mod_order must be a power of 2, at least 2")
         for name in ("power", "power_mallory", "noise_var_bob",
                      "noise_var_eve"):
             if not 0.0 <= getattr(self, name) < math.inf:

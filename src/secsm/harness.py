@@ -282,14 +282,16 @@ def run_sweep(cfg, spec, threads=1):
     """Run the full (SNR, P_M, method) grid and aggregate MetricsRecords.
 
     Realizations are independent work items reduced in index order, so
-    the result is identical for any `threads` value. An infeasible
-    (cfg, spec) pair raises ValueError before any realization starts.
+    the result is identical for any `threads` value. The pool has at
+    most one worker per realization. An infeasible (cfg, spec) pair
+    raises ValueError before any realization starts.
     """
     check_feasible(cfg, spec)
     tasks = [(cfg, spec, r) for r in range(spec.n_realizations)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, spec.n_realizations // (4 * threads))
+    workers = min(threads, spec.n_realizations)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, spec.n_realizations // (4 * workers))
             partials = list(pool.map(_realization_task, tasks,
                                      chunksize=chunk))
     else:

@@ -1,10 +1,10 @@
 """Performance quantities: covariances, SJNR, Monte-Carlo mutual
-information, the BER tally of whitened ML detection, FLOP estimates.
+information, the BER tally of ML detection, FLOP estimates.
 
-Mutual information follows the discrete-input estimator for the
-post-beamforming scalar channel: the combined output is whitened by the
-scalar interference-plus-noise power, so the noise draws are unit
-complex Gaussians regardless of the combiner's scale.
+Mutual information and BER both work in the post-beamforming scalar
+channel, where interference and noise add one circular Gaussian of power
+u^H R_w u. The MI estimator whitens by that power, so its noise draws
+are unit complex Gaussians regardless of the combiner's scale.
 """
 
 import math
@@ -17,11 +17,12 @@ from .modulation import build_codebook
 
 SIDES = ("bob", "mallory")
 
-# BER trials drawn and detected together. A block's draws and its
-# (trials x codebook) distance array take ~300 KiB at 256 trials and the
-# default 32-entry codebook. Peak RSS grows with the block: over 50
-# default BER sweeps (2000 trials per cell), 1024-trial blocks ended
-# ~1 MiB higher than 256-trial ones, for no speed-up worth having.
+# BER trials drawn and detected together. A block's (trials x codebook)
+# complex differences and their moduli dominate its memory: at 256
+# trials and the default 32-entry codebook one call peaks at ~390 KiB
+# (tracemalloc), against 16 bytes per trial for the draws. Peak RSS grows
+# with the block: over 50 default BER sweeps (2000 trials per cell),
+# 1024-trial blocks ended ~0.5 MiB higher than 256-trial ones.
 BER_BLOCK_TRIALS = 256
 
 # Codebook entries whose exponents mi_inner_mean evaluates together. The
@@ -56,11 +57,10 @@ def noise_cov_bob(chset, cfg):
     with unit-variance AN and jamming entries (P_AN and P_JM carry the
     unit-power normalisation).
     """
-    an = chset.HT_AN
-    jam = chset.F_JM
+    an, jam, noise_var = _side_terms(chset, cfg, "bob")
     R = ((1.0 - cfg.beta) * cfg.power * (an @ an.conj().T)
          + cfg.power_mallory * (jam @ jam.conj().T)
-         + cfg.noise_var_bob * np.eye(cfg.n_rx))
+         + noise_var * np.eye(cfg.n_rx))
     return 0.5 * (R + R.conj().T)
 
 
@@ -182,33 +182,25 @@ def _ber_counts(beamformer, chset, cfg, codebook, n_trials, rng):
     Returns (uses, bit_errors, squared_error_sum); the squared sum of
     per-use bit errors supports an empirical variance estimate.
 
-    Trials run in blocks of BER_BLOCK_TRIALS. Per block the draws come
-    in a fixed order (codebook indices, Alice's AN vectors, the jamming
-    vectors, Bob's noise vectors), each projected through the whitened
-    combiner w = u^H / sqrt(u^H R_w u); a zero-power degenerate case
-    (noiseless, no interference) skips the whitening, which cannot change
-    a decision. ML detection is one argmin over a (trials x K) distance
-    array to the noiseless combined outputs, ties to the lowest index.
-    The attacker's receiver noise does not reach Bob and is not drawn.
+    The trials run in Bob's combined scalar channel z = r_idx + sigma n,
+    where r_k = sqrt(beta P) u^H H T e_k s_k is the noiseless combined
+    output of codebook entry k and n is a unit complex normal: AN,
+    jamming and receiver noise are independent circular Gaussians that
+    reach z only through u, so their sum is CN(0, u^H R_w u). Per
+    block of BER_BLOCK_TRIALS the draws are the codebook indices, then
+    one noise draw per trial. ML detection is one argmin over a
+    (trials x K) distance array, ties to the lowest index.
     """
     u = np.asarray(beamformer.u)
-    power = scalar_inpn_cov(u, chset, cfg, "bob")
-    scale = 1.0 / math.sqrt(power) if power > 0.0 else 1.0
-    w = scale * u.conj()
     refs = (math.sqrt(cfg.beta * cfg.power)
-            * codebook.effective_scalars(w @ chset.H @ chset.T))
-    an_row = (math.sqrt((1.0 - cfg.beta) * cfg.power)
-              * (w @ chset.H @ chset.T @ chset.P_AN))
-    jam_row = math.sqrt(cfg.power_mallory) * (w @ chset.F @ chset.P_JM)
-    noise_row = math.sqrt(cfg.noise_var_bob) * w
+            * codebook.effective_scalars(u.conj() @ chset.HT))
+    sigma = math.sqrt(scalar_inpn_cov(u, chset, cfg, "bob"))
     errors = 0
     squared = 0
     for start in range(0, n_trials, BER_BLOCK_TRIALS):
         block = min(BER_BLOCK_TRIALS, n_trials - start)
         idx = rng.integers(codebook.size, size=block)
-        z = refs[idx] + crandn(rng, block, an_row.size) @ an_row
-        z += crandn(rng, block, jam_row.size) @ jam_row
-        z += crandn(rng, block, noise_row.size) @ noise_row
+        z = refs[idx] + sigma * crandn(rng, block)
         dist = np.abs(z[:, None] - refs[None, :])
         e = codebook.bit_errors[idx, np.argmin(dist, axis=1)]
         errors += int(e.sum())

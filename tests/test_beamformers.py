@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from secsm.beamformers import (Method, ZfcInfeasibleError,
                                compute_beamformer, max_rp, max_rp_zfc,
                                max_sjnr, max_wfrp)
-from secsm.channel import (ChannelSet, SystemConfig, crandn, derive_rng,
-                           realize_channels)
+from secsm.channel import (AN_MODES, ChannelSet, SystemConfig, crandn,
+                           derive_rng, realize_channels)
 from secsm.metrics import noise_cov_bob, sjnr
 from secsm.numerics import null_space_basis
 
@@ -205,22 +205,24 @@ class TestCrossMethodProperties:
 
 
 @st.composite
-def nullspace_scenarios(draw):
-    """A SystemConfig with n_rx < n_active (null-space AN) and one of its
-    realizations."""
+def scenarios(draw):
+    """A SystemConfig, an AN mode and one realization. Null-space AN
+    needs n_rx < n_active; random AN admits any n_rx."""
     n_tx = draw(st.integers(2, 16))
     n_active = SystemConfig(n_tx=n_tx).n_active
-    n_rx = draw(st.integers(1, n_active - 1))
+    an_mode = draw(st.sampled_from(AN_MODES))
+    top = n_active - 1 if an_mode == "nullspace" else 12
+    n_rx = draw(st.integers(1, top))
     cfg = SystemConfig(n_tx=n_tx, n_rx=n_rx,
                        n_mallory=draw(st.integers(2, n_rx + 2)),
                        seed=draw(st.integers(0, 2 ** 32)))
     r = draw(st.integers(0, 10 ** 6))
-    return cfg, realize_channels(cfg, r, an_mode="nullspace")
+    return cfg, realize_channels(cfg, r, an_mode=an_mode)
 
 
 class TestBeamformerProperties:
     @settings(max_examples=80, deadline=None)
-    @given(nullspace_scenarios())
+    @given(scenarios())
     def test_invariants(self, scenario):
         cfg, ch = scenario
         ratios = {}

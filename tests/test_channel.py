@@ -24,8 +24,9 @@ class TestConfig:
     def test_range_checks(self):
         with pytest.raises(ValueError, match="beta"):
             default_cfg(beta=1.5)
-        with pytest.raises(ValueError, match="mod_order"):
-            default_cfg(mod_order=3)
+        for mod_order in (0, 1, 3):
+            with pytest.raises(ValueError, match="^mod_order"):
+                default_cfg(mod_order=mod_order)
         with pytest.raises(ValueError, match="power"):
             default_cfg(power=-1.0)
         for name in ("power", "power_mallory", "noise_var_bob",

@@ -76,11 +76,13 @@ class TestParseConfig:
         assert info.value.key == "beta"
         assert info.value.line is not None
 
-    @pytest.mark.parametrize("key", ["power", "seed"])
+    @pytest.mark.parametrize("key", ["power", "seed", "mod_order"])
     def test_range_error_names_exact_key(self, key):
         # the key comes from the constraint message, the line from the key
-        text = set_key(default_config_text(), key, "-1")
-        with pytest.raises(ConfigError, match="non-negative") as info:
+        value, message = {"mod_order": ("1", "at least 2")}.get(
+            key, ("-1", "non-negative"))
+        text = set_key(default_config_text(), key, value)
+        with pytest.raises(ConfigError, match=message) as info:
             parse_config(text)
         assert info.value.key == key
         assert info.value.line == line_of(text, key)
@@ -250,6 +252,32 @@ class TestRunSweep:
         for ra, rb in zip(serial, parallel):
             assert ra.sr_samples == rb.sr_samples
             assert ra.trial_counts == rb.trial_counts
+
+    def test_pool_capped_at_realizations(self, monkeypatch):
+        # a fake pool records its size and maps in this process
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        cfg = SystemConfig(seed=4)
+        spec = tiny_spec(n_realizations=3)
+        capped = run_sweep(cfg, spec, threads=64)
+        assert asked == [3]
+        assert capped == run_sweep(cfg, spec, threads=1)
+        run_sweep(cfg, tiny_spec(n_realizations=1), threads=64)
+        assert asked == [3]  # one realization takes the serial path
 
     def test_jamming_power_degrades_max_rp(self):
         cfg = SystemConfig(seed=5)

@@ -337,27 +337,35 @@ def ber_and_se(counts, bits):
 
 
 class TestBatchedBerCounts:
-    """metrics._ber_counts against a per-trial antenna-domain simulation."""
+    """metrics._ber_counts, which simulates Bob's combined scalar
+    channel, against an antenna-domain simulation of the whole link."""
 
     @pytest.mark.parametrize("method", list(Method))
     def test_agrees_with_per_trial_reference(self, method):
         cfg = SystemConfig()
-        ch = realize_channels(cfg, 2)
         cb = build_codebook(cfg.n_active, cfg.mod_order)
         n = 20_000
-        for k, snr in enumerate((0.0, 5.0, 10.0)):
-            nv = 10.0 ** (-snr / 10.0)
-            point = replace(cfg, noise_var_bob=nv, noise_var_eve=nv)
-            bf = compute_beamformer(method, ch, point)
-            batched = _ber_counts(bf, ch, point, cb, n,
-                                  derive_rng(3, 9, 30, k))
-            looped = ber_counts_antenna_domain(bf, ch, point, cb, n,
-                                               derive_rng(3, 9, 31, k))
-            assert batched[0] == looped[0] == n
-            b, b_se = ber_and_se(batched, cb.bits_per_use)
-            r, r_se = ber_and_se(looped, cb.bits_per_use)
-            assert b > 0.0
-            assert abs(b - r) <= 3.0 * math.hypot(b_se, r_se), (snr, b, r)
+        # null-space AN; then AN leaking into Bob under strong jamming.
+        # Each case has its own stream tags for the two simulations.
+        cases = [(realize_channels(cfg, 2), {}, (30, 31)),
+                 (realize_channels(cfg, 2, an_mode="random"),
+                  {"beta": 0.95, "power_mallory": 10.0}, (35, 36))]
+        for ch, overrides, (tag, ref_tag) in cases:
+            for k, snr in enumerate((0.0, 5.0, 10.0)):
+                nv = 10.0 ** (-snr / 10.0)
+                point = replace(cfg, noise_var_bob=nv, noise_var_eve=nv,
+                                **overrides)
+                bf = compute_beamformer(method, ch, point)
+                batched = _ber_counts(bf, ch, point, cb, n,
+                                      derive_rng(3, 9, tag, k))
+                looped = ber_counts_antenna_domain(
+                    bf, ch, point, cb, n, derive_rng(3, 9, ref_tag, k))
+                assert batched[0] == looped[0] == n
+                b, b_se = ber_and_se(batched, cb.bits_per_use)
+                r, r_se = ber_and_se(looped, cb.bits_per_use)
+                assert b > 0.0
+                assert abs(b - r) <= 3.0 * math.hypot(b_se, r_se), \
+                    (tag, snr, b, r)
 
     @pytest.mark.parametrize("n_trials", [1, BER_BLOCK_TRIALS + 1,
                                           3 * BER_BLOCK_TRIALS - 37])
