@@ -44,7 +44,7 @@ def main(argv=None):
         cfg, spec = parse_config(text)
         records = run_sweep(cfg, spec, threads=args.threads)
         out = write_outputs(records, cfg, spec, args.out)
-    except (ConfigError, ValueError, RuntimeError) as exc:
+    except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(records)} records to {out}")

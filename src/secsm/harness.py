@@ -256,22 +256,22 @@ def _realization_task(args):
             built = {}
             for method in spec.methods:
                 try:
-                    built[method] = compute_beamformer(method, chset, point)
+                    built[method] = compute_beamformer(method, chset, point).u
                 except ZfcInfeasibleError:
                     out[si, pi, method] = (False, 0.0, 0.0, 0, 0, 0)
             if not built:
                 continue
             i_bobs = mutual_info_mc(
-                np.array([bf.u for bf in built.values()]), "bob", chset,
+                np.array(list(built.values())), "bob", chset,
                 point, spec.n_noise,
                 derive_rng(cfg.seed, _STREAM_MI_BOB, r, si, pi))
-            for (method, bf), i_bob in zip(built.items(), i_bobs.tolist()):
+            for (method, u), i_bob in zip(built.items(), i_bobs.tolist()):
                 sr = max(0.0, i_bob - i_eve)
-                ratio = metrics.sjnr(bf.u, chset, point)
+                ratio = metrics.sjnr(u, chset, point)
                 uses = errors = squared = 0
                 if ber_block:
                     uses, errors, squared = metrics._ber_counts(
-                        bf, chset, point, codebook, ber_block,
+                        u, chset, point, codebook, ber_block,
                         derive_rng(cfg.seed, _STREAM_BER, r, si, pi))
                 out[si, pi, method] = (True, sr, ratio, uses, errors,
                                        squared)
@@ -335,9 +335,12 @@ def run_sweep(cfg, spec, threads=1):
 
 
 def _num_token(value):
-    """Compact filename token for a grid value: -5, 5, 2.5, ..."""
+    """Compact filename token for a grid value: -5, 5, 2.5, 1e+240, ...
+
+    Whole values below 1e16 print as integers; larger ones keep the
+    exponent form, so the file name stays short."""
     value = float(value)
-    if value == int(value):
+    if abs(value) < 1e16 and value == int(value):
         return str(int(value))
     return repr(value)
 

@@ -176,8 +176,9 @@ def mutual_info_mc(u, side, chset, cfg, n_noise, rng):
     return bits[0] if u.ndim == 1 else np.array(bits)
 
 
-def _ber_counts(beamformer, chset, cfg, codebook, n_trials, rng):
-    """Bit-error tally over n_trials random codebook transmissions.
+def _ber_counts(u, chset, cfg, codebook, n_trials, rng):
+    """Bit-error tally of the combiner u over n_trials random codebook
+    transmissions.
 
     Returns (uses, bit_errors, squared_error_sum); the squared sum of
     per-use bit errors supports an empirical variance estimate.
@@ -191,7 +192,7 @@ def _ber_counts(beamformer, chset, cfg, codebook, n_trials, rng):
     one noise draw per trial. ML detection is one argmin over a
     (trials x K) distance array, ties to the lowest index.
     """
-    u = np.asarray(beamformer.u)
+    u = np.asarray(u)
     refs = (math.sqrt(cfg.beta * cfg.power)
             * codebook.effective_scalars(u.conj() @ chset.HT))
     sigma = math.sqrt(scalar_inpn_cov(u, chset, cfg, "bob"))

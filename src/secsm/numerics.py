@@ -13,9 +13,6 @@ import numpy as np
 EIG_TIE_GAP = 1e-10
 # Singular values at or below RANK_RTOL * sigma_max count as zero.
 RANK_RTOL = 1e-10
-# Denominator condition estimate above which gen_max_eigvec switches to
-# the Cholesky-symmetrized pencil.
-COND_LIMIT = 1e10
 
 
 class NotHermitianError(ValueError):
@@ -125,9 +122,9 @@ def gen_max_eigvec(num, den):
 
     Maximizes (v^H num v) / (v^H den v) for Hermitian PSD num and
     Hermitian PD den; returns (v, ratio) with ||v|| = 1, canonical phase,
-    and ratio the achieved maximum. Solved as the dominant eigenvector of
-    den^{-1} num; an ill-conditioned den (condition estimate beyond
-    COND_LIMIT) falls back to the Cholesky-symmetrized pencil.
+    and ratio the achieved maximum. With den = L L^H (Cholesky), v is
+    L^{-H} w for the dominant eigenvector w of the Hermitian matrix
+    L^{-1} num L^{-H}.
     """
     num = np.asarray(num, dtype=np.complex128)
     den = np.asarray(den, dtype=np.complex128)
@@ -150,18 +147,10 @@ def gen_max_eigvec(num, den):
             f"denominator is not positive definite: min eigenvalue "
             f"{dvals[0]:.3e}")
 
-    if dvals[-1] / dvals[0] > COND_LIMIT:
-        # Symmetrized pencil L^{-1} num L^{-H} for numerical safety.
-        L = np.linalg.cholesky(den)
-        C = np.linalg.solve(L, np.linalg.solve(L, num).conj().T).conj().T
-        C = 0.5 * (C + C.conj().T)
-        _, vecs = np.linalg.eigh(C)
-        v = np.linalg.solve(L.conj().T, vecs[:, -1])
-    else:
-        C = np.linalg.solve(den, num)
-        vals, vecs = np.linalg.eig(C)
-        v = vecs[:, int(np.argmax(vals.real))]
-
+    L = np.linalg.cholesky(den)
+    C = np.linalg.solve(L, np.linalg.solve(L, num).conj().T).conj().T
+    _, vecs = np.linalg.eigh(0.5 * (C + C.conj().T))
+    v = np.linalg.solve(L.conj().T, vecs[:, -1])
     v = canonical_phase(v)
     v = v / np.linalg.norm(v)
     ratio = float(np.real(v.conj() @ num @ v) / np.real(v.conj() @ den @ v))

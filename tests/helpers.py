@@ -14,6 +14,19 @@ def quotient(num, den, v):
     return float(np.real(v.conj() @ num @ v) / np.real(v.conj() @ den @ v))
 
 
+def gen_max_eigvec_eig(num, den):
+    """Dominant generalized eigenpair by the unsymmetrized pencil: the
+    eigenvector of den^{-1} num with the largest real eigenvalue.
+
+    Returns (v, lam) with ||v|| = 1 (arbitrary phase) and lam that
+    eigenvalue, the maximum of the generalized Rayleigh quotient.
+    """
+    vals, vecs = np.linalg.eig(np.linalg.solve(den, num))
+    k = int(np.argmax(vals.real))
+    v = vecs[:, k]
+    return v / np.linalg.norm(v), float(vals[k].real)
+
+
 def random_search_max_ratio(num, den, rng, n_samples=100_000, basis=None,
                             refine=True):
     """Best generalized Rayleigh quotient found by random unit vectors.
@@ -102,9 +115,9 @@ def receive_bob(codebook, idx, chset, cfg, rng):
     return x_a @ chset.H.T + x_m @ chset.F.T + n_b
 
 
-def ber_counts_antenna_domain(beamformer, chset, cfg, codebook, n_trials,
-                              rng):
-    """Antenna-domain BER reference for all n_trials at once.
+def ber_counts_antenna_domain(u, chset, cfg, codebook, n_trials, rng):
+    """Antenna-domain BER reference of the combiner u for all n_trials
+    at once.
 
     Draws receive_bob samples, builds R_w from the ChannelSet matrices,
     whitens with u^H / sqrt(u^H R_w u) and detects by ML over the
@@ -120,7 +133,6 @@ def ber_counts_antenna_domain(beamformer, chset, cfg, codebook, n_trials,
     R_w = ((1 - cfg.beta) * cfg.power * A @ A.conj().T
            + cfg.power_mallory * J @ J.conj().T
            + cfg.noise_var_bob * np.eye(H.shape[0]))
-    u = beamformer.u
     w = u.conj() / np.sqrt(np.real(u.conj() @ R_w @ u))
     hyp = (np.sqrt(cfg.beta * cfg.power) * (w @ H @ T)[codebook.antennas]
            * codebook.symbols)

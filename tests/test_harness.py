@@ -417,6 +417,14 @@ class TestWriteOutputs:
             assert lines[0] == "method,sr,cdf"
             assert len(lines) == 4  # 3 realizations, one method
 
+    def test_huge_jamming_power_file_name(self, tmp_path):
+        cfg = SystemConfig()
+        spec = tiny_spec(p_m_list=(1.0, 1e240), n_realizations=2)
+        out = write_outputs(run_sweep(cfg, spec), cfg, spec,
+                            tmp_path / "huge")
+        assert (out / "sr_cdf_0_pm_1.csv").exists()
+        assert (out / "sr_cdf_0_pm_1e+240.csv").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = SystemConfig(seed=8)
         spec = tiny_spec(n_realizations=5)
@@ -476,6 +484,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: snr_grid_db")
         assert f"line {line_of(text, 'snr_grid_db')}" in err
+        assert "Traceback" not in err
+
+    def test_write_error_exits_cleanly(self, tmp_path, capsys,
+                                       monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError(36, "File name too long")
+
+        monkeypatch.setattr("secsm.cli.run_sweep", lambda *a, **k: [])
+        monkeypatch.setattr("secsm.cli.write_outputs", fail)
+        path = tmp_path / "run.cfg"
+        path.write_text(default_config_text())
+        assert main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "File name too long" in err
         assert "Traceback" not in err
 
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):

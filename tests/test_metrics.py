@@ -14,6 +14,7 @@ from secsm.metrics import (BER_BLOCK_TRIALS, _ber_counts, flop_estimate,
                            mutual_info_mc, noise_cov_bob, scalar_inpn_cov,
                            sjnr)
 from secsm.modulation import build_codebook
+from secsm.numerics import gen_max_eigvec
 
 from helpers import ber_counts_antenna_domain, bpsk_mi_quadrature
 
@@ -38,8 +39,8 @@ def ber_over(method, sets, cfg, trials_per_set, rng):
     """BER of one method over several realizations, trials_per_set
     _ber_counts trials on each, all drawn from the one rng in turn."""
     cb = build_codebook(cfg.n_active, cfg.mod_order)
-    errors = sum(_ber_counts(compute_beamformer(method, ch, cfg), ch, cfg,
-                             cb, trials_per_set, rng)[1] for ch in sets)
+    errors = sum(_ber_counts(compute_beamformer(method, ch, cfg).u, ch,
+                             cfg, cb, trials_per_set, rng)[1] for ch in sets)
     return errors / (len(sets) * trials_per_set * cb.bits_per_use)
 
 
@@ -127,8 +128,11 @@ class TestSjnr:
     def test_solver_self_consistency(self):
         cfg = SystemConfig(power_mallory=3.0)
         ch = realize_channels(cfg, 2)
-        bf = max_sjnr(ch, cfg)
-        assert sjnr(bf.u, ch, cfg) == pytest.approx(bf.objective, rel=1e-10)
+        HT = ch.H @ ch.T
+        num = cfg.beta * cfg.power / cfg.n_active * (HT @ HT.conj().T)
+        _, ratio = gen_max_eigvec(num, noise_cov_bob(ch, cfg))
+        u = max_sjnr(ch, cfg).u
+        assert sjnr(u, ch, cfg) == pytest.approx(ratio, rel=1e-10)
 
 
 class TestMutualInfo:
@@ -260,9 +264,9 @@ class TestMlDetect:
                            noise_var_bob=0.0, noise_var_eve=0.0)
         ch = realize_channels(cfg, 0)
         cb = build_codebook(8, 4)
-        bf = compute_beamformer(Method.MAX_RP, ch, cfg)
+        u = compute_beamformer(Method.MAX_RP, ch, cfg).u
         # 1000 uniform draws miss one of the 32 entries with p < 1e-12
-        uses, errors, _ = _ber_counts(bf, ch, cfg, cb, 1000,
+        uses, errors, _ = _ber_counts(u, ch, cfg, cb, 1000,
                                       derive_rng(3, 9, 15))
         assert (uses, errors) == (1000, 0)
 
@@ -277,10 +281,10 @@ class TestMlDetect:
                           noise_var_bob=9.0 * cfg.noise_var_bob,
                           power_mallory=9.0 * cfg.power_mallory)
             cb = build_codebook(cfg.n_active, cfg.mod_order)
-            bf = compute_beamformer(Method.MAX_RP, ch, cfg)
-            bf9 = compute_beamformer(Method.MAX_RP, ch, big)
-            a = _ber_counts(bf, ch, cfg, cb, 50, derive_rng(3, 9, 16))
-            b = _ber_counts(bf9, ch, big, cb, 50, derive_rng(3, 9, 16))
+            u = compute_beamformer(Method.MAX_RP, ch, cfg).u
+            u9 = compute_beamformer(Method.MAX_RP, ch, big).u
+            a = _ber_counts(u, ch, cfg, cb, 50, derive_rng(3, 9, 16))
+            b = _ber_counts(u9, ch, big, cb, 50, derive_rng(3, 9, 16))
             assert a == b
         assert a[1] > 0  # the realized case makes errors to compare
 
@@ -355,11 +359,11 @@ class TestBatchedBerCounts:
                 nv = 10.0 ** (-snr / 10.0)
                 point = replace(cfg, noise_var_bob=nv, noise_var_eve=nv,
                                 **overrides)
-                bf = compute_beamformer(method, ch, point)
-                batched = _ber_counts(bf, ch, point, cb, n,
+                u = compute_beamformer(method, ch, point).u
+                batched = _ber_counts(u, ch, point, cb, n,
                                       derive_rng(3, 9, tag, k))
                 looped = ber_counts_antenna_domain(
-                    bf, ch, point, cb, n, derive_rng(3, 9, ref_tag, k))
+                    u, ch, point, cb, n, derive_rng(3, 9, ref_tag, k))
                 assert batched[0] == looped[0] == n
                 b, b_se = ber_and_se(batched, cb.bits_per_use)
                 r, r_se = ber_and_se(looped, cb.bits_per_use)
@@ -373,8 +377,8 @@ class TestBatchedBerCounts:
         cfg = SystemConfig()
         ch = realize_channels(cfg, 0)
         cb = build_codebook(cfg.n_active, cfg.mod_order)
-        bf = compute_beamformer(Method.MAX_SJNR, ch, cfg)
-        uses, errors, squared = _ber_counts(bf, ch, cfg, cb, n_trials,
+        u = compute_beamformer(Method.MAX_SJNR, ch, cfg).u
+        uses, errors, squared = _ber_counts(u, ch, cfg, cb, n_trials,
                                             derive_rng(3, 9, 32))
         assert uses == n_trials
         assert 0 <= errors <= squared <= n_trials * cb.bits_per_use ** 2
@@ -387,8 +391,8 @@ class TestBatchedBerCounts:
                            noise_var_bob=1e8)
         ch = realize_channels(cfg, 1)
         cb = build_codebook(8, 4)
-        bf = compute_beamformer(Method.MAX_RP, ch, cfg)
-        uses, errors, _ = _ber_counts(bf, ch, cfg, cb, 100_000,
+        u = compute_beamformer(Method.MAX_RP, ch, cfg).u
+        uses, errors, _ = _ber_counts(u, ch, cfg, cb, 100_000,
                                       derive_rng(3, 9, 17))
         assert errors / (uses * cb.bits_per_use) == \
             pytest.approx(0.5, abs=0.01)
@@ -397,8 +401,8 @@ class TestBatchedBerCounts:
         cfg = SystemConfig(power_mallory=2.0)
         ch = realize_channels(cfg, 1)
         cb = build_codebook(cfg.n_active, cfg.mod_order)
-        bf = compute_beamformer(Method.MAX_WFRP, ch, cfg)
-        runs = [_ber_counts(bf, ch, cfg, cb, 1000, derive_rng(3, 9, 34))
+        u = compute_beamformer(Method.MAX_WFRP, ch, cfg).u
+        runs = [_ber_counts(u, ch, cfg, cb, 1000, derive_rng(3, 9, 34))
                 for _ in range(2)]
         assert runs[0] == runs[1]
         assert runs[0][1] > 0
