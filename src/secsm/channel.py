@@ -117,8 +117,8 @@ class ChannelSet:
             u_er^H M_self P_JM = 0
 
     The channel products every SNR and jamming-power point reuses are
-    computed on first use and kept, read-only: HT = H T, HT_AN =
-    (H T) P_AN, GT_AN = (G T) P_AN, F_JM = F P_JM and M_JM = M_self P_JM.
+    computed on first use and kept, read-only: HT = H T, GT = G T,
+    HT_AN = HT P_AN, GT_AN = GT P_AN, F_JM = F P_JM, M_JM = M_self P_JM.
     """
 
     H: np.ndarray
@@ -139,8 +139,12 @@ class ChannelSet:
         return _read_only(self.HT @ self.P_AN)
 
     @cached_property
+    def GT(self):
+        return _read_only(self.G @ self.T)
+
+    @cached_property
     def GT_AN(self):
-        return _read_only(self.G @ self.T @ self.P_AN)
+        return _read_only(self.GT @ self.P_AN)
 
     @cached_property
     def F_JM(self):

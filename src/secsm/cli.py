@@ -42,8 +42,13 @@ def main(argv=None):
         return 1
     try:
         cfg, spec = parse_config(text)
+        out = Path(spec.output_dir if args.out is None else args.out)
+        # an unwritable output directory fails before the sweep
+        out.mkdir(parents=True, exist_ok=True)
+        (out / ".write_probe").touch()
+        (out / ".write_probe").unlink()
         records = run_sweep(cfg, spec, threads=args.threads)
-        out = write_outputs(records, cfg, spec, args.out)
+        write_outputs(records, cfg, spec, out)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -354,9 +354,6 @@ def write_outputs(records, cfg, spec, out_dir=None):
     out = Path(out_dir) if out_dir is not None else Path(spec.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
     except OSError as exc:
         raise RuntimeError(f"cannot write output directory {out}: {exc}")
 

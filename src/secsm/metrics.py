@@ -1,10 +1,8 @@
 """Performance quantities: covariances, SJNR, Monte-Carlo mutual
 information, the BER tally of ML detection, FLOP estimates.
 
-Mutual information and BER both work in the post-beamforming scalar
-channel, where interference and noise add one circular Gaussian of power
-u^H R_w u. The MI estimator whitens by that power, so its noise draws
-are unit complex Gaussians regardless of the combiner's scale.
+SJNR, mutual information and BER all read one model of the
+post-beamforming channel, `scalar_channel`.
 """
 
 import math
@@ -57,7 +55,7 @@ def noise_cov_bob(chset, cfg):
     with unit-variance AN and jamming entries (P_AN and P_JM carry the
     unit-power normalisation).
     """
-    an, jam, noise_var = _side_terms(chset, cfg, "bob")
+    _, an, jam, noise_var = _side_terms(chset, cfg, "bob")
     R = ((1.0 - cfg.beta) * cfg.power * (an @ an.conj().T)
          + cfg.power_mallory * (jam @ jam.conj().T)
          + noise_var * np.eye(cfg.n_rx))
@@ -65,33 +63,43 @@ def noise_cov_bob(chset, cfg):
 
 
 def _side_terms(chset, cfg, side):
+    """(signal, AN, jamming) channels into one receiver, after antenna
+    selection and precoding, and its noise variance."""
     if side == "bob":
-        return chset.HT_AN, chset.F_JM, cfg.noise_var_bob
+        return chset.HT, chset.HT_AN, chset.F_JM, cfg.noise_var_bob
     if side == "mallory":
-        return chset.GT_AN, chset.M_JM, cfg.noise_var_eve
+        return chset.GT, chset.GT_AN, chset.M_JM, cfg.noise_var_eve
     raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
 
 
-def scalar_inpn_cov(u, chset, cfg, side="bob"):
-    """Interference-plus-noise power seen through the combiner u.
+def scalar_channel(u, side, chset, cfg):
+    """The post-beamforming scalar channel of the combiner u on one side.
 
-    The Bob side equals u^H R_w u; the attacker side uses its own AN
-    leakage and self-interference terms (zero by the jamming precoder's
-    construction) with its receiver noise.
+    Returns (r, power). r[k] = sqrt(beta P) u^H S T e_a s is the
+    noiseless combined output of codebook entry k, with a its antenna,
+    s its symbol and S = H at Bob, G at the attacker. AN, jamming and
+    receiver noise are independent circular Gaussians that reach the
+    output only through u, so they add one CN(0, power). At Bob power is
+    u^H R_w u; at the attacker it holds the AN leakage, the
+    self-interference (zero by the jamming precoder's construction) and
+    its receiver noise.
     """
-    an, jam, noise_var = _side_terms(chset, cfg, side)
+    signal, an, jam, noise_var = _side_terms(chset, cfg, side)
     u = np.asarray(u)
-    return float((1.0 - cfg.beta) * cfg.power
-                 * np.sum(np.abs(an.conj().T @ u) ** 2)
-                 + cfg.power_mallory * np.sum(np.abs(jam.conj().T @ u) ** 2)
-                 + noise_var * np.sum(np.abs(u) ** 2))
+    codebook = build_codebook(cfg.n_active, cfg.mod_order)
+    r = (math.sqrt(cfg.beta * cfg.power)
+         * codebook.effective_scalars(u.conj() @ signal))
+    power = float((1.0 - cfg.beta) * cfg.power
+                  * np.sum(np.abs(an.conj().T @ u) ** 2)
+                  + cfg.power_mallory * np.sum(np.abs(jam.conj().T @ u) ** 2)
+                  + noise_var * np.sum(np.abs(u) ** 2))
+    return r, power
 
 
 def sjnr(u, chset, cfg):
     """Signal-to-jamming-plus-noise ratio of a combiner at Bob."""
-    num = (cfg.beta * cfg.power / cfg.n_active
-           * float(np.sum(np.abs(chset.HT.conj().T @ u) ** 2)))
-    return num / scalar_inpn_cov(u, chset, cfg, "bob")
+    r, power = scalar_channel(u, "bob", chset, cfg)
+    return float(np.mean(np.abs(r) ** 2)) / power
 
 
 def mi_inner_mean(diffs, noise):
@@ -136,27 +144,12 @@ def mi_inner_mean(diffs, noise):
     return acc / (K * T)
 
 
-def _whitened_diffs(u, side, chset, cfg, codebook):
-    """Pairwise differences of the whitened effective symbols seen
-    through the combiner u on one side."""
-    power = scalar_inpn_cov(u, chset, cfg, side)
-    if power <= 0.0:
-        raise ValueError(
-            "interference-plus-noise power is zero; the whitened channel "
-            "is undefined (set a positive receiver noise variance)")
-    channel = chset.H if side == "bob" else chset.G
-    row = u.conj() @ channel @ chset.T
-    g = math.sqrt(cfg.beta * cfg.power / power) * codebook.effective_scalars(row)
-    return g[:, None] - g[None, :]
-
-
 def mutual_info_mc(u, side, chset, cfg, n_noise, rng):
-    """Monte-Carlo mutual information of the post-beamforming channel.
+    """Monte-Carlo mutual information of the scalar channel of u.
 
-    For every codebook entry, n_noise whitened unit-Gaussian noise draws
-    average log2 sum_j exp(-f_ij + |n|^2) over the full codebook, where
-    f_ij uses the whitened pairwise symbol differences. The result is
-    clamped to [0, log2(size)] bits.
+    The channel is whitened by its noise power; for every codebook
+    entry, n_noise unit complex Gaussian draws feed mi_inner_mean. The
+    result is clamped to [0, log2(size)] bits.
 
     u is one combiner (a float is returned) or an m x n_rx stack of
     combiners (an array of m estimates is returned). The K x n_noise
@@ -166,9 +159,16 @@ def mutual_info_mc(u, side, chset, cfg, n_noise, rng):
     if n_noise < 1:
         raise ValueError("n_noise must be at least 1")
     u = np.asarray(u)
+    diffs = []
+    for row in u.reshape(-1, u.shape[-1]):
+        r, power = scalar_channel(row, side, chset, cfg)
+        if power <= 0.0:
+            raise ValueError(
+                "interference-plus-noise power is zero; the whitened channel "
+                "is undefined (set a positive receiver noise variance)")
+        g = r / math.sqrt(power)
+        diffs.append(g[:, None] - g[None, :])
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
-    diffs = [_whitened_diffs(row, side, chset, cfg, codebook)
-             for row in u.reshape(-1, u.shape[-1])]
     noise = crandn(rng, codebook.size, n_noise)
     top = math.log2(codebook.size)
     bits = [float(np.clip(top - mi_inner_mean(d, noise), 0.0, top))
@@ -183,19 +183,13 @@ def _ber_counts(u, chset, cfg, codebook, n_trials, rng):
     Returns (uses, bit_errors, squared_error_sum); the squared sum of
     per-use bit errors supports an empirical variance estimate.
 
-    The trials run in Bob's combined scalar channel z = r_idx + sigma n,
-    where r_k = sqrt(beta P) u^H H T e_k s_k is the noiseless combined
-    output of codebook entry k and n is a unit complex normal: AN,
-    jamming and receiver noise are independent circular Gaussians that
-    reach z only through u, so their sum is CN(0, u^H R_w u). Per
-    block of BER_BLOCK_TRIALS the draws are the codebook indices, then
-    one noise draw per trial. ML detection is one argmin over a
-    (trials x K) distance array, ties to the lowest index.
+    The trials run in Bob's scalar_channel, z = r_idx + sqrt(power) n.
+    Per block of BER_BLOCK_TRIALS the draws are the codebook indices,
+    then one unit complex normal n per trial. ML detection is one argmin
+    over a (trials x K) distance array, ties to the lowest index.
     """
-    u = np.asarray(u)
-    refs = (math.sqrt(cfg.beta * cfg.power)
-            * codebook.effective_scalars(u.conj() @ chset.HT))
-    sigma = math.sqrt(scalar_inpn_cov(u, chset, cfg, "bob"))
+    refs, power = scalar_channel(u, "bob", chset, cfg)
+    sigma = math.sqrt(power)
     errors = 0
     squared = 0
     for start in range(0, n_trials, BER_BLOCK_TRIALS):

@@ -35,6 +35,9 @@ def _check_finite(A, name):
 
 
 def _check_hermitian(A, name="matrix"):
+    """A as a complex128 array, symmetrized to 0.5 (A + A^H) after
+    checking that it is finite, square and Hermitian to 1e-12."""
+    A = np.asarray(A, dtype=np.complex128)
     _check_finite(A, name)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotHermitianError(f"{name} is not square: shape {A.shape}")
@@ -46,6 +49,7 @@ def _check_hermitian(A, name="matrix"):
         raise NotHermitianError(
             f"{name} is not Hermitian: max |A - A^H| = {asym:.3e} "
             f"exceeds {1e-12 * scale:.3e}")
+    return 0.5 * (A + A.conj().T)
 
 
 def canonical_phase(v):
@@ -65,9 +69,7 @@ def max_eigvec_hermitian(A):
     is tied (gap below EIG_TIE_GAP) the lowest-index vector of the
     decomposition is returned, which keeps the output deterministic.
     """
-    A = np.asarray(A, dtype=np.complex128)
-    _check_hermitian(A)
-    A = 0.5 * (A + A.conj().T)
+    A = _check_hermitian(A)
     vals, vecs = np.linalg.eigh(A)
     lam = float(vals[-1])
     tied = np.nonzero(vals >= lam - EIG_TIE_GAP)[0]
@@ -105,9 +107,7 @@ def whitening_matrix(R):
     Raises NotPositiveDefiniteError when any eigenvalue falls at or below
     the scale-relative floor (degenerate noise covariance).
     """
-    R = np.asarray(R, dtype=np.complex128)
-    _check_hermitian(R, "covariance")
-    R = 0.5 * (R + R.conj().T)
+    R = _check_hermitian(R, "covariance")
     vals, vecs = np.linalg.eigh(R)
     floor = pd_floor(R)
     if vals[0] <= floor:
@@ -126,15 +126,11 @@ def gen_max_eigvec(num, den):
     L^{-H} w for the dominant eigenvector w of the Hermitian matrix
     L^{-1} num L^{-H}.
     """
-    num = np.asarray(num, dtype=np.complex128)
-    den = np.asarray(den, dtype=np.complex128)
-    _check_hermitian(num, "numerator")
-    _check_hermitian(den, "denominator")
+    num = _check_hermitian(num, "numerator")
+    den = _check_hermitian(den, "denominator")
     if num.shape != den.shape:
         raise ValueError(
             f"dimension mismatch: numerator {num.shape}, denominator {den.shape}")
-    num = 0.5 * (num + num.conj().T)
-    den = 0.5 * (den + den.conj().T)
 
     nvals = np.linalg.eigvalsh(num)
     nscale = max(1.0, float(abs(nvals[-1])))

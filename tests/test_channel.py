@@ -214,7 +214,8 @@ class TestChannelSetInvariants:
 
     def test_cached_products(self):
         ch = realize_channels(default_cfg(power_mallory=2.0), 3)
-        fresh = {"HT": ch.H @ ch.T, "HT_AN": ch.H @ ch.T @ ch.P_AN,
+        fresh = {"HT": ch.H @ ch.T, "GT": ch.G @ ch.T,
+                 "HT_AN": ch.H @ ch.T @ ch.P_AN,
                  "GT_AN": ch.G @ ch.T @ ch.P_AN, "F_JM": ch.F @ ch.P_JM,
                  "M_JM": ch.M_self @ ch.P_JM}
         for name, expected in fresh.items():

@@ -493,12 +493,35 @@ class TestCli:
 
         monkeypatch.setattr("secsm.cli.run_sweep", lambda *a, **k: [])
         monkeypatch.setattr("secsm.cli.write_outputs", fail)
+        monkeypatch.chdir(tmp_path)  # the default output_dir is relative
         path = tmp_path / "run.cfg"
         path.write_text(default_config_text())
         assert main(["--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "File name too long" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("via", ["--out", "output_dir"])
+    def test_unwritable_out_fails_before_any_realization(
+            self, tmp_path, capsys, monkeypatch, via):
+        def unreachable(args):
+            raise AssertionError("a realization started")
+
+        monkeypatch.setattr(harness, "_realization_task", unreachable)
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        blocked = str(blocker / "sub")
+        text = default_config_text()
+        argv = ["--out", blocked]
+        if via == "output_dir":
+            text, argv = set_key(text, "output_dir", blocked), []
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["--config", str(path), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(blocker) in err
         assert "Traceback" not in err
 
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):

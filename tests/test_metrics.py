@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from secsm.beamformers import Method, compute_beamformer, max_sjnr
-from secsm.channel import (ChannelSet, SystemConfig, crandn, derive_rng,
-                           realize_channels)
-from secsm.metrics import (BER_BLOCK_TRIALS, _ber_counts, flop_estimate,
-                           mutual_info_mc, noise_cov_bob, scalar_inpn_cov,
-                           sjnr)
+from secsm.channel import (AN_MODES, ChannelSet, SystemConfig, crandn,
+                           derive_rng, realize_channels)
+from secsm.metrics import (BER_BLOCK_TRIALS, SIDES, _ber_counts,
+                           flop_estimate, mutual_info_mc, noise_cov_bob,
+                           scalar_channel, sjnr)
 from secsm.modulation import build_codebook
 from secsm.numerics import gen_max_eigvec
 
@@ -75,36 +75,50 @@ class TestNoiseCov:
         assert (np.linalg.norm(emp - R) / np.linalg.norm(R)) <= 0.03
 
 
-class TestScalarCov:
-    def test_bob_noise_only(self):
-        cfg = SystemConfig(beta=1.0, power_mallory=0.0, noise_var_bob=1.7)
-        ch = realize_channels(cfg, 0)
-        u = np.zeros(6, dtype=complex)
-        u[2] = 1.0
-        assert scalar_inpn_cov(u, ch, cfg, "bob") == pytest.approx(1.7)
-
-    def test_mallory_self_interference_term_zero(self):
-        cfg = SystemConfig(n_mallory=4, power_mallory=5.0)
-        ch = realize_channels(cfg, 1)
-        an = ch.G @ ch.T @ ch.P_AN
-        u = ch.u_er
-        expect = ((1 - cfg.beta) * cfg.power
-                  * np.sum(np.abs(an.conj().T @ u) ** 2)
-                  + cfg.noise_var_eve)
-        assert scalar_inpn_cov(u, ch, cfg, "mallory") == \
-            pytest.approx(float(expect), rel=1e-10)
-
-    def test_bob_equals_quadratic_form(self):
-        cfg = SystemConfig(n_mallory=4, power_mallory=2.0)
-        ch = realize_channels(cfg, 2)
-        R = noise_cov_bob(ch, cfg)
+class TestScalarChannel:
+    @pytest.mark.parametrize("an_mode", AN_MODES)
+    @pytest.mark.parametrize("side", SIDES)
+    def test_matches_raw_matrices(self, side, an_mode):
+        cfg = SystemConfig(n_mallory=4, power_mallory=2.0,
+                           noise_var_bob=0.7, noise_var_eve=1.3)
+        ch = realize_channels(cfg, 2, an_mode=an_mode)
+        if side == "bob":
+            S, J, noise_var = ch.H, ch.F, cfg.noise_var_bob
+        else:
+            S, J, noise_var = ch.G, ch.M_self, cfg.noise_var_eve
+        cb = build_codebook(cfg.n_active, cfg.mod_order)
+        # column k is entry k's transmit vector T e_a s
+        X = ch.T[:, cb.antennas] * cb.symbols
+        A = S @ ch.T @ ch.P_AN
+        B = J @ ch.P_JM
+        R = ((1 - cfg.beta) * cfg.power * A @ A.conj().T
+             + cfg.power_mallory * B @ B.conj().T
+             + noise_var * np.eye(S.shape[0]))
         rng = derive_rng(3, 9, 1)
-        for _ in range(20):
-            u = crandn(rng, 6)
-            u /= np.linalg.norm(u)
+        combiners = [crandn(rng, S.shape[0]) for _ in range(5)]
+        if side == "mallory":
+            combiners.append(ch.u_er)
+        for u in combiners:
+            r, power = scalar_channel(u, side, ch, cfg)
+            np.testing.assert_allclose(
+                r, math.sqrt(cfg.beta * cfg.power) * (u.conj() @ S @ X),
+                rtol=1e-12, atol=1e-12 * np.linalg.norm(u))
             direct = float(np.real(u.conj() @ R @ u))
-            assert scalar_inpn_cov(u, ch, cfg, "bob") == \
-                pytest.approx(direct, abs=1e-12 * max(1.0, direct))
+            assert power == pytest.approx(direct, rel=1e-12)
+            if side == "bob":
+                assert power == pytest.approx(
+                    float(np.real(u.conj() @ noise_cov_bob(ch, cfg) @ u)),
+                    rel=1e-12)
+        if side == "mallory":
+            # the jamming precoder cancels self-interference at u_er
+            assert np.linalg.norm(B.conj().T @ ch.u_er) < 1e-12
+        elif an_mode == "nullspace":
+            assert np.linalg.norm(A) < 1e-12
+
+    def test_unknown_side(self):
+        cfg = SystemConfig()
+        with pytest.raises(ValueError, match="unknown side"):
+            scalar_channel(np.ones(6), "eve", realize_channels(cfg, 0), cfg)
 
 
 class TestSjnr:
