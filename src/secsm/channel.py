@@ -130,29 +130,12 @@ class ChannelSet:
     u_er: np.ndarray
     P_JM: np.ndarray
 
-    @cached_property
-    def HT(self):
-        return _read_only(self.H @ self.T)
-
-    @cached_property
-    def HT_AN(self):
-        return _read_only(self.HT @ self.P_AN)
-
-    @cached_property
-    def GT(self):
-        return _read_only(self.G @ self.T)
-
-    @cached_property
-    def GT_AN(self):
-        return _read_only(self.GT @ self.P_AN)
-
-    @cached_property
-    def F_JM(self):
-        return _read_only(self.F @ self.P_JM)
-
-    @cached_property
-    def M_JM(self):
-        return _read_only(self.M_self @ self.P_JM)
+    HT = cached_property(lambda self: _read_only(self.H @ self.T))
+    HT_AN = cached_property(lambda self: _read_only(self.HT @ self.P_AN))
+    GT = cached_property(lambda self: _read_only(self.G @ self.T))
+    GT_AN = cached_property(lambda self: _read_only(self.GT @ self.P_AN))
+    F_JM = cached_property(lambda self: _read_only(self.F @ self.P_JM))
+    M_JM = cached_property(lambda self: _read_only(self.M_self @ self.P_JM))
 
 
 def _read_only(a):

@@ -236,10 +236,10 @@ def _realization_task(args):
 
     Returns {(snr_idx, pm_idx, method): (feasible, sr, sjnr,
     ber_uses, bit_errors, squared_errors)}. The attacker's rate is
-    method-independent and computed once per grid point; Bob's rates for
-    all feasible methods come from one stacked call, so they share one
-    noise draw, and BER draws reuse one stream per grid point across
-    methods (common random numbers), which sharpens method comparisons.
+    method-independent and computed once per grid point. Bob's rates,
+    SJNRs and BER tallies of all feasible methods come from one stacked
+    call each, so the methods share one draw per grid point (common
+    random numbers), which sharpens method comparisons.
     """
     cfg, spec, r = args
     chset = realize_channels(cfg, r, an_mode=spec.an_mode)
@@ -261,20 +261,19 @@ def _realization_task(args):
                     out[si, pi, method] = (False, 0.0, 0.0, 0, 0, 0)
             if not built:
                 continue
+            stack = np.array(list(built.values()))
             i_bobs = mutual_info_mc(
-                np.array(list(built.values())), "bob", chset,
-                point, spec.n_noise,
+                stack, "bob", chset, point, spec.n_noise,
                 derive_rng(cfg.seed, _STREAM_MI_BOB, r, si, pi))
-            for (method, u), i_bob in zip(built.items(), i_bobs.tolist()):
-                sr = max(0.0, i_bob - i_eve)
-                ratio = metrics.sjnr(u, chset, point)
-                uses = errors = squared = 0
-                if ber_block:
-                    uses, errors, squared = metrics._ber_counts(
-                        u, chset, point, codebook, ber_block,
-                        derive_rng(cfg.seed, _STREAM_BER, r, si, pi))
-                out[si, pi, method] = (True, sr, ratio, uses, errors,
-                                       squared)
+            ratios = metrics.sjnr(stack, chset, point)
+            uses, errors, squared = metrics._ber_counts(
+                stack, chset, point, codebook, ber_block,
+                derive_rng(cfg.seed, _STREAM_BER, r, si, pi))
+            for method, i_bob, ratio, e, sq in zip(
+                    built, i_bobs.tolist(), ratios.tolist(),
+                    errors.tolist(), squared.tolist()):
+                out[si, pi, method] = (True, max(0.0, i_bob - i_eve), ratio,
+                                       uses, e, sq)
     return out
 
 
@@ -350,12 +349,15 @@ def write_outputs(records, cfg, spec, out_dir=None):
 
     All files are UTF-8 with LF line endings; floats use shortest
     round-trip decimals, so identical records give identical bytes.
+    CDF tables of an earlier run in the directory are deleted first.
     """
     out = Path(out_dir) if out_dir is not None else Path(spec.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise RuntimeError(f"cannot write output directory {out}: {exc}")
+    for stale in out.glob("sr_cdf_*.csv"):
+        stale.unlink()
 
     header = ("method,snr_db,p_m,avg_sr,ber,avg_sjnr_db,"
               "n_realizations,n_zfc_infeasible")

@@ -82,24 +82,43 @@ def scalar_channel(u, side, chset, cfg):
     output only through u, so they add one CN(0, power). At Bob power is
     u^H R_w u; at the attacker it holds the AN leakage, the
     self-interference (zero by the jamming precoder's construction) and
-    its receiver noise.
+    its receiver noise. u may be a stack of combiners along its last
+    axis; r and power keep its leading axes, and each row equals a
+    single call bit for bit.
     """
     signal, an, jam, noise_var = _side_terms(chset, cfg, side)
     u = np.asarray(u)
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
     r = (math.sqrt(cfg.beta * cfg.power)
-         * codebook.effective_scalars(u.conj() @ signal))
-    power = float((1.0 - cfg.beta) * cfg.power
-                  * np.sum(np.abs(an.conj().T @ u) ** 2)
-                  + cfg.power_mallory * np.sum(np.abs(jam.conj().T @ u) ** 2)
-                  + noise_var * np.sum(np.abs(u) ** 2))
-    return r, power
+         * codebook.effective_scalars((u.conj()[..., None, :] @ signal)
+                                      [..., 0, :]))
+    col = u[..., :, None]
+    power = ((1.0 - cfg.beta) * cfg.power * _energy(an.conj().T @ col)
+             + cfg.power_mallory * _energy(jam.conj().T @ col)
+             + noise_var * _energy(col))
+    return r, (float(power) if u.ndim == 1 else power)
+
+
+def _energy(col):
+    """sum |x|^2 of n x 1 columns, each summed like a single column."""
+    return np.sum(np.ascontiguousarray(np.abs(col[..., 0]) ** 2), axis=-1)
+
+
+def _positive(power):
+    """power, checked positive: MI and SJNR are undefined at zero."""
+    if np.any(np.asarray(power) <= 0.0):
+        raise ValueError(
+            "interference-plus-noise power is zero; the whitened channel "
+            "is undefined (set a positive receiver noise variance)")
+    return power
 
 
 def sjnr(u, chset, cfg):
-    """Signal-to-jamming-plus-noise ratio of a combiner at Bob."""
+    """Signal-to-jamming-plus-noise ratio at Bob of a combiner or stack."""
     r, power = scalar_channel(u, "bob", chset, cfg)
-    return float(np.mean(np.abs(r) ** 2)) / power
+    ratio = (np.mean(np.ascontiguousarray(np.abs(r) ** 2), axis=-1)
+             / _positive(power))
+    return float(ratio) if r.ndim == 1 else ratio
 
 
 def mi_inner_mean(diffs, noise):
@@ -158,22 +177,15 @@ def mutual_info_mc(u, side, chset, cfg, n_noise, rng):
     """
     if n_noise < 1:
         raise ValueError("n_noise must be at least 1")
-    u = np.asarray(u)
-    diffs = []
-    for row in u.reshape(-1, u.shape[-1]):
-        r, power = scalar_channel(row, side, chset, cfg)
-        if power <= 0.0:
-            raise ValueError(
-                "interference-plus-noise power is zero; the whitened channel "
-                "is undefined (set a positive receiver noise variance)")
-        g = r / math.sqrt(power)
-        diffs.append(g[:, None] - g[None, :])
-    codebook = build_codebook(cfg.n_active, cfg.mod_order)
-    noise = crandn(rng, codebook.size, n_noise)
-    top = math.log2(codebook.size)
-    bits = [float(np.clip(top - mi_inner_mean(d, noise), 0.0, top))
-            for d in diffs]
-    return bits[0] if u.ndim == 1 else np.array(bits)
+    r, power = scalar_channel(u, side, chset, cfg)
+    g = r / np.sqrt(_positive(power))[..., None]
+    K = r.shape[-1]
+    diffs = (g[..., :, None] - g[..., None, :]).reshape(-1, K, K)
+    noise = crandn(rng, K, n_noise)
+    top = math.log2(K)
+    bits = np.array([np.clip(top - mi_inner_mean(d, noise), 0.0, top)
+                     for d in diffs]).reshape(r.shape[:-1])
+    return float(bits) if r.ndim == 1 else bits
 
 
 def _ber_counts(u, chset, cfg, codebook, n_trials, rng):
@@ -181,25 +193,33 @@ def _ber_counts(u, chset, cfg, codebook, n_trials, rng):
     transmissions.
 
     Returns (uses, bit_errors, squared_error_sum); the squared sum of
-    per-use bit errors supports an empirical variance estimate.
+    per-use bit errors supports an empirical variance estimate. For a
+    stack of combiners the two sums are arrays over its leading axes.
 
     The trials run in Bob's scalar_channel, z = r_idx + sqrt(power) n.
     Per block of BER_BLOCK_TRIALS the draws are the codebook indices,
-    then one unit complex normal n per trial. ML detection is one argmin
-    over a (trials x K) distance array, ties to the lowest index.
+    then one unit complex normal n per trial, shared by a stack's rows,
+    which are detected one at a time: a row's tally equals a single call
+    on an identically seeded rng. ML detection is one argmin over a
+    (trials x K) distance array, ties to the lowest index.
     """
     refs, power = scalar_channel(u, "bob", chset, cfg)
-    sigma = math.sqrt(power)
-    errors = 0
-    squared = 0
+    shape = refs.shape[:-1]
+    refs = refs.reshape(-1, codebook.size)
+    sigma = np.sqrt(np.reshape(power, -1))
+    tallies = np.zeros((len(refs), 2), dtype=np.int64)
     for start in range(0, n_trials, BER_BLOCK_TRIALS):
         block = min(BER_BLOCK_TRIALS, n_trials - start)
         idx = rng.integers(codebook.size, size=block)
-        z = refs[idx] + sigma * crandn(rng, block)
-        dist = np.abs(z[:, None] - refs[None, :])
-        e = codebook.bit_errors[idx, np.argmin(dist, axis=1)]
-        errors += int(e.sum())
-        squared += int((e * e).sum())
+        noise = crandn(rng, block)
+        for row, s, tally in zip(refs, sigma, tallies):
+            z = row[idx] + s * noise
+            dist = np.abs(z[:, None] - row[None, :])
+            e = codebook.bit_errors[idx, np.argmin(dist, axis=1)]
+            tally += (e.sum(), (e * e).sum())
+    errors, squared = tallies.T.reshape((2,) + shape)
+    if not shape:
+        return n_trials, int(errors), int(squared)
     return n_trials, errors, squared
 
 

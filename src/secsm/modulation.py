@@ -37,12 +37,9 @@ class TxCodebook:
         return int(math.log2(self.size))
 
     def effective_scalars(self, row):
-        """Post-beamforming symbol hypotheses for a 1 x n_active channel row."""
-        return row[self.antennas] * self.symbols
-
-
-def _gray(k):
-    return k ^ (k >> 1)
+        """Post-beamforming symbol hypotheses for 1 x n_active channel
+        rows, along the last axis."""
+        return row[..., self.antennas] * self.symbols
 
 
 @functools.cache
@@ -61,13 +58,9 @@ def build_codebook(n_active, mod_order):
         raise ValueError("mod_order must be at least 2")
     sym_bits = int(math.log2(mod_order))
     points = np.exp(2j * np.pi * np.arange(mod_order) / mod_order)
-    labels, antennas, symbols = [], [], []
-    for n in range(n_active):
-        for k in range(mod_order):
-            labels.append((n << sym_bits) | _gray(k))
-            antennas.append(n)
-            symbols.append(points[k])
-    arrays = [np.array(a) for a in (labels, antennas, symbols)]
+    antennas = np.repeat(np.arange(n_active), mod_order)
+    k = np.tile(np.arange(mod_order), n_active)
+    arrays = [(antennas << sym_bits) | (k ^ (k >> 1)), antennas, points[k]]
     # popcount of labels[i] ^ labels[j], one bit plane at a time
     diff = arrays[0][:, None] ^ arrays[0][None, :]
     arrays.append(sum((diff >> b) & 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secsm import harness
+from secsm import harness, metrics
 from secsm.beamformers import Method, ZfcInfeasibleError, compute_beamformer
 from secsm.channel import AN_MODES, SystemConfig, derive_rng, realize_channels
 from secsm.cli import main
@@ -16,6 +16,7 @@ from secsm.harness import (ConfigError, SweepSpec, default_config_text,
                            emit_config, parse_config, run_sweep,
                            snr_to_noise_var, write_outputs)
 from secsm.metrics import mutual_info_mc
+from secsm.modulation import build_codebook
 
 
 def line_of(text, key):
@@ -304,30 +305,68 @@ class TestRunSweep:
         cfg = SystemConfig(n_mallory=n_mallory, seed=8)
         spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
                          methods=tuple(Method), n_realizations=3,
-                         n_ber_trials=3)
+                         n_ber_trials=600)
         r = 2
         out = harness._realization_task((cfg, spec, r))
         chset = realize_channels(cfg, r, an_mode=spec.an_mode)
+        codebook = build_codebook(cfg.n_active, cfg.mod_order)
+        errors = 0
         for si, snr_db in enumerate(spec.snr_grid_db):
             for pi, p_m in enumerate(spec.p_m_list):
                 point = harness._point_config(cfg, snr_db, p_m)
+
+                def rng(tag):
+                    return derive_rng(cfg.seed, tag, r, si, pi)
+
                 i_eve = mutual_info_mc(
                     chset.u_er, "mallory", chset, point, spec.n_noise,
-                    derive_rng(cfg.seed, harness._STREAM_MI_EVE, r, si, pi))
+                    rng(harness._STREAM_MI_EVE))
                 for method in spec.methods:
-                    feasible, sr, *_ = out[si, pi, method]
+                    feasible, sr, ratio, *tally = out[si, pi, method]
                     try:
                         bf = compute_beamformer(method, chset, point)
                     except ZfcInfeasibleError:
                         assert (method, n_mallory) == (Method.MAX_RP_ZFC, 7)
-                        assert (feasible, sr) == (False, 0.0)
+                        assert (feasible, sr, ratio) == (False, 0.0, 0.0)
+                        assert tally == [0, 0, 0]
                         continue
                     i_bob = mutual_info_mc(
                         bf.u, "bob", chset, point, spec.n_noise,
-                        derive_rng(cfg.seed, harness._STREAM_MI_BOB, r, si,
-                                   pi))
+                        rng(harness._STREAM_MI_BOB))
                     assert feasible
                     assert sr == max(0.0, i_bob - i_eve)
+                    assert ratio == metrics.sjnr(bf.u, chset, point)
+                    # 600 trials over 3 realizations: 200 each
+                    assert tuple(tally) == metrics._ber_counts(
+                        bf.u, chset, point, codebook, 200,
+                        rng(harness._STREAM_BER))
+                    errors += tally[1]
+        assert errors > 0  # the tallies have errors to compare
+
+    def test_one_stacked_call_per_metric_per_point(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "mutual_info_mc", counting(
+            "mi", harness.mutual_info_mc))
+        monkeypatch.setattr(harness, "derive_rng", counting(
+            "rng", harness.derive_rng))
+        for name in ("sjnr", "_ber_counts"):
+            monkeypatch.setattr(metrics, name, counting(
+                name, getattr(metrics, name)))
+        cfg = SystemConfig(seed=9)
+        spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
+                         methods=tuple(Method), n_realizations=2)
+        harness._realization_task((cfg, spec, 0))
+        points = 4
+        assert sorted(calls) == sorted(
+            ["mi"] * 2 * points + ["rng"] * 3 * points
+            + ["sjnr"] * points + ["_ber_counts"] * points)
 
     def test_random_an_mode(self):
         cfg = SystemConfig(seed=7)
@@ -433,6 +472,19 @@ class TestWriteOutputs:
         for name in ("results.csv", "sr_cdf_0.csv", "manifest.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_second_grid_replaces_cdf_files(self, tmp_path):
+        cfg = SystemConfig()
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.csv").write_text("kept\n")
+        for snr_db in (0.0, 5.0):
+            spec = tiny_spec(snr_grid_db=(snr_db,), n_realizations=2)
+            write_outputs(run_sweep(cfg, spec), cfg, spec, out)
+        names = sorted(path.name for path in out.iterdir())
+        assert names == ["manifest.txt", "notes.csv", "results.csv",
+                         "sr_cdf_5.csv"]
+        assert "snr_grid_db = 5.0" in (out / "manifest.txt").read_text()
+
     def test_unwritable_dir(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -522,6 +574,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(blocker) in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_exits_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\xff")
+        assert main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config: ")
         assert "Traceback" not in err
 
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):

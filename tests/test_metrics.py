@@ -139,6 +139,20 @@ class TestSjnr:
                   * float(np.sum(np.abs(HT.conj().T @ u) ** 2)))
         assert sjnr(u, ch, cfg) == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("fn", ["sjnr", "mutual_info_mc"])
+    def test_zero_power_raises(self, fn, stacked):
+        cfg = SystemConfig(beta=1.0, power_mallory=0.0, noise_var_bob=0.0)
+        ch = realize_channels(cfg, 0)
+        u = compute_beamformer(Method.MAX_RP, ch, cfg).u
+        if stacked:
+            u = np.array([u, 2.0 * u])
+        call = {"sjnr": lambda: sjnr(u, ch, cfg),
+                "mutual_info_mc": lambda: mutual_info_mc(
+                    u, "bob", ch, cfg, 20, derive_rng(3, 9, 43))}[fn]
+        with pytest.raises(ValueError, match="power is zero"):
+            call()
+
     def test_solver_self_consistency(self):
         cfg = SystemConfig(power_mallory=3.0)
         ch = realize_channels(cfg, 2)
@@ -211,8 +225,11 @@ class TestMutualInfo:
         assert abs(full - half) < 0.03
 
     def test_stacked_equals_single_calls(self):
+        # MI, SJNR and the BER tally of a stack, row by row, against
+        # single calls (each BER call on an identically seeded rng)
         cfg = SystemConfig(power_mallory=2.0)
         ch = realize_channels(cfg, 5)
+        cb = build_codebook(cfg.n_active, cfg.mod_order)
         U = np.array([compute_beamformer(m, ch, cfg).u for m in Method])
         for side, stack in (("bob", U), ("mallory", U[:, :2])):
             stacked = mutual_info_mc(stack, side, ch, cfg, 300,
@@ -221,6 +238,18 @@ class TestMutualInfo:
                                      derive_rng(3, 9, 40)) for u in stack]
             assert isinstance(stacked, np.ndarray)
             assert stacked.tolist() == single
+        ratios = sjnr(U, ch, cfg)
+        assert isinstance(ratios, np.ndarray)
+        assert type(sjnr(U[0], ch, cfg)) is float
+        assert ratios.tolist() == [sjnr(u, ch, cfg) for u in U]
+        # a full block and a partial one
+        n = BER_BLOCK_TRIALS + 37
+        uses, errors, squared = _ber_counts(U, ch, cfg, cb, n,
+                                            derive_rng(3, 9, 42))
+        for k, u in enumerate(U):
+            assert (uses, errors[k], squared[k]) == _ber_counts(
+                u, ch, cfg, cb, n, derive_rng(3, 9, 42))
+        assert errors.sum() > 0  # the tallies have errors to compare
 
     def test_single_combiner_returns_float(self):
         cfg = SystemConfig()
@@ -410,6 +439,27 @@ class TestBatchedBerCounts:
                                       derive_rng(3, 9, 17))
         assert errors / (uses * cb.bits_per_use) == \
             pytest.approx(0.5, abs=0.01)
+
+    def test_stack_noiseless_and_empty(self):
+        # zero noise power is the noiseless channel, not an error; zero
+        # trials give zero tallies
+        cfg = SystemConfig(beta=1.0, power_mallory=0.0,
+                           noise_var_bob=0.0, noise_var_eve=0.0)
+        ch = realize_channels(cfg, 0)
+        cb = build_codebook(cfg.n_active, cfg.mod_order)
+        U = np.array([compute_beamformer(m, ch, cfg).u
+                      for m in (Method.MAX_RP, Method.MAX_RP_ZFC)])
+        uses, errors, squared = _ber_counts(U, ch, cfg, cb, 300,
+                                            derive_rng(3, 9, 44))
+        assert uses == 300
+        assert errors.tolist() == squared.tolist() == [0, 0]
+        uses, errors, squared = _ber_counts(U, ch, cfg, cb, 0,
+                                            derive_rng(3, 9, 44))
+        assert uses == 0
+        assert errors.tolist() == squared.tolist() == [0, 0]
+        single = _ber_counts(U[0], ch, cfg, cb, 0, derive_rng(3, 9, 44))
+        assert single == (0, 0, 0)
+        assert all(type(x) is int for x in single)
 
     def test_same_seed_same_counts(self):
         cfg = SystemConfig(power_mallory=2.0)
