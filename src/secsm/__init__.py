@@ -16,7 +16,7 @@ from .channel import (ChannelSet, SystemConfig, build_an_projection,
 from .harness import (ConfigError, SweepSpec, default_config_text,
                       emit_config, parse_config, run_sweep, write_outputs)
 from .metrics import (MetricsRecord, flop_estimate, mutual_info_mc,
-                      noise_cov_bob, scalar_channel, sjnr)
+                      scalar_channel, sjnr)
 from .modulation import TxCodebook, build_codebook
 from .numerics import (NotHermitianError, NotPositiveDefiniteError,
                        canonical_phase, gen_max_eigvec, max_eigvec_hermitian,

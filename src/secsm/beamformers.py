@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .metrics import noise_cov_bob
+from .metrics import _side_terms
 from .numerics import (canonical_phase, gen_max_eigvec, max_eigvec_hermitian,
                        null_space_basis, whitening_matrix)
 
@@ -60,11 +60,14 @@ def max_rp(chset, cfg):
 def max_wfrp(chset, cfg):
     """Whitening-filter receive-power maximization.
 
-    Whitens the interference-plus-noise covariance, maximizes receive
-    power in the whitened domain, and returns the effective combining
-    vector W^H w for the raw receive signal.
+    Whitens the interference-plus-noise covariance with its Hermitian
+    inverse square root W (rescaled to unit largest entry, which keeps
+    the products finite), maximizes receive power in the whitened domain,
+    and returns the effective combining vector W^H w.
     """
-    W = whitening_matrix(noise_cov_bob(chset, cfg))
+    _, V, noise_var = _side_terms(chset, cfg, "bob")
+    W = whitening_matrix(V, noise_var)
+    W = W / np.abs(W).max()
     HT_w = W @ chset.HT
     w, _ = max_eigvec_hermitian(HT_w @ HT_w.conj().T)
     u = W.conj().T @ w
@@ -94,10 +97,13 @@ def max_sjnr(chset, cfg):
     """Maximum signal-to-jamming-plus-noise ratio: dominant generalized
     eigenvector of the signal Gram against the interference-plus-noise
     covariance."""
-    v, _ = gen_max_eigvec(_signal_gram(chset), noise_cov_bob(chset, cfg))
+    _, V, noise_var = _side_terms(chset, cfg, "bob")
+    v, _ = gen_max_eigvec(_signal_gram(chset), V, noise_var)
     return Beamformer(u=v)
 
 
+# methods that read nothing of the operating point (SNR, P_M)
+POINT_FREE = frozenset({Method.MAX_RP, Method.MAX_RP_ZFC})
 _BUILDERS = {
     Method.MAX_RP: max_rp,
     Method.MAX_WFRP: max_wfrp,

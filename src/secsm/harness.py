@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .beamformers import Method, ZfcInfeasibleError, compute_beamformer
+from .beamformers import (POINT_FREE, Method, ZfcInfeasibleError,
+                          compute_beamformer)
 from .channel import AN_MODES, SystemConfig, derive_rng, realize_channels
 from .metrics import MetricsRecord, mutual_info_mc
 from .modulation import build_codebook
@@ -57,8 +58,9 @@ class SweepSpec:
                 raise ValueError(
                     f"snr_grid_db must give a finite, positive noise "
                     f"variance 10^(-snr/10), got {snr_db!r}")
-        if not all(0.0 <= p < math.inf for p in self.p_m_list):
-            raise ValueError("p_m_list must be finite and non-negative")
+        # 1e308 W overflows |V^H u|^2; 1e300 leaves a jamming-gain margin
+        if not all(0.0 <= p <= 1e300 for p in self.p_m_list):
+            raise ValueError("p_m_list must be finite, in [0, 1e300]")
         for name in ("n_realizations", "n_noise", "n_ber_trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -236,7 +238,8 @@ def _realization_task(args):
 
     Returns {(snr_idx, pm_idx, method): (feasible, sr, sjnr,
     ber_uses, bit_errors, squared_errors)}. The attacker's rate is
-    method-independent and computed once per grid point. Bob's rates,
+    method-independent and computed once per grid point, and the
+    POINT_FREE methods' combiners once per realization. Bob's rates,
     SJNRs and BER tallies of all feasible methods come from one stacked
     call each, so the methods share one draw per grid point (common
     random numbers), which sharpens method comparisons.
@@ -246,6 +249,14 @@ def _realization_task(args):
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
     base, extra = divmod(spec.n_ber_trials, spec.n_realizations)
     ber_block = base + (1 if r < extra else 0)
+
+    def combiner(method, point):
+        try:
+            return compute_beamformer(method, chset, point).u
+        except ZfcInfeasibleError:
+            return None
+
+    fixed = {m: combiner(m, cfg) for m in spec.methods if m in POINT_FREE}
     out = {}
     for si, snr_db in enumerate(spec.snr_grid_db):
         for pi, p_m in enumerate(spec.p_m_list):
@@ -253,12 +264,11 @@ def _realization_task(args):
             i_eve = mutual_info_mc(
                 chset.u_er, "mallory", chset, point, spec.n_noise,
                 derive_rng(cfg.seed, _STREAM_MI_EVE, r, si, pi))
-            built = {}
-            for method in spec.methods:
-                try:
-                    built[method] = compute_beamformer(method, chset, point).u
-                except ZfcInfeasibleError:
-                    out[si, pi, method] = (False, 0.0, 0.0, 0, 0, 0)
+            us = {m: fixed[m] if m in fixed else combiner(m, point)
+                  for m in spec.methods}
+            built = {m: u for m, u in us.items() if u is not None}
+            for m in us.keys() - built.keys():
+                out[si, pi, m] = (False, 0.0, 0.0, 0, 0, 0)
             if not built:
                 continue
             stack = np.array(list(built.values()))

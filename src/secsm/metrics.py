@@ -1,5 +1,5 @@
-"""Performance quantities: covariances, SJNR, Monte-Carlo mutual
-information, the BER tally of ML detection, FLOP estimates.
+"""Performance quantities: per-side interference factors, SJNR, Monte-Carlo
+mutual information, the BER tally of ML detection, FLOP estimates.
 
 SJNR, mutual information and BER all read one model of the
 post-beamforming channel, `scalar_channel`.
@@ -16,19 +16,15 @@ from .modulation import build_codebook
 SIDES = ("bob", "mallory")
 
 # BER trials drawn and detected together. A block's (trials x codebook)
-# complex differences and their moduli dominate its memory: at 256
-# trials and the default 32-entry codebook one call peaks at ~390 KiB
-# (tracemalloc), against 16 bytes per trial for the draws. Peak RSS grows
-# with the block: over 50 default BER sweeps (2000 trials per cell),
-# 1024-trial blocks ended ~0.5 MiB higher than 256-trial ones.
+# differences dominate its memory: one call peaks at ~390 KiB at 256
+# trials and 32 entries (tracemalloc); over 50 default BER sweeps,
+# 1024-trial blocks ended ~0.5 MiB higher in peak RSS.
 BER_BLOCK_TRIALS = 256
 
-# Codebook entries whose exponents mi_inner_mean evaluates together. The
-# block's exponent array holds rows x K x T doubles: 512 KiB at 4 rows,
-# the default 32-entry codebook and 500 draws. Peak RSS grows with the
-# block: after 8 in-process secrecy-rate sweeps (500 draws), blocks of
-# 4/8/16/32 rows ended ~0.4/1.0/2.1/4.3 MiB above the per-row loop, and
-# more than 4 rows bought no measurable sweep time.
+# Codebook entries whose exponents mi_inner_mean evaluates together: a
+# rows x K x T block, 512 KiB at 4 rows, 32 entries and 500 draws. After 8
+# sweeps, blocks of 4/8/16/32 rows ended ~0.4/1.0/2.1/4.3 MiB above the
+# per-row loop in peak RSS; more than 4 rows bought no sweep time.
 MI_BLOCK_ROWS = 4
 
 
@@ -46,30 +42,24 @@ class MetricsRecord:
     trial_counts: dict = field(default_factory=dict)
 
 
-def noise_cov_bob(chset, cfg):
-    """Interference-plus-noise covariance at Bob.
-
-    R_w = (1-beta) P (H T P_AN)(H T P_AN)^H + P_M (F P_JM)(F P_JM)^H
-        + noise_var_bob I,
-
-    with unit-variance AN and jamming entries (P_AN and P_JM carry the
-    unit-power normalisation).
-    """
-    _, an, jam, noise_var = _side_terms(chset, cfg, "bob")
-    R = ((1.0 - cfg.beta) * cfg.power * (an @ an.conj().T)
-         + cfg.power_mallory * (jam @ jam.conj().T)
-         + noise_var * np.eye(cfg.n_rx))
-    return 0.5 * (R + R.conj().T)
-
-
 def _side_terms(chset, cfg, side):
-    """(signal, AN, jamming) channels into one receiver, after antenna
-    selection and precoding, and its noise variance."""
-    if side == "bob":
-        return chset.HT, chset.HT_AN, chset.F_JM, cfg.noise_var_bob
-    if side == "mallory":
-        return chset.GT, chset.GT_AN, chset.M_JM, cfg.noise_var_eve
-    raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
+    """(signal, V, noise_var) of one receiver: its signal channel after
+    antenna selection, and its interference-plus-noise covariance
+    noise_var I + V V^H as a low-rank factor and a noise variance.
+
+    V = [sqrt((1-beta) P) S T P_AN, sqrt(P_M) J P_JM] with S = H, J = F
+    at Bob and S = G, J = M_self at the attacker (unit-variance AN and
+    jamming entries; P_AN and P_JM carry the unit-power normalisation).
+    """
+    if side not in SIDES:
+        raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
+    bob = side == "bob"
+    signal, an, jam = ((chset.HT, chset.HT_AN, chset.F_JM) if bob else
+                       (chset.GT, chset.GT_AN, chset.M_JM))
+    noise_var = cfg.noise_var_bob if bob else cfg.noise_var_eve
+    V = np.hstack([math.sqrt((1.0 - cfg.beta) * cfg.power) * an,
+                   math.sqrt(cfg.power_mallory) * jam])
+    return signal, V, noise_var
 
 
 def scalar_channel(u, side, chset, cfg):
@@ -79,23 +69,21 @@ def scalar_channel(u, side, chset, cfg):
     noiseless combined output of codebook entry k, with a its antenna,
     s its symbol and S = H at Bob, G at the attacker. AN, jamming and
     receiver noise are independent circular Gaussians that reach the
-    output only through u, so they add one CN(0, power). At Bob power is
-    u^H R_w u; at the attacker it holds the AN leakage, the
-    self-interference (zero by the jamming precoder's construction) and
-    its receiver noise. u may be a stack of combiners along its last
-    axis; r and power keep its leading axes, and each row equals a
-    single call bit for bit.
+    output only through u, so they add one CN(0, power), with power =
+    ||V^H u||^2 + noise_var ||u||^2 = u^H R_w u for the side's factor V
+    (at the attacker the jamming term is its self-interference, zero by
+    the jamming precoder's construction). u may be a stack of combiners
+    along its last axis; r and power keep its leading axes, and each row
+    equals a single call bit for bit.
     """
-    signal, an, jam, noise_var = _side_terms(chset, cfg, side)
+    signal, V, noise_var = _side_terms(chset, cfg, side)
     u = np.asarray(u)
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
     r = (math.sqrt(cfg.beta * cfg.power)
          * codebook.effective_scalars((u.conj()[..., None, :] @ signal)
                                       [..., 0, :]))
     col = u[..., :, None]
-    power = ((1.0 - cfg.beta) * cfg.power * _energy(an.conj().T @ col)
-             + cfg.power_mallory * _energy(jam.conj().T @ col)
-             + noise_var * _energy(col))
+    power = _energy(V.conj().T @ col) + noise_var * _energy(col)
     return r, (float(power) if u.ndim == 1 else power)
 
 

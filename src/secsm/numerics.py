@@ -2,6 +2,7 @@
 
 Dominant Hermitian eigenvectors, null-space bases, noise-whitening filters
 and generalized Rayleigh-quotient maximizers, all on small dense matrices.
+A covariance noise_var I + V V^H is passed as its factor V and noise_var.
 Every returned eigenvector is unit norm with a canonical phase (largest
 entry real positive) so downstream Monte-Carlo runs reproduce bit-for-bit.
 """
@@ -20,13 +21,8 @@ class NotHermitianError(ValueError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Covariance-like matrix has an eigenvalue at or below the PD floor."""
-
-
-def pd_floor(R):
-    """Scale-relative positive-definiteness threshold for a covariance R."""
-    n = R.shape[0]
-    return 1e-12 * float(np.real(np.trace(R))) / n
+    """Interference-plus-noise covariance noise_var I + V V^H is singular:
+    its noise variance is not positive."""
 
 
 def _check_finite(A, name):
@@ -36,29 +32,23 @@ def _check_finite(A, name):
 
 def _check_hermitian(A, name="matrix"):
     """A as a complex128 array, symmetrized to 0.5 (A + A^H) after
-    checking that it is finite, square and Hermitian to 1e-12."""
+    checking that it is finite, square and Hermitian: entrywise to 1e-12
+    of max(1, largest entry)."""
     A = np.asarray(A, dtype=np.complex128)
     _check_finite(A, name)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotHermitianError(f"{name} is not square: shape {A.shape}")
-    # 1e-12 entrywise, relative to the entry scale for matrices far from
-    # unit magnitude.
-    scale = max(1.0, float(np.max(np.abs(A)))) if A.size else 1.0
-    asym = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
-    if asym > 1e-12 * scale:
+    asym = np.abs(A - A.conj().T).max(initial=0.0)
+    if asym > 1e-12 * np.abs(A).max(initial=1.0):
         raise NotHermitianError(
-            f"{name} is not Hermitian: max |A - A^H| = {asym:.3e} "
-            f"exceeds {1e-12 * scale:.3e}")
+            f"{name} is not Hermitian: max |A - A^H| = {asym:.3e}")
     return 0.5 * (A + A.conj().T)
 
 
 def canonical_phase(v):
     """Rotate v so its largest-magnitude entry is real and positive."""
-    j = int(np.argmax(np.abs(v)))
-    pivot = v[j]
-    if abs(pivot) == 0.0:
-        return v
-    return v * (np.conj(pivot) / abs(pivot))
+    pivot = v[np.argmax(np.abs(v))]
+    return v if pivot == 0.0 else v * (np.conj(pivot) / abs(pivot))
 
 
 def max_eigvec_hermitian(A):
@@ -100,54 +90,59 @@ def null_space_basis(B):
     return np.ascontiguousarray(U[:, rank:])
 
 
-def whitening_matrix(R):
-    """Whitening filter W with W R W^H = I for a positive definite R.
-
-    W = Lam^{-1/2} U^H from the eigen-decomposition R = U Lam U^H.
-    Raises NotPositiveDefiniteError when any eigenvalue falls at or below
-    the scale-relative floor (degenerate noise covariance).
-    """
-    R = _check_hermitian(R, "covariance")
-    vals, vecs = np.linalg.eigh(R)
-    floor = pd_floor(R)
-    if vals[0] <= floor:
+def _interference_factor(V, noise_var):
+    """(Q, t) with noise_var I + V V^H = Q diag(t^2) Q^H: Q is the unitary
+    of the full SVD of V and t = sqrt(noise_var + s^2), its singular
+    values s zero-padded to n entries. The covariance is positive definite
+    exactly when noise_var > 0, the only condition checked."""
+    V = np.asarray(V, dtype=np.complex128)
+    _check_finite(V, "interference factor")
+    if not 0.0 < noise_var < np.inf:
         raise NotPositiveDefiniteError(
-            f"covariance is near-singular: min eigenvalue {vals[0]:.3e} "
-            f"at or below floor {floor:.3e}")
-    return (vecs / np.sqrt(vals)).conj().T
+            f"noise variance must be positive and finite, got {noise_var!r}: "
+            f"noise_var I + V V^H is singular")
+    Q, s, _ = np.linalg.svd(V, full_matrices=True)
+    return Q, np.hypot(np.sqrt(noise_var), np.pad(s, (0, len(Q) - len(s))))
 
 
-def gen_max_eigvec(num, den):
+def whitening_matrix(V, noise_var):
+    """Hermitian whitening filter W = R^{-1/2} of R = noise_var I + V V^H.
+
+    With V = Q S and sigma^2 = noise_var, W = sigma^{-1} (I - Q diag(1 -
+    (1 + s^2 / sigma^2)^{-1/2}) Q^H) = Q diag(1 / t) Q^H, formed as the
+    latter so that no eigenvalue is lost to cancellation. Exact at any
+    noise_var > 0; raises NotPositiveDefiniteError otherwise.
+    """
+    Q, t = _interference_factor(V, noise_var)
+    W = (Q / t) @ Q.conj().T
+    return 0.5 * (W + W.conj().T)
+
+
+def gen_max_eigvec(num, V, noise_var):
     """Unit vector maximizing the generalized Rayleigh quotient.
 
-    Maximizes (v^H num v) / (v^H den v) for Hermitian PSD num and
-    Hermitian PD den; returns (v, ratio) with ||v|| = 1, canonical phase,
-    and ratio the achieved maximum. With den = L L^H (Cholesky), v is
-    L^{-H} w for the dominant eigenvector w of the Hermitian matrix
-    L^{-1} num L^{-H}.
+    Maximizes (v^H num v) / (v^H R v) for Hermitian PSD num and
+    R = noise_var I + V V^H; returns (v, ratio) with ||v|| = 1, canonical
+    phase, and ratio the achieved maximum. With R = L L^H for the factor
+    L = Q diag(t) of _interference_factor, v is L^{-H} w for the dominant
+    eigenvector w of L^{-1} num L^{-H}, reduced with the scale-free
+    min(t) L^{-1} = diag(min(t) / t) Q^H.
     """
     num = _check_hermitian(num, "numerator")
-    den = _check_hermitian(den, "denominator")
-    if num.shape != den.shape:
-        raise ValueError(
-            f"dimension mismatch: numerator {num.shape}, denominator {den.shape}")
-
+    Q, t = _interference_factor(V, noise_var)
+    if num.shape != Q.shape:
+        raise ValueError(f"dimension mismatch: numerator {num.shape}, "
+                         f"factor {np.shape(V)}")
     nvals = np.linalg.eigvalsh(num)
     nscale = max(1.0, float(abs(nvals[-1])))
     if nvals[0] < -1e-10 * nscale:
         raise ValueError(
             f"numerator is not PSD: min eigenvalue {nvals[0]:.3e}")
-    dvals = np.linalg.eigvalsh(den)
-    if dvals[0] <= pd_floor(den):
-        raise NotPositiveDefiniteError(
-            f"denominator is not positive definite: min eigenvalue "
-            f"{dvals[0]:.3e}")
 
-    L = np.linalg.cholesky(den)
-    C = np.linalg.solve(L, np.linalg.solve(L, num).conj().T).conj().T
+    G = (t.min() / t)[:, None] * Q.conj().T
+    C = G @ num @ G.conj().T
     _, vecs = np.linalg.eigh(0.5 * (C + C.conj().T))
-    v = np.linalg.solve(L.conj().T, vecs[:, -1])
-    v = canonical_phase(v)
+    v = canonical_phase(G.conj().T @ vecs[:, -1])
     v = v / np.linalg.norm(v)
-    ratio = float(np.real(v.conj() @ num @ v) / np.real(v.conj() @ den @ v))
-    return v, ratio
+    leak = np.linalg.norm(np.asarray(V).conj().T @ v) ** 2
+    return v, float(np.real(v.conj() @ num @ v) / (noise_var + leak))

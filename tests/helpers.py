@@ -10,6 +10,32 @@ def crandn_t(rng, *shape):
                            + 1j * rng.standard_normal(shape))
 
 
+def covariance(V, noise_var):
+    """Dense noise_var I + V V^H of a low-rank factor V."""
+    return noise_var * np.eye(V.shape[0]) + V @ V.conj().T
+
+
+def random_factor(rng, n):
+    """A random n x k interference factor V, k in 1..n + 1, and a noise
+    variance in [0.01, 1]."""
+    k = int(rng.integers(1, n + 2))
+    return crandn_t(rng, n, k), float(rng.uniform(0.01, 1.0))
+
+
+def noise_cov_bob(chset, cfg):
+    """Dense interference-plus-noise covariance at Bob from the raw
+    ChannelSet matrices, the oracle for the library's low-rank factor:
+
+    R_w = (1-beta) P (H T P_AN)(H T P_AN)^H + P_M (F P_JM)(F P_JM)^H
+        + noise_var_bob I.
+    """
+    A = chset.H @ chset.T @ chset.P_AN
+    J = chset.F @ chset.P_JM
+    return ((1 - cfg.beta) * cfg.power * A @ A.conj().T
+            + cfg.power_mallory * J @ J.conj().T
+            + cfg.noise_var_bob * np.eye(chset.H.shape[0]))
+
+
 def quotient(num, den, v):
     return float(np.real(v.conj() @ num @ v) / np.real(v.conj() @ den @ v))
 
@@ -128,11 +154,7 @@ def ber_counts_antenna_domain(u, chset, cfg, codebook, n_trials, rng):
     H, T = chset.H, chset.T
     idx = rng.integers(codebook.size, size=n_trials)
     y = receive_bob(codebook, idx, chset, cfg, rng)
-    A = H @ T @ chset.P_AN
-    J = chset.F @ chset.P_JM
-    R_w = ((1 - cfg.beta) * cfg.power * A @ A.conj().T
-           + cfg.power_mallory * J @ J.conj().T
-           + cfg.noise_var_bob * np.eye(H.shape[0]))
+    R_w = noise_cov_bob(chset, cfg)
     w = u.conj() / np.sqrt(np.real(u.conj() @ R_w @ u))
     hyp = (np.sqrt(cfg.beta * cfg.power) * (w @ H @ T)[codebook.antennas]
            * codebook.symbols)

@@ -14,13 +14,12 @@ from secsm.channel import SystemConfig, crandn, derive_rng, realize_channels
 from secsm.cli import main
 from secsm.harness import (SweepSpec, default_config_text, emit_config,
                            parse_config, run_sweep)
-from secsm.metrics import (flop_estimate, mutual_info_mc, noise_cov_bob,
-                           sjnr)
+from secsm.metrics import flop_estimate, mutual_info_mc, sjnr
 from secsm.numerics import (gen_max_eigvec, max_eigvec_hermitian,
                             null_space_basis, whitening_matrix)
 
-from helpers import (bpsk_mi_quadrature, crandn_t, quotient,
-                     random_search_max_ratio)
+from helpers import (bpsk_mi_quadrature, covariance, crandn_t,
+                     noise_cov_bob, quotient, random_search_max_ratio)
 
 THREADS = min(4, os.cpu_count() or 1)
 
@@ -223,9 +222,10 @@ def test_criterion_07_numerics_suite():
     worst_wh = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 9))
-        A = crandn_t(rng, n, n)
-        R = A @ A.conj().T + float(rng.uniform(0.05, 1.0)) * np.eye(n)
-        W = whitening_matrix(R)
+        V = crandn_t(rng, n, n)
+        noise_var = float(rng.uniform(0.05, 1.0))
+        R = covariance(V, noise_var)
+        W = whitening_matrix(V, noise_var)
         worst_wh = max(worst_wh, float(np.max(np.abs(
             W @ R @ W.conj().T - np.eye(n)))))
     ok &= worst_wh <= 1e-9
@@ -234,7 +234,7 @@ def test_criterion_07_numerics_suite():
         A = crandn_t(rng, 6, 6)
         A = A @ A.conj().T
         v1, lam1 = max_eigvec_hermitian(A)
-        v2, lam2 = gen_max_eigvec(A, np.eye(6))
+        v2, lam2 = gen_max_eigvec(A, np.zeros((6, 1)), 1.0)
         worst_eig = max(worst_eig, abs(lam1 - lam2) / max(1.0, lam1),
                         1.0 - abs(v1.conj() @ v2))
     ok &= worst_eig <= 1e-10

@@ -13,10 +13,11 @@ from secsm.beamformers import (Method, ZfcInfeasibleError,
                                max_sjnr, max_wfrp)
 from secsm.channel import (AN_MODES, ChannelSet, SystemConfig, crandn,
                            derive_rng, realize_channels)
-from secsm.metrics import noise_cov_bob, sjnr
+from secsm.metrics import sjnr
 from secsm.numerics import null_space_basis
 
-from helpers import crandn_t, gen_max_eigvec_eig, random_search_max_ratio
+from helpers import (crandn_t, gen_max_eigvec_eig, noise_cov_bob,
+                     random_search_max_ratio)
 
 
 def square_channel_set(n, rng, H=None):

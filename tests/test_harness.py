@@ -1,6 +1,8 @@
 """Configuration parsing, sweep bookkeeping/determinism and file export."""
 
 import math
+import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secsm import harness, metrics
-from secsm.beamformers import Method, ZfcInfeasibleError, compute_beamformer
+from secsm.beamformers import (POINT_FREE, Method, ZfcInfeasibleError,
+                               compute_beamformer)
 from secsm.channel import AN_MODES, SystemConfig, derive_rng, realize_channels
 from secsm.cli import main
 from secsm.harness import (ConfigError, SweepSpec, default_config_text,
@@ -111,6 +114,18 @@ class TestParseConfig:
         assert info.value.key == key
         assert info.value.line == line_of(text, key)
 
+    @pytest.mark.parametrize("value,ok", [("1e300", True), ("1e301", False)])
+    def test_jamming_power_bound(self, value, ok):
+        # 1e308 W overflows the interference power; 1e300 is the bound
+        text = set_key(default_config_text(), "p_m_list", f"1, {value}")
+        if ok:
+            assert parse_config(text)[1].p_m_list == (1.0, float(value))
+            return
+        with pytest.raises(ConfigError, match="1e300") as info:
+            parse_config(text)
+        assert info.value.key == "p_m_list"
+        assert info.value.line == line_of(text, "p_m_list")
+
     def test_nullspace_an_needs_fewer_rx_than_active(self):
         for n_rx in (8, 9):
             text = default_config_text().replace("n_rx = 6", f"n_rx = {n_rx}")
@@ -183,13 +198,14 @@ class TestParseConfig:
             mod_order=1 << data.draw(st.integers(1, 8)),
             seed=data.draw(st.integers(0, 2 ** 63)))
         # grid values and methods may not repeat (0.0 and -0.0 are one);
-        # 10^(-snr/10) must stay finite and positive
+        # 10^(-snr/10) must stay finite and positive, P_M at most 1e300
         spec = SweepSpec(
             snr_grid_db=tuple(data.draw(st.lists(
                 st.floats(-3000.0, 3000.0), min_size=1, max_size=5,
                 unique=True))),
             p_m_list=tuple(data.draw(st.lists(
-                nonneg, min_size=1, max_size=5, unique=True))),
+                st.floats(0.0, 1e300), min_size=1, max_size=5,
+                unique=True))),
             methods=tuple(data.draw(st.lists(
                 st.sampled_from(Method), min_size=1, max_size=4,
                 unique=True))),
@@ -367,6 +383,66 @@ class TestRunSweep:
         assert sorted(calls) == sorted(
             ["mi"] * 2 * points + ["rng"] * 3 * points
             + ["sjnr"] * points + ["_ber_counts"] * points)
+
+    @pytest.mark.parametrize("snr_db,p_m", [(140.0, 1.0), (60.0, 1e6),
+                                             (20.0, 1e12)])
+    def test_high_jamming_to_noise_points(self, snr_db, p_m):
+        # a dense R_w with a relative eigenvalue floor aborted these legal
+        # points; the factored model is exact at any noise variance > 0
+        spec = tiny_spec(snr_grid_db=(snr_db,), p_m_list=(p_m,),
+                         methods=tuple(Method), n_realizations=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records = run_sweep(SystemConfig(), spec)
+        for rec in records:
+            assert all(math.isfinite(x)
+                       for x in (rec.avg_sr, rec.ber, rec.avg_sjnr_db))
+        ratio = {rec.method: 10.0 ** (rec.avg_sjnr_db / 10.0)
+                 for rec in records}
+        best = ratio[Method.MAX_SJNR]
+        assert all(best >= r * (1.0 - 1e-9) for r in ratio.values())
+        assert abs(ratio[Method.MAX_WFRP] - best) <= 1e-9 * best
+
+    def test_range_edges_run_clean(self):
+        # the largest legal SNR (noise variance 5e-324) and jamming power
+        spec = tiny_spec(snr_grid_db=(0.0, 3236.0), p_m_list=(0.0, 1e300),
+                         methods=tuple(Method), n_realizations=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records = run_sweep(SystemConfig(), spec)
+        assert len(records) == 16
+        for rec in records:
+            assert all(math.isfinite(x)
+                       for x in (rec.avg_sr, rec.ber, rec.avg_sjnr_db))
+
+    def test_point_free_combiners_built_once(self, monkeypatch):
+        built = []
+
+        def recording(method, chset, cfg):
+            bf = compute_beamformer(method, chset, cfg)
+            built.append(method)
+            return bf
+
+        monkeypatch.setattr(harness, "compute_beamformer", recording)
+        cfg = SystemConfig(seed=9)
+        spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
+                         methods=tuple(Method), n_realizations=2)
+        out = harness._realization_task((cfg, spec, 0))
+        assert Counter(built) == {Method.MAX_RP: 1, Method.MAX_RP_ZFC: 1,
+                                  Method.MAX_WFRP: 4, Method.MAX_SJNR: 4}
+        # built at every point, their combiners are identical
+        chset = realize_channels(cfg, 0)
+        for method in POINT_FREE:
+            us = [compute_beamformer(
+                method, chset, harness._point_config(cfg, s, p)).u
+                for s in (-10.0, 0.0, 30.0) for p in (0.0, 1.0, 1e6)]
+            for u in us[1:]:
+                np.testing.assert_array_equal(u, us[0])
+        # so the outputs equal those of a build at every point
+        monkeypatch.setattr(harness, "POINT_FREE", frozenset())
+        built.clear()
+        assert harness._realization_task((cfg, spec, 0)) == out
+        assert len(built) == 16
 
     def test_random_an_mode(self):
         cfg = SystemConfig(seed=7)

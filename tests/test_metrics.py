@@ -11,12 +11,20 @@ from secsm.beamformers import Method, compute_beamformer, max_sjnr
 from secsm.channel import (AN_MODES, ChannelSet, SystemConfig, crandn,
                            derive_rng, realize_channels)
 from secsm.metrics import (BER_BLOCK_TRIALS, SIDES, _ber_counts,
-                           flop_estimate, mutual_info_mc, noise_cov_bob,
+                           _side_terms, flop_estimate, mutual_info_mc,
                            scalar_channel, sjnr)
 from secsm.modulation import build_codebook
 from secsm.numerics import gen_max_eigvec
 
-from helpers import ber_counts_antenna_domain, bpsk_mi_quadrature
+from helpers import (ber_counts_antenna_domain, bpsk_mi_quadrature,
+                     covariance, noise_cov_bob)
+
+
+def factored_cov(ch, cfg, side="bob"):
+    """The library's interference-plus-noise covariance of one side,
+    formed densely from its low-rank factor."""
+    _, V, noise_var = _side_terms(ch, cfg, side)
+    return covariance(V, noise_var)
 
 
 def scalar_channel_set():
@@ -45,10 +53,12 @@ def ber_over(method, sets, cfg, trials_per_set, rng):
 
 
 class TestNoiseCov:
+    """The per-side low-rank factor V of noise_var I + V V^H."""
+
     def test_noise_only(self):
         cfg = SystemConfig(beta=1.0, power_mallory=0.0, noise_var_bob=3.0)
         ch = realize_channels(cfg, 0)
-        np.testing.assert_allclose(noise_cov_bob(ch, cfg), 3.0 * np.eye(6),
+        np.testing.assert_allclose(factored_cov(ch, cfg), 3.0 * np.eye(6),
                                    atol=1e-12)
 
     def test_nullspace_an_leaves_jamming_plus_noise(self):
@@ -56,14 +66,16 @@ class TestNoiseCov:
         ch = realize_channels(cfg, 1)
         jam = ch.F @ ch.P_JM
         expect = 2.0 * (jam @ jam.conj().T) + 0.5 * np.eye(6)
-        np.testing.assert_allclose(noise_cov_bob(ch, cfg), expect,
+        np.testing.assert_allclose(factored_cov(ch, cfg), expect,
                                    atol=1e-12)
 
     def test_matches_empirical_covariance(self):
         cfg = SystemConfig(n_mallory=4, power_mallory=2.0,
                            noise_var_bob=0.8)
         ch = realize_channels(cfg, 2)
-        R = noise_cov_bob(ch, cfg)
+        R = factored_cov(ch, cfg)
+        np.testing.assert_allclose(R, noise_cov_bob(ch, cfg), rtol=1e-12,
+                                   atol=1e-12)
         rng = derive_rng(3, 9, 0)
         n = 100_000
         an = (math.sqrt((1 - cfg.beta) * cfg.power)
@@ -115,6 +127,26 @@ class TestScalarChannel:
         elif an_mode == "nullspace":
             assert np.linalg.norm(A) < 1e-12
 
+    @pytest.mark.parametrize("side", SIDES)
+    def test_power_is_factored_quadratic_form(self, side):
+        # power = u^H (noise_var I + V V^H) u, the dense oracle, also at
+        # jamming-to-noise ratios up to 1e14
+        cfg = SystemConfig()
+        ch = realize_channels(cfg, 3, an_mode="random")
+        rng = derive_rng(3, 9, 2)
+        n = ch.H.shape[0] if side == "bob" else ch.G.shape[0]
+        stack = crandn(rng, 4, n)
+        for snr_db, p_m in ((0.0, 1.0), (140.0, 1.0), (20.0, 1e12)):
+            nv = 10.0 ** (-snr_db / 10.0)
+            point = replace(cfg, noise_var_bob=nv, noise_var_eve=nv,
+                            power_mallory=p_m)
+            _, V, noise_var = _side_terms(ch, point, side)
+            R = covariance(V, noise_var)
+            _, power = scalar_channel(stack, side, ch, point)
+            for u, p in zip(stack, power):
+                assert p == pytest.approx(
+                    float(np.real(u.conj() @ R @ u)), rel=1e-12)
+
     def test_unknown_side(self):
         cfg = SystemConfig()
         with pytest.raises(ValueError, match="unknown side"):
@@ -158,7 +190,8 @@ class TestSjnr:
         ch = realize_channels(cfg, 2)
         HT = ch.H @ ch.T
         num = cfg.beta * cfg.power / cfg.n_active * (HT @ HT.conj().T)
-        _, ratio = gen_max_eigvec(num, noise_cov_bob(ch, cfg))
+        _, V, noise_var = _side_terms(ch, cfg, "bob")
+        _, ratio = gen_max_eigvec(num, V, noise_var)
         u = max_sjnr(ch, cfg).u
         assert sjnr(u, ch, cfg) == pytest.approx(ratio, rel=1e-10)
 
@@ -391,7 +424,7 @@ class TestBatchedBerCounts:
     def test_agrees_with_per_trial_reference(self, method):
         cfg = SystemConfig()
         cb = build_codebook(cfg.n_active, cfg.mod_order)
-        n = 20_000
+        n = 80_000
         # null-space AN; then AN leaking into Bob under strong jamming.
         # Each case has its own stream tags for the two simulations.
         cases = [(realize_channels(cfg, 2), {}, (30, 31)),
@@ -412,7 +445,7 @@ class TestBatchedBerCounts:
                 r, r_se = ber_and_se(looped, cb.bits_per_use)
                 assert b > 0.0
                 assert abs(b - r) <= 3.0 * math.hypot(b_se, r_se), \
-                    (tag, snr, b, r)
+                    (tag, snr, b, r, abs(b - r) / math.hypot(b_se, r_se))
 
     @pytest.mark.parametrize("n_trials", [1, BER_BLOCK_TRIALS + 1,
                                           3 * BER_BLOCK_TRIALS - 37])

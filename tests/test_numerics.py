@@ -8,13 +8,18 @@ from secsm.numerics import (NotHermitianError, NotPositiveDefiniteError,
                             gen_max_eigvec, max_eigvec_hermitian,
                             null_space_basis, whitening_matrix)
 
-from helpers import (crandn_t, gen_max_eigvec_eig, quotient,
-                     random_search_max_ratio)
+from helpers import (covariance, crandn_t, gen_max_eigvec_eig, quotient,
+                     random_factor, random_search_max_ratio)
 
 
 def hermitian(rng, n, ridge=0.0):
     A = crandn_t(rng, n, n)
     return A @ A.conj().T + ridge * np.eye(n)
+
+
+def no_factor(n):
+    """An n x 1 zero interference factor: the covariance is noise_var I."""
+    return np.zeros((n, 1), dtype=complex)
 
 
 class TestMaxEigvec:
@@ -104,54 +109,66 @@ class TestNullSpace:
 
 class TestWhitening:
     def test_scaled_identity(self):
-        W = whitening_matrix(4.0 * np.eye(3))
-        np.testing.assert_allclose(W @ (4.0 * np.eye(3)) @ W.conj().T,
-                                   np.eye(3), atol=1e-12)
+        W = whitening_matrix(no_factor(3), 4.0)
+        np.testing.assert_allclose(W, 0.5 * np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        R = np.diag([1.0, 4.0])
-        W = whitening_matrix(R)
-        np.testing.assert_allclose(W @ R @ W.conj().T, np.eye(2), atol=1e-12)
+        V = np.array([[0.0], [np.sqrt(3.0)]])  # R = diag(1, 4)
+        W = whitening_matrix(V, 1.0)
+        np.testing.assert_allclose(W, np.diag([1.0, 0.5]), atol=1e-12)
 
     def test_random_pd(self):
         rng = np.random.default_rng(23)
-        R = hermitian(rng, 6, ridge=0.1)
-        W = whitening_matrix(R)
+        V = crandn_t(rng, 6, 6)
+        W = whitening_matrix(V, 0.1)
+        R = covariance(V, 0.1)
         np.testing.assert_allclose(W @ R @ W.conj().T, np.eye(6), atol=1e-9)
 
     def test_identity_property_100(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
             n = int(rng.integers(2, 9))
-            R = hermitian(rng, n, ridge=float(rng.uniform(0.01, 1.0)))
-            W = whitening_matrix(R)
-            np.testing.assert_allclose(W @ R @ W.conj().T, np.eye(n),
-                                       atol=1e-9)
+            V, noise_var = random_factor(rng, n)
+            W = whitening_matrix(V, noise_var)
+            # the Hermitian inverse square root: W = W^H, W R W = I
+            np.testing.assert_array_equal(W, W.conj().T)
+            np.testing.assert_allclose(W @ covariance(V, noise_var) @ W,
+                                       np.eye(n), atol=1e-9)
+
+    def test_no_floor_at_extreme_interference(self):
+        # interference 1e300 above the noise: a dense covariance fails
+        # any relative floor, the factored one is exact
+        V = np.array([[1e150], [0.0]])
+        W = whitening_matrix(V, 1.0)
+        np.testing.assert_allclose(W, np.diag([1e-150, 1.0]), rtol=1e-12,
+                                   atol=0.0)
 
     def test_near_singular_rejected(self):
-        x = np.array([1.0, 0.0])
-        R = np.outer(x, x)  # rank 1, eigenvalue 0
-        with pytest.raises(NotPositiveDefiniteError):
-            whitening_matrix(R)
+        x = np.array([[1.0], [0.0]])  # rank 1, eigenvalue 0
+        for noise_var in (0.0, -1.0):
+            with pytest.raises(NotPositiveDefiniteError):
+                whitening_matrix(x, noise_var)
 
 
 class TestGenMaxEigvec:
     def test_diag_num(self):
-        v, ratio = gen_max_eigvec(np.diag([2.0, 1.0]), np.eye(2))
+        v, ratio = gen_max_eigvec(np.diag([2.0, 1.0]), no_factor(2), 1.0)
         assert ratio == pytest.approx(2.0, abs=1e-12)
         np.testing.assert_allclose(np.abs(v), [1, 0], atol=1e-10)
 
     def test_diag_den(self):
-        v, ratio = gen_max_eigvec(np.eye(2), np.diag([1.0, 4.0]))
+        V = np.array([[0.0], [np.sqrt(3.0)]])  # R = diag(1, 4)
+        v, ratio = gen_max_eigvec(np.eye(2), V, 1.0)
         assert ratio == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(np.abs(v), [1, 0], atol=1e-10)
 
     def test_random_vs_search_oracle(self):
         rng = np.random.default_rng(31)
         num = hermitian(rng, 4)
-        den = hermitian(rng, 4, ridge=0.5)
-        v, ratio = gen_max_eigvec(num, den)
-        best = random_search_max_ratio(num, den, rng, n_samples=100_000)
+        V = crandn_t(rng, 4, 4)
+        v, ratio = gen_max_eigvec(num, V, 0.5)
+        best = random_search_max_ratio(num, covariance(V, 0.5), rng,
+                                       n_samples=100_000)
         assert ratio == pytest.approx(best, rel=1e-6)
 
     def test_matches_plain_eigensolver_when_den_identity(self):
@@ -159,15 +176,16 @@ class TestGenMaxEigvec:
         for _ in range(20):
             A = hermitian(rng, 5)
             v1, lam1 = max_eigvec_hermitian(A)
-            v2, lam2 = gen_max_eigvec(A, np.eye(5))
+            v2, lam2 = gen_max_eigvec(A, no_factor(5), 1.0)
             assert lam2 == pytest.approx(lam1, abs=1e-10 * max(1, lam1))
             assert abs(v1.conj() @ v2) >= 1.0 - 1e-9
 
     def test_stationary_at_maximum(self):
         rng = np.random.default_rng(41)
         num = hermitian(rng, 4)
-        den = hermitian(rng, 4, ridge=0.3)
-        v, ratio = gen_max_eigvec(num, den)
+        V = crandn_t(rng, 4, 4)
+        den = covariance(V, 0.3)
+        v, ratio = gen_max_eigvec(num, V, 0.3)
         for _ in range(50):
             w = crandn_t(rng, 4)
             w = w - (v.conj() @ w) * v
@@ -180,8 +198,10 @@ class TestGenMaxEigvec:
     def test_ill_conditioned_denominator(self):
         rng = np.random.default_rng(43)
         num = hermitian(rng, 4)
-        den = np.diag([1.0, 1e-11, 1.0, 1.0]) + 0j
-        v, ratio = gen_max_eigvec(num, den)
+        # R = diag(1, 1e-11, 1, 1)
+        V = np.diag([1.0, 0.0, 1.0, 1.0])[:, [0, 2, 3]] * np.sqrt(1 - 1e-11)
+        den = covariance(V, 1e-11)
+        v, ratio = gen_max_eigvec(num, V, 1e-11)
         assert np.isfinite(ratio) and ratio > 0
         best = random_search_max_ratio(num, den, rng, n_samples=50_000)
         assert ratio >= best - 1e-6 * abs(best)
@@ -197,21 +217,29 @@ class TestGenMaxEigvec:
                 n = int(rng.integers(2, 9))
                 Q, _ = np.linalg.qr(crandn_t(rng, n, n))
                 spread = np.logspace(0.0, decade, n)
-                den = (Q * spread) @ Q.conj().T
-                den = 0.5 * (den + den.conj().T)
+                # R = Q diag(spread) Q^H = I + V V^H
+                V = Q * np.sqrt(spread - 1.0)
+                den = covariance(V, 1.0)
                 num = hermitian(rng, n)
-                v, _ = gen_max_eigvec(num, den)
+                v, _ = gen_max_eigvec(num, V, 1.0)
                 v_ref, _ = gen_max_eigvec_eig(num, den)
                 worst = max(worst, 1.0 - abs(v.conj() @ v_ref))
         assert worst <= 1e-12
 
+    def test_no_floor_at_extreme_interference(self):
+        # jamming 1e300 above the noise along e_0: the maximizer nulls it
+        V = np.array([[1e150], [0.0]])
+        v, ratio = gen_max_eigvec(np.ones((2, 2)), V, 1.0)
+        assert abs(v[1]) == pytest.approx(1.0, abs=1e-12)
+        assert ratio == pytest.approx(1.0, rel=1e-12)
+
     def test_errors(self):
         with pytest.raises(NotPositiveDefiniteError):
-            gen_max_eigvec(np.eye(2), np.zeros((2, 2)))
+            gen_max_eigvec(np.eye(2), np.zeros((2, 2)), 0.0)
         with pytest.raises(ValueError):
-            gen_max_eigvec(np.eye(2), np.eye(3))
+            gen_max_eigvec(np.eye(2), no_factor(3), 1.0)
         with pytest.raises(ValueError, match="PSD"):
-            gen_max_eigvec(np.diag([1.0, -1.0]), np.eye(2))
+            gen_max_eigvec(np.diag([1.0, -1.0]), no_factor(2), 1.0)
 
 
 def test_unit_norm_everywhere():
@@ -219,6 +247,6 @@ def test_unit_norm_everywhere():
     for _ in range(30):
         n = int(rng.integers(2, 8))
         v1, _ = max_eigvec_hermitian(hermitian(rng, n))
-        v2, _ = gen_max_eigvec(hermitian(rng, n), hermitian(rng, n, ridge=0.4))
+        v2, _ = gen_max_eigvec(hermitian(rng, n), crandn_t(rng, n, n), 0.4)
         assert abs(np.linalg.norm(v1) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(v2) - 1.0) <= 1e-12
