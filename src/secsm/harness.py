@@ -49,6 +49,9 @@ class SweepSpec:
             values = getattr(self, name)
             if not values or len(set(values)) < len(values):
                 raise ValueError(f"{name} must be non-empty without repeats")
+        bad = [m for m in self.methods if not isinstance(m, Method)]
+        if bad:
+            raise ValueError(f"methods must be Method members, got {bad[0]!r}")
         for snr_db in self.snr_grid_db:
             try:
                 nv = snr_to_noise_var(float(snr_db))
@@ -66,21 +69,33 @@ class SweepSpec:
                 raise ValueError(f"{name} must be at least 1")
         if self.an_mode not in AN_MODES:
             raise ValueError(f"an_mode must be one of {AN_MODES}")
-        if not self.output_dir:
-            raise ValueError("output_dir must be non-empty")
+        # the document carries one line per key and `#` starts a comment
+        d = self.output_dir
+        if not d or d != d.strip() or "#" in d or d.splitlines() != [d]:
+            raise ValueError(
+                f"output_dir must be non-empty, without '#', line breaks "
+                f"or surrounding whitespace, got {d!r}")
 
 
 def check_feasible(cfg, spec):
     """Reject a (cfg, spec) pair that no realization could satisfy.
 
     Null-space artificial noise needs n_rx < n_active, or Bob's channel
-    leaves no null space to hide the noise in. The message starts with
-    the offending key.
+    leaves no null space to hide the noise in. The signal-to-noise ratio
+    beta * power * 10^(snr/10) may not exceed 1e300, or the whitened
+    codebook distances overflow. The message starts with the offending
+    key.
     """
     if spec.an_mode == "nullspace" and cfg.n_rx >= cfg.n_active:
         raise ValueError(
             f"n_rx must be below n_active = {cfg.n_active} for null-space "
             f"artificial noise, got {cfg.n_rx}")
+    signal, snr_db = cfg.beta * cfg.power, max(spec.snr_grid_db)
+    # in the log domain: 10^(snr/10) alone overflows above 3082 dB
+    if signal > 0.0 and math.log10(signal) + snr_db / 10.0 > 300.0:
+        raise ValueError(
+            f"snr_grid_db must keep beta * power * 10^(snr/10) at most "
+            f"1e300, got {snr_db!r} with beta * power = {signal!r}")
 
 
 class ConfigError(ValueError):
@@ -238,11 +253,11 @@ def _realization_task(args):
 
     Returns {(snr_idx, pm_idx, method): (feasible, sr, sjnr,
     ber_uses, bit_errors, squared_errors)}. The attacker's rate is
-    method-independent and computed once per grid point, and the
-    POINT_FREE methods' combiners once per realization. Bob's rates,
-    SJNRs and BER tallies of all feasible methods come from one stacked
-    call each, so the methods share one draw per grid point (common
-    random numbers), which sharpens method comparisons.
+    method-independent and computed once per SNR, and the POINT_FREE
+    methods' combiners once per realization. Bob's rates, SJNRs and BER
+    tallies of all feasible methods come from one stacked call each, so
+    the methods share one draw per grid point (common random numbers),
+    which sharpens method comparisons.
     """
     cfg, spec, r = args
     chset = realize_channels(cfg, r, an_mode=spec.an_mode)
@@ -259,11 +274,13 @@ def _realization_task(args):
     fixed = {m: combiner(m, cfg) for m in spec.methods if m in POINT_FREE}
     out = {}
     for si, snr_db in enumerate(spec.snr_grid_db):
+        # P_JM cancels the attacker's self-interference at u_er, so I_E
+        # does not depend on P_M: P_M = 0 makes that cancellation exact
+        i_eve = mutual_info_mc(
+            chset.u_er, "mallory", chset, _point_config(cfg, snr_db, 0.0),
+            spec.n_noise, derive_rng(cfg.seed, _STREAM_MI_EVE, r, si, 0))
         for pi, p_m in enumerate(spec.p_m_list):
             point = _point_config(cfg, snr_db, p_m)
-            i_eve = mutual_info_mc(
-                chset.u_er, "mallory", chset, point, spec.n_noise,
-                derive_rng(cfg.seed, _STREAM_MI_EVE, r, si, pi))
             us = {m: fixed[m] if m in fixed else combiner(m, point)
                   for m in spec.methods}
             built = {m: u for m, u in us.items() if u is not None}

@@ -126,6 +126,22 @@ class TestParseConfig:
         assert info.value.key == "p_m_list"
         assert info.value.line == line_of(text, "p_m_list")
 
+    @pytest.mark.parametrize("beta,edge", [("0.5", 2993), ("1.0", 2990)])
+    def test_signal_to_noise_bound(self, beta, edge):
+        # beta * power * 10^(snr/10) above 1e300 overflows the whitened
+        # codebook distances; power = 10 W
+        text = set_key(default_config_text(), "beta", beta)
+        ok = set_key(text, "snr_grid_db", f"0, {edge}")
+        assert parse_config(ok)[1].snr_grid_db == (0.0, float(edge))
+        bad = set_key(text, "snr_grid_db", f"0, {edge + 1}")
+        with pytest.raises(ConfigError, match="1e300") as info:
+            parse_config(bad)
+        assert info.value.key == "snr_grid_db"
+        assert info.value.line == line_of(bad, "snr_grid_db")
+        # without a transmitted signal there is nothing to overflow
+        no_signal = set_key(bad, "power", "0.0")
+        assert parse_config(no_signal)[1].snr_grid_db[1] == edge + 1
+
     def test_nullspace_an_needs_fewer_rx_than_active(self):
         for n_rx in (8, 9):
             text = default_config_text().replace("n_rx = 6", f"n_rx = {n_rx}")
@@ -198,10 +214,15 @@ class TestParseConfig:
             mod_order=1 << data.draw(st.integers(1, 8)),
             seed=data.draw(st.integers(0, 2 ** 63)))
         # grid values and methods may not repeat (0.0 and -0.0 are one);
-        # 10^(-snr/10) must stay finite and positive, P_M at most 1e300
+        # 10^(-snr/10) must stay finite and positive, P_M at most 1e300;
+        # beta * power * 10^(snr/10) at most 1e300, with a 1 dB margin
+        # that keeps rounding at the bound out of the draw
+        signal = cfg.beta * cfg.power
+        max_snr = (min(3000.0, 10.0 * (300.0 - math.log10(signal)) - 1.0)
+                   if signal > 0.0 else 3000.0)
         spec = SweepSpec(
             snr_grid_db=tuple(data.draw(st.lists(
-                st.floats(-3000.0, 3000.0), min_size=1, max_size=5,
+                st.floats(-3000.0, max_snr), min_size=1, max_size=5,
                 unique=True))),
             p_m_list=tuple(data.draw(st.lists(
                 st.floats(0.0, 1e300), min_size=1, max_size=5,
@@ -328,15 +349,19 @@ class TestRunSweep:
         codebook = build_codebook(cfg.n_active, cfg.mod_order)
         errors = 0
         for si, snr_db in enumerate(spec.snr_grid_db):
+            # the attacker's rate at its own operating point, P_M = 0,
+            # serves every P_M column of this SNR
+            i_eve = mutual_info_mc(
+                chset.u_er, "mallory", chset,
+                harness._point_config(cfg, snr_db, 0.0), spec.n_noise,
+                derive_rng(cfg.seed, harness._STREAM_MI_EVE, r, si, 0))
             for pi, p_m in enumerate(spec.p_m_list):
                 point = harness._point_config(cfg, snr_db, p_m)
 
                 def rng(tag):
                     return derive_rng(cfg.seed, tag, r, si, pi)
 
-                i_eve = mutual_info_mc(
-                    chset.u_er, "mallory", chset, point, spec.n_noise,
-                    rng(harness._STREAM_MI_EVE))
+                i_bobs = []
                 for method in spec.methods:
                     feasible, sr, ratio, *tally = out[si, pi, method]
                     try:
@@ -351,12 +376,15 @@ class TestRunSweep:
                         rng(harness._STREAM_MI_BOB))
                     assert feasible
                     assert sr == max(0.0, i_bob - i_eve)
+                    i_bobs.append(i_bob)
                     assert ratio == metrics.sjnr(bf.u, chset, point)
                     # 600 trials over 3 realizations: 200 each
                     assert tuple(tally) == metrics._ber_counts(
                         bf.u, chset, point, codebook, 200,
                         rng(harness._STREAM_BER))
                     errors += tally[1]
+                # some secrecy rate is above the hinge, so i_eve is checked
+                assert max(i_bobs) > i_eve
         assert errors > 0  # the tallies have errors to compare
 
     def test_one_stacked_call_per_metric_per_point(self, monkeypatch):
@@ -379,9 +407,10 @@ class TestRunSweep:
         spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
                          methods=tuple(Method), n_realizations=2)
         harness._realization_task((cfg, spec, 0))
-        points = 4
+        # Bob's MI, SJNR and BER per point; the attacker's MI per SNR
+        points, n_snr = 4, 2
         assert sorted(calls) == sorted(
-            ["mi"] * 2 * points + ["rng"] * 3 * points
+            ["mi"] * (points + n_snr) + ["rng"] * (2 * points + n_snr)
             + ["sjnr"] * points + ["_ber_counts"] * points)
 
     @pytest.mark.parametrize("snr_db,p_m", [(140.0, 1.0), (60.0, 1e6),
@@ -404,16 +433,20 @@ class TestRunSweep:
         assert abs(ratio[Method.MAX_WFRP] - best) <= 1e-9 * best
 
     def test_range_edges_run_clean(self):
-        # the largest legal SNR (noise variance 5e-324) and jamming power
-        spec = tiny_spec(snr_grid_db=(0.0, 3236.0), p_m_list=(0.0, 1e300),
-                         methods=tuple(Method), n_realizations=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            records = run_sweep(SystemConfig(), spec)
-        assert len(records) == 16
-        for rec in records:
-            assert all(math.isfinite(x)
-                       for x in (rec.avg_sr, rec.ber, rec.avg_sjnr_db))
+        # the largest legal SNR (beta * power * 10^(snr/10) <= 1e300) and
+        # jamming power; beta = 1 has no AN to floor the noise power
+        for cfg, snr_db in ((SystemConfig(), 2993.0),
+                            (SystemConfig(beta=1.0), 2990.0)):
+            spec = tiny_spec(snr_grid_db=(0.0, snr_db),
+                             p_m_list=(0.0, 1e300), methods=tuple(Method),
+                             n_realizations=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                records = run_sweep(cfg, spec)
+            assert len(records) == 16
+            for rec in records:
+                assert all(math.isfinite(x)
+                           for x in (rec.avg_sr, rec.ber, rec.avg_sjnr_db))
 
     def test_point_free_combiners_built_once(self, monkeypatch):
         built = []
@@ -463,6 +496,16 @@ class TestRunSweep:
         with pytest.raises(AssertionError, match="a realization started"):
             run_sweep(SystemConfig(n_rx=9), tiny_spec(an_mode="random"))
 
+    def test_snr_bound_rejected_before_any_realization(self, monkeypatch):
+        def unreachable(args):
+            raise AssertionError("a realization started")
+
+        monkeypatch.setattr(harness, "_realization_task", unreachable)
+        spec = tiny_spec(snr_grid_db=(0.0, 2991.0))
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match="^snr_grid_db .*1e300"):
+                run_sweep(SystemConfig(beta=1.0), spec, threads=threads)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="n_realizations"):
             tiny_spec(n_realizations=0)
@@ -484,6 +527,16 @@ class TestRunSweep:
             tiny_spec(snr_grid_db=(0.0, -0.0))
         with pytest.raises(ValueError, match="^methods .*repeat"):
             tiny_spec(methods=(Method.MAX_RP, Method.MAX_RP))
+        # a string would sweep the whole grid, then fail in write_outputs
+        for methods in (("max_rp", "max_sjnr"), (Method.MAX_RP, "bogus")):
+            with pytest.raises(ValueError, match="^methods .*Method"):
+                tiny_spec(methods=methods)
+        # a comment mark, line break or surrounding space would make the
+        # manifest record another directory than the one written
+        for output_dir in ("runs/a#1", "runs/a\nseed = 2", "runs\u2028a",
+                           " runs/a", "runs/a\t"):
+            with pytest.raises(ValueError, match="^output_dir "):
+                tiny_spec(output_dir=output_dir)
 
 
 class TestWriteOutputs:
