@@ -304,22 +304,58 @@ def _realization_task(args):
     return out
 
 
+def _realization_chunk(tasks):
+    """Consecutive realizations: the pool's unit of work."""
+    return [_realization_task(t) for t in tasks]
+
+
+def _pooled_partials(tasks, workers):
+    """Per-realization results in index order, from this process plus
+    workers - 1 pool processes.
+
+    The pool takes chunks from the head of the queue. This process takes
+    them from the tail, cancelling each still-pending chunk and running
+    it itself, until it meets a chunk the pool has already taken. A
+    failure here, in a chunk, or an interrupt cancels every pending
+    chunk before the pool shuts down.
+    """
+    # loaded once here, before the fork, not by every worker
+    import numpy.random  # noqa: F401
+    chunk = max(1, len(tasks) // (4 * workers))
+    spans = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(_realization_chunk, span) for span in spans]
+        try:
+            own = {}
+            for i in reversed(range(len(spans))):
+                # a failed chunk ends the sweep now, not at the last chunk
+                for future in futures[:i]:
+                    if future.done():
+                        future.result()
+                if not futures[i].cancel():
+                    break
+                own[i] = _realization_chunk(spans[i])
+            return [partial for i, future in enumerate(futures)
+                    for partial in (own[i] if i in own else future.result())]
+        finally:
+            for future in futures:
+                future.cancel()
+
+
 def run_sweep(cfg, spec, threads=1):
     """Run the full (SNR, P_M, method) grid and aggregate MetricsRecords.
 
     Realizations are independent work items reduced in index order, so
-    the result is identical for any `threads` value. The pool has at
-    most one worker per realization. An infeasible (cfg, spec) pair
-    raises ValueError before any realization starts.
+    the result is identical for any `threads` value. `threads` counts
+    processes: this one plus threads - 1 pool workers, at most one
+    process per realization. An infeasible (cfg, spec) pair raises
+    ValueError before any realization starts.
     """
     check_feasible(cfg, spec)
     tasks = [(cfg, spec, r) for r in range(spec.n_realizations)]
     workers = min(threads, spec.n_realizations)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, spec.n_realizations // (4 * workers))
-            partials = list(pool.map(_realization_task, tasks,
-                                     chunksize=chunk))
+        partials = _pooled_partials(tasks, workers)
     else:
         partials = [_realization_task(t) for t in tasks]
 

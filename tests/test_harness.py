@@ -1,8 +1,11 @@
 """Configuration parsing, sweep bookkeeping/determinism and file export."""
 
 import math
+import os
+import time
 import warnings
 from collections import Counter
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -292,7 +295,8 @@ class TestRunSweep:
             assert ra.trial_counts == rb.trial_counts
 
     def test_pool_capped_at_realizations(self, monkeypatch):
-        # a fake pool records its size and maps in this process
+        # a fake pool records its size and runs each chunk at submit, so
+        # every chunk is taken before this process reaches the tail
         asked = []
 
         class SerialPool:
@@ -305,17 +309,67 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         cfg = SystemConfig(seed=4)
         spec = tiny_spec(n_realizations=3)
         capped = run_sweep(cfg, spec, threads=64)
-        assert asked == [3]
+        assert asked == [2]  # three processes: this one and two workers
         assert capped == run_sweep(cfg, spec, threads=1)
         run_sweep(cfg, tiny_spec(n_realizations=1), threads=64)
-        assert asked == [3]  # one realization takes the serial path
+        assert asked == [2]  # one realization takes the serial path
+
+    def test_this_process_computes_realizations(self, monkeypatch, tmp_path):
+        real = harness._realization_task
+
+        def recorded(args):
+            (tmp_path / str(args[2])).write_text(str(os.getpid()))
+            return real(args)
+
+        # fork inherits the patch
+        monkeypatch.setattr(harness, "_realization_task", recorded)
+        cfg, spec = SystemConfig(seed=4), tiny_spec(n_realizations=8)
+        pooled = run_sweep(cfg, spec, threads=2)
+        pids = [path.read_text() for path in tmp_path.iterdir()]
+        assert len(pids) == 8
+        assert str(os.getpid()) in pids and len(set(pids)) == 2
+        assert pooled == run_sweep(cfg, spec, threads=1)
+
+    @pytest.mark.parametrize("failing, error", [
+        (0, RuntimeError), (35, RuntimeError), (35, KeyboardInterrupt),
+    ], ids=["worker", "this-process", "interrupt"])
+    def test_failure_cancels_pending_work(self, monkeypatch, tmp_path,
+                                          failing, error):
+        # 40 realizations on 2 processes: 8 chunks of 5, 0.4 s each; the
+        # worker takes chunk 0 onwards, this process chunk 7 (35-39)
+        parent = os.getpid()
+
+        def task(args):
+            r = args[2]
+            (tmp_path / str(r)).touch()
+            if r == failing:
+                raise error(f"realization {r}")
+            # this process's time counts from the failure, not from the
+            # worker's start
+            while os.getpid() == parent and not (
+                    tmp_path / str(failing)).exists():
+                time.sleep(0.005)
+            time.sleep(0.08)
+            return {}
+
+        monkeypatch.setattr(harness, "_realization_task", task)
+        with pytest.raises(error, match=f"realization {failing}"):
+            run_sweep(SystemConfig(), tiny_spec(n_realizations=40),
+                      threads=2)
+        ran = {int(path.name) for path in tmp_path.iterdir()}
+        assert failing in ran
+        # the pool holds up to 3 chunks (one running, two queued) and may
+        # take a 4th as the failure surfaces; chunks 5 and 6 stay pending
+        assert not ran & set(range(25, 35)), sorted(ran)
 
     def test_jamming_power_degrades_max_rp(self):
         cfg = SystemConfig(seed=5)
