@@ -91,6 +91,9 @@ class SystemConfig:
                      "noise_var_eve"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
+        # 1e308 W overflows the attacker's AN power; as for p_m_list
+        if self.power > 1e300:
+            raise ValueError("power must be at most 1e300 W")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
         if self.seed < 0:

@@ -12,6 +12,7 @@ powers enter separately through the system configuration.
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -248,18 +249,17 @@ def _point_config(cfg, snr_db, p_m):
                    power_mallory=p_m)
 
 
-def _realization_task(args):
+def _realization_task(cfg, spec, r):
     """All per-realization work for every grid point.
 
-    Returns {(snr_idx, pm_idx, method): (feasible, sr, sjnr,
-    ber_uses, bit_errors, squared_errors)}. The attacker's rate is
-    method-independent and computed once per SNR, and the POINT_FREE
-    methods' combiners once per realization. Bob's rates, SJNRs and BER
-    tallies of all feasible methods come from one stacked call each, so
-    the methods share one draw per grid point (common random numbers),
-    which sharpens method comparisons.
+    Returns {quantity: (SNR, P_M, method) array} for feasible, sr, sjnr
+    and the BER tally ber_uses, bit_errors, squared_errors; an
+    infeasible cell holds False and zeros. The attacker's rate is
+    computed once per SNR, the POINT_FREE combiners once. Bob's rates,
+    SJNRs and BER tallies of all feasible methods come from one stacked
+    call each, so the methods share one draw per grid point (common
+    random numbers), which sharpens method comparisons.
     """
-    cfg, spec, r = args
     chset = realize_channels(cfg, r, an_mode=spec.an_mode)
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
     base, extra = divmod(spec.n_ber_trials, spec.n_realizations)
@@ -272,7 +272,10 @@ def _realization_task(args):
             return None
 
     fixed = {m: combiner(m, cfg) for m in spec.methods if m in POINT_FREE}
-    out = {}
+    shape = (len(spec.snr_grid_db), len(spec.p_m_list), len(spec.methods))
+    feasible = np.zeros(shape, dtype=bool)
+    sr, sjnr = np.zeros(shape), np.zeros(shape)
+    errors, squared = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
     for si, snr_db in enumerate(spec.snr_grid_db):
         # P_JM cancels the attacker's self-interference at u_er, so I_E
         # does not depend on P_M: P_M = 0 makes that cancellation exact
@@ -281,35 +284,32 @@ def _realization_task(args):
             spec.n_noise, derive_rng(cfg.seed, _STREAM_MI_EVE, r, si, 0))
         for pi, p_m in enumerate(spec.p_m_list):
             point = _point_config(cfg, snr_db, p_m)
-            us = {m: fixed[m] if m in fixed else combiner(m, point)
-                  for m in spec.methods}
-            built = {m: u for m, u in us.items() if u is not None}
-            for m in us.keys() - built.keys():
-                out[si, pi, m] = (False, 0.0, 0.0, 0, 0, 0)
-            if not built:
+            us = [fixed[m] if m in fixed else combiner(m, point)
+                  for m in spec.methods]
+            ok = np.array([u is not None for u in us])
+            if not ok.any():
                 continue
-            stack = np.array(list(built.values()))
+            feasible[si, pi] = ok
+            stack = np.array([u for u in us if u is not None])
             i_bobs = mutual_info_mc(
                 stack, "bob", chset, point, spec.n_noise,
                 derive_rng(cfg.seed, _STREAM_MI_BOB, r, si, pi))
-            ratios = metrics.sjnr(stack, chset, point)
-            uses, errors, squared = metrics._ber_counts(
+            sr[si, pi, ok] = np.maximum(0.0, i_bobs - i_eve)
+            sjnr[si, pi, ok] = metrics.sjnr(stack, chset, point)
+            _, errors[si, pi, ok], squared[si, pi, ok] = metrics._ber_counts(
                 stack, chset, point, codebook, ber_block,
                 derive_rng(cfg.seed, _STREAM_BER, r, si, pi))
-            for method, i_bob, ratio, e, sq in zip(
-                    built, i_bobs.tolist(), ratios.tolist(),
-                    errors.tolist(), squared.tolist()):
-                out[si, pi, method] = (True, max(0.0, i_bob - i_eve), ratio,
-                                       uses, e, sq)
-    return out
+    return {"feasible": feasible, "sr": sr, "sjnr": sjnr,
+            "ber_uses": np.where(feasible, ber_block, 0), "bit_errors": errors,
+            "squared_errors": squared}
 
 
-def _realization_chunk(tasks):
-    """Consecutive realizations: the pool's unit of work."""
-    return [_realization_task(t) for t in tasks]
+def _realization_chunk(cfg, spec, rs):
+    """The realizations of the index range rs: the pool's unit of work."""
+    return [_realization_task(cfg, spec, r) for r in rs]
 
 
-def _pooled_partials(tasks, workers):
+def _pooled_partials(cfg, spec, workers):
     """Per-realization results in index order, from this process plus
     workers - 1 pool processes.
 
@@ -321,10 +321,12 @@ def _pooled_partials(tasks, workers):
     """
     # loaded once here, before the fork, not by every worker
     import numpy.random  # noqa: F401
-    chunk = max(1, len(tasks) // (4 * workers))
-    spans = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
+    rs = range(spec.n_realizations)
+    chunk = max(1, len(rs) // (4 * workers))
+    spans = [rs[i:i + chunk] for i in range(0, len(rs), chunk)]
     with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [pool.submit(_realization_chunk, span) for span in spans]
+        futures = [pool.submit(_realization_chunk, cfg, spec, span)
+                   for span in spans]
         try:
             own = {}
             for i in reversed(range(len(spans))):
@@ -334,7 +336,7 @@ def _pooled_partials(tasks, workers):
                         future.result()
                 if not futures[i].cancel():
                     break
-                own[i] = _realization_chunk(spans[i])
+                own[i] = _realization_chunk(cfg, spec, spans[i])
             return [partial for i, future in enumerate(futures)
                     for partial in (own[i] if i in own else future.result())]
         finally:
@@ -348,51 +350,45 @@ def run_sweep(cfg, spec, threads=1):
     Realizations are independent work items reduced in index order, so
     the result is identical for any `threads` value. `threads` counts
     processes: this one plus threads - 1 pool workers, at most one
-    process per realization. An infeasible (cfg, spec) pair raises
-    ValueError before any realization starts.
+    process per realization. Every count is one sum over the stacked
+    realizations. An infeasible (cfg, spec) pair raises ValueError
+    before any realization starts.
     """
     check_feasible(cfg, spec)
-    tasks = [(cfg, spec, r) for r in range(spec.n_realizations)]
     workers = min(threads, spec.n_realizations)
-    if workers > 1:
-        partials = _pooled_partials(tasks, workers)
-    else:
-        partials = [_realization_task(t) for t in tasks]
+    partials = (_pooled_partials(cfg, spec, workers) if workers > 1 else
+                _realization_chunk(cfg, spec, range(spec.n_realizations)))
+    # (realization, SNR, P_M, method), the grid flattened in record order
+    cells = {k: np.stack([p[k] for p in partials]).reshape(len(partials), -1)
+             for k in partials[0]}
+    n_feasible, uses, errors, squared = (
+        cells[k].sum(axis=0).tolist()
+        for k in ("feasible", "ber_uses", "bit_errors", "squared_errors"))
 
-    codebook = build_codebook(cfg.n_active, cfg.mod_order)
-    bits = codebook.bits_per_use
+    bits = build_codebook(cfg.n_active, cfg.mod_order).bits_per_use
     records = []
-    for si, snr_db in enumerate(spec.snr_grid_db):
-        for pi, p_m in enumerate(spec.p_m_list):
-            for method in spec.methods:
-                rows = [p[si, pi, method] for p in partials]
-                srs = tuple(sr for ok, sr, *_ in rows if ok)
-                ratios = [ratio for ok, _, ratio, *_ in rows if ok]
-                uses = sum(row[3] for row in rows)
-                errors = sum(row[4] for row in rows)
-                squared = sum(row[5] for row in rows)
-                infeasible = sum(1 for row in rows if not row[0])
-                avg_sr = float(np.mean(srs)) if srs else float("nan")
-                mean_ratio = float(np.mean(ratios)) if ratios else math.nan
-                if mean_ratio > 0.0:
-                    avg_sjnr_db = 10.0 * math.log10(mean_ratio)
-                elif mean_ratio == 0.0:
-                    avg_sjnr_db = -math.inf
-                else:
-                    avg_sjnr_db = math.nan
-                ber = errors / (uses * bits) if uses else float("nan")
-                records.append(MetricsRecord(
-                    method=method, snr_db=float(snr_db), p_m=float(p_m),
-                    avg_sr=avg_sr, ber=ber, avg_sjnr_db=avg_sjnr_db,
-                    sr_samples=srs,
-                    trial_counts={
-                        "n_realizations": spec.n_realizations,
-                        "n_feasible": len(srs),
-                        "n_zfc_infeasible": infeasible,
-                        "n_ber_uses": uses,
-                        "n_bit_errors": errors,
-                        "ber_squared_errors": squared,
-                    }))
+    grid = product(spec.snr_grid_db, spec.p_m_list, spec.methods)
+    for c, (snr_db, p_m, method) in enumerate(grid):
+        ok = cells["feasible"][:, c]
+        srs = tuple(cells["sr"][ok, c].tolist())
+        avg_sr = float(np.mean(srs)) if srs else math.nan
+        mean_ratio = float(np.mean(cells["sjnr"][ok, c])) if srs else math.nan
+        if mean_ratio > 0.0:
+            avg_sjnr_db = 10.0 * math.log10(mean_ratio)
+        elif mean_ratio == 0.0:
+            avg_sjnr_db = -math.inf
+        else:
+            avg_sjnr_db = math.nan
+        ber = errors[c] / (uses[c] * bits) if uses[c] else math.nan
+        records.append(MetricsRecord(
+            method=method, snr_db=float(snr_db), p_m=float(p_m),
+            avg_sr=avg_sr, ber=ber, avg_sjnr_db=avg_sjnr_db, sr_samples=srs,
+            trial_counts={
+                "n_realizations": spec.n_realizations,
+                "n_feasible": n_feasible[c],
+                "n_zfc_infeasible": spec.n_realizations - n_feasible[c],
+                "n_ber_uses": uses[c], "n_bit_errors": errors[c],
+                "ber_squared_errors": squared[c]}))
     return records
 
 

@@ -203,7 +203,7 @@ class TestParseConfig:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_round_trip_property(self, data):
-        nonneg = st.floats(min_value=0.0, allow_infinity=False)
+        nonneg = st.floats(0.0, 1e300)
         an_mode = data.draw(st.sampled_from(AN_MODES))
         nullspace = an_mode == "nullspace"
         # null-space AN needs n_rx < n_active, so at least 2 TX antennas
@@ -326,9 +326,9 @@ class TestRunSweep:
     def test_this_process_computes_realizations(self, monkeypatch, tmp_path):
         real = harness._realization_task
 
-        def recorded(args):
-            (tmp_path / str(args[2])).write_text(str(os.getpid()))
-            return real(args)
+        def recorded(cfg, spec, r):
+            (tmp_path / str(r)).write_text(str(os.getpid()))
+            return real(cfg, spec, r)
 
         # fork inherits the patch
         monkeypatch.setattr(harness, "_realization_task", recorded)
@@ -348,8 +348,7 @@ class TestRunSweep:
         # worker takes chunk 0 onwards, this process chunk 7 (35-39)
         parent = os.getpid()
 
-        def task(args):
-            r = args[2]
+        def task(cfg, spec, r):
             (tmp_path / str(r)).touch()
             if r == failing:
                 raise error(f"realization {r}")
@@ -382,6 +381,24 @@ class TestRunSweep:
                         np.std(rec10.sr_samples) / math.sqrt(60))
         assert rec10.avg_sr <= rec1.avg_sr + 2 * se
 
+    def test_record_fields_are_builtin(self):
+        # _fmt writes repr(value): a numpy scalar would print as
+        # np.float64(...) under numpy 2
+        cfg = SystemConfig(n_mallory=7, seed=6)  # ZFC infeasible
+        spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
+                         methods=tuple(Method), n_realizations=3)
+        records = run_sweep(cfg, spec)
+        assert len(records) == 16
+        for rec in records:
+            for value in (rec.snr_db, rec.p_m, rec.avg_sr, rec.ber,
+                          rec.avg_sjnr_db, *rec.sr_samples):
+                assert type(value) is float, (rec, value)
+            for value in rec.trial_counts.values():
+                assert type(value) is int, (rec, value)
+        zfc = [rec for rec in records if rec.method is Method.MAX_RP_ZFC]
+        assert all(rec.trial_counts["n_zfc_infeasible"] == 3 for rec in zfc)
+        assert all(rec.sr_samples for rec in records if rec not in zfc)
+
     def test_zfc_infeasible_recorded(self):
         cfg = SystemConfig(n_mallory=7, seed=6)  # 6 streams fill C^6
         spec = tiny_spec(methods=(Method.MAX_RP_ZFC,), n_realizations=3)
@@ -398,7 +415,7 @@ class TestRunSweep:
                          methods=tuple(Method), n_realizations=3,
                          n_ber_trials=600)
         r = 2
-        out = harness._realization_task((cfg, spec, r))
+        out = harness._realization_task(cfg, spec, r)
         chset = realize_channels(cfg, r, an_mode=spec.an_mode)
         codebook = build_codebook(cfg.n_active, cfg.mod_order)
         errors = 0
@@ -416,14 +433,18 @@ class TestRunSweep:
                     return derive_rng(cfg.seed, tag, r, si, pi)
 
                 i_bobs = []
-                for method in spec.methods:
-                    feasible, sr, ratio, *tally = out[si, pi, method]
+                for mi, method in enumerate(spec.methods):
+                    cell = si, pi, mi
+                    feasible, sr, ratio = (out[k][cell]
+                                           for k in ("feasible", "sr", "sjnr"))
+                    tally = tuple(out[k][cell] for k in (
+                        "ber_uses", "bit_errors", "squared_errors"))
                     try:
                         bf = compute_beamformer(method, chset, point)
                     except ZfcInfeasibleError:
                         assert (method, n_mallory) == (Method.MAX_RP_ZFC, 7)
-                        assert (feasible, sr, ratio) == (False, 0.0, 0.0)
-                        assert tally == [0, 0, 0]
+                        assert not feasible
+                        assert all(out[k][cell] == 0 for k in out)
                         continue
                     i_bob = mutual_info_mc(
                         bf.u, "bob", chset, point, spec.n_noise,
@@ -433,7 +454,7 @@ class TestRunSweep:
                     i_bobs.append(i_bob)
                     assert ratio == metrics.sjnr(bf.u, chset, point)
                     # 600 trials over 3 realizations: 200 each
-                    assert tuple(tally) == metrics._ber_counts(
+                    assert tally == metrics._ber_counts(
                         bf.u, chset, point, codebook, 200,
                         rng(harness._STREAM_BER))
                     errors += tally[1]
@@ -460,7 +481,7 @@ class TestRunSweep:
         cfg = SystemConfig(seed=9)
         spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
                          methods=tuple(Method), n_realizations=2)
-        harness._realization_task((cfg, spec, 0))
+        harness._realization_task(cfg, spec, 0)
         # Bob's MI, SJNR and BER per point; the attacker's MI per SNR
         points, n_snr = 4, 2
         assert sorted(calls) == sorted(
@@ -514,7 +535,7 @@ class TestRunSweep:
         cfg = SystemConfig(seed=9)
         spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
                          methods=tuple(Method), n_realizations=2)
-        out = harness._realization_task((cfg, spec, 0))
+        out = harness._realization_task(cfg, spec, 0)
         assert Counter(built) == {Method.MAX_RP: 1, Method.MAX_RP_ZFC: 1,
                                   Method.MAX_WFRP: 4, Method.MAX_SJNR: 4}
         # built at every point, their combiners are identical
@@ -528,7 +549,10 @@ class TestRunSweep:
         # so the outputs equal those of a build at every point
         monkeypatch.setattr(harness, "POINT_FREE", frozenset())
         built.clear()
-        assert harness._realization_task((cfg, spec, 0)) == out
+        rebuilt = harness._realization_task(cfg, spec, 0)
+        assert rebuilt.keys() == out.keys()
+        for key, values in out.items():
+            assert np.array_equal(rebuilt[key], values), key
         assert len(built) == 16
 
     def test_random_an_mode(self):
@@ -540,7 +564,7 @@ class TestRunSweep:
 
     def test_infeasible_nullspace_rejected_before_any_realization(
             self, monkeypatch):
-        def unreachable(args):
+        def unreachable(cfg, spec, r):
             raise AssertionError("a realization started")
 
         monkeypatch.setattr(harness, "_realization_task", unreachable)
@@ -551,7 +575,7 @@ class TestRunSweep:
             run_sweep(SystemConfig(n_rx=9), tiny_spec(an_mode="random"))
 
     def test_snr_bound_rejected_before_any_realization(self, monkeypatch):
-        def unreachable(args):
+        def unreachable(cfg, spec, r):
             raise AssertionError("a realization started")
 
         monkeypatch.setattr(harness, "_realization_task", unreachable)
@@ -577,6 +601,11 @@ class TestRunSweep:
                 tiny_spec(snr_grid_db=(0.0, snr_db))
         with pytest.raises(ValueError, match="^p_m_list .*finite"):
             tiny_spec(p_m_list=(math.inf,))
+        # 1e308 W overflows the attacker's AN power; 1e300 is the bound
+        SystemConfig(power=1e300)
+        for power in (1e301, 1e308):
+            with pytest.raises(ValueError, match="^power .*1e300"):
+                SystemConfig(power=power, beta=0.0)
         with pytest.raises(ValueError, match="^snr_grid_db .*repeat"):
             tiny_spec(snr_grid_db=(0.0, -0.0))
         with pytest.raises(ValueError, match="^methods .*repeat"):
@@ -721,6 +750,16 @@ class TestCli:
         assert f"line {line_of(text, 'snr_grid_db')}" in err
         assert "Traceback" not in err
 
+    def test_power_out_of_range_exits_cleanly(self, tmp_path, capsys):
+        text = set_key(default_config_text(), "power", "1e308")
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: power")
+        assert f"line {line_of(text, 'power')}" in err
+        assert "Traceback" not in err
+
     def test_write_error_exits_cleanly(self, tmp_path, capsys,
                                        monkeypatch):
         def fail(*args, **kwargs):
@@ -740,7 +779,7 @@ class TestCli:
     @pytest.mark.parametrize("via", ["--out", "output_dir"])
     def test_unwritable_out_fails_before_any_realization(
             self, tmp_path, capsys, monkeypatch, via):
-        def unreachable(args):
+        def unreachable(cfg, spec, r):
             raise AssertionError("a realization started")
 
         monkeypatch.setattr(harness, "_realization_task", unreachable)
