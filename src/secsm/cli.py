@@ -19,9 +19,10 @@ def main(argv=None):
                         help="output directory (default: output_dir from "
                              "the config)")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="processes, at most one per realization: "
-                             "this one plus N-1 workers (default 1; "
-                             "results are identical for any value)")
+                        help="processes, at most one per realization "
+                             "and one per usable CPU: this one plus N-1 "
+                             "workers (default 1; results are identical "
+                             "for any value)")
     parser.add_argument("--print-defaults", action="store_true",
                         help="print the complete default configuration "
                              "and exit")

@@ -10,6 +10,7 @@ powers enter separately through the system configuration.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
@@ -344,18 +345,25 @@ def _pooled_partials(cfg, spec, workers):
                 future.cancel()
 
 
+def _cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(cfg, spec, threads=1):
     """Run the full (SNR, P_M, method) grid and aggregate MetricsRecords.
 
     Realizations are independent work items reduced in index order, so
     the result is identical for any `threads` value. `threads` counts
     processes: this one plus threads - 1 pool workers, at most one
-    process per realization. Every count is one sum over the stacked
-    realizations. An infeasible (cfg, spec) pair raises ValueError
-    before any realization starts.
+    process per realization and one per CPU the process may run on.
+    Every count is one sum over the stacked realizations. An infeasible
+    (cfg, spec) pair raises ValueError before any realization starts.
     """
     check_feasible(cfg, spec)
-    workers = min(threads, spec.n_realizations)
+    workers = min(threads, spec.n_realizations, _cpus())
     partials = (_pooled_partials(cfg, spec, workers) if workers > 1 else
                 _realization_chunk(cfg, spec, range(spec.n_realizations)))
     # (realization, SNR, P_M, method), the grid flattened in record order

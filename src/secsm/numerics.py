@@ -5,13 +5,13 @@ and generalized Rayleigh-quotient maximizers, all on small dense matrices.
 A covariance noise_var I + V V^H is passed as its factor V and noise_var.
 Every returned eigenvector is unit norm with a canonical phase (largest
 entry real positive) so downstream Monte-Carlo runs reproduce bit-for-bit.
+Every tolerance is relative to the input's own scale (its largest entry,
+eigenvalue or singular value), so results do not depend on a common
+scale of the inputs.
 """
 
 import numpy as np
 
-# Eigenvalues closer than this to the maximum are treated as tied when
-# picking the dominant eigenvector.
-EIG_TIE_GAP = 1e-10
 # Singular values at or below RANK_RTOL * sigma_max count as zero.
 RANK_RTOL = 1e-10
 
@@ -33,13 +33,13 @@ def _check_finite(A, name):
 def _check_hermitian(A, name="matrix"):
     """A as a complex128 array, symmetrized to 0.5 (A + A^H) after
     checking that it is finite, square and Hermitian: entrywise to 1e-12
-    of max(1, largest entry)."""
+    of its largest entry."""
     A = np.asarray(A, dtype=np.complex128)
     _check_finite(A, name)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotHermitianError(f"{name} is not square: shape {A.shape}")
     asym = np.abs(A - A.conj().T).max(initial=0.0)
-    if asym > 1e-12 * np.abs(A).max(initial=1.0):
+    if asym > 1e-12 * np.abs(A).max(initial=0.0):
         raise NotHermitianError(
             f"{name} is not Hermitian: max |A - A^H| = {asym:.3e}")
     return 0.5 * (A + A.conj().T)
@@ -55,16 +55,13 @@ def max_eigvec_hermitian(A):
     """Dominant eigenpair of a Hermitian matrix.
 
     Returns (v, lam) with ||v|| = 1 and A v = lam v for the largest
-    eigenvalue lam. The phase of v is canonical; when the top eigenvalue
-    is tied (gap below EIG_TIE_GAP) the lowest-index vector of the
-    decomposition is returned, which keeps the output deterministic.
+    eigenvalue lam: eigh's last eigenpair, the one gen_max_eigvec takes
+    too, with v in canonical phase. There is no tie rule: a repeated top
+    eigenvalue gives the vector eigh puts last.
     """
-    A = _check_hermitian(A)
-    vals, vecs = np.linalg.eigh(A)
-    lam = float(vals[-1])
-    tied = np.nonzero(vals >= lam - EIG_TIE_GAP)[0]
-    v = canonical_phase(vecs[:, tied[0]])
-    return v / np.linalg.norm(v), lam
+    vals, vecs = np.linalg.eigh(_check_hermitian(A))
+    v = canonical_phase(vecs[:, -1])
+    return v / np.linalg.norm(v), float(vals[-1])
 
 
 def null_space_basis(B):
@@ -126,7 +123,8 @@ def gen_max_eigvec(num, V, noise_var):
     phase, and ratio the achieved maximum. With R = L L^H for the factor
     L = Q diag(t) of _interference_factor, v is L^{-H} w for the dominant
     eigenvector w of L^{-1} num L^{-H}, reduced with the scale-free
-    min(t) L^{-1} = diag(min(t) / t) Q^H.
+    min(t) L^{-1} = diag(min(t) / t) Q^H. num is PSD when its smallest
+    eigenvalue is at least -1e-10 times its largest in magnitude.
     """
     num = _check_hermitian(num, "numerator")
     Q, t = _interference_factor(V, noise_var)
@@ -134,8 +132,7 @@ def gen_max_eigvec(num, V, noise_var):
         raise ValueError(f"dimension mismatch: numerator {num.shape}, "
                          f"factor {np.shape(V)}")
     nvals = np.linalg.eigvalsh(num)
-    nscale = max(1.0, float(abs(nvals[-1])))
-    if nvals[0] < -1e-10 * nscale:
+    if nvals[0] < -1e-10 * abs(nvals[-1]):
         raise ValueError(
             f"numerator is not PSD: min eigenvalue {nvals[0]:.3e}")
 

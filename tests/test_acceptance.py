@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from secsm import harness
 from secsm.beamformers import Method, compute_beamformer, max_sjnr, max_wfrp
 from secsm.channel import SystemConfig, crandn, derive_rng, realize_channels
 from secsm.cli import main
@@ -284,7 +285,9 @@ def test_criterion_09_flop_table():
                   "rp < zfc < wfrp < sjnr for N_b in 1..64")
 
 
-def test_criterion_10_end_to_end_determinism(tmp_path):
+def test_criterion_10_end_to_end_determinism(tmp_path, monkeypatch):
+    # two processes even on a 1-CPU host
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
     cfg = SystemConfig(seed=10)
     spec = SweepSpec(snr_grid_db=(-5.0, 5.0), p_m_list=(1.0,),
                      methods=ORDERED, n_realizations=8, n_noise=50,

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from secsm.beamformers import (Method, ZfcInfeasibleError,
                                compute_beamformer, max_rp, max_rp_zfc,
                                max_sjnr, max_wfrp)
-from secsm.channel import (AN_MODES, ChannelSet, SystemConfig, crandn,
-                           derive_rng, realize_channels)
+from secsm.channel import (AN_MODES, ChannelSet, SystemConfig,
+                           build_mallory_chain, crandn, derive_rng,
+                           realize_channels)
 from secsm.metrics import sjnr
 from secsm.numerics import null_space_basis
 
@@ -210,6 +211,32 @@ class TestCrossMethodProperties:
             u1 = compute_beamformer(method, ch, cfg).u
             u2 = compute_beamformer(method, scaled, cfg).u
             assert abs(u1.conj() @ u2) >= 1.0 - 1e-9
+
+    def test_common_link_scale(self):
+        # a common path loss c (every channel x c, both noise variances
+        # x c^2) changes no SJNR and not the attacker's u_er: at
+        # c = 1e-6 the signal Gram's eigenvalues are ~1e-11, all within
+        # an absolute tie gap of 1e-10 of each other
+        cfg = SystemConfig()
+        ch1 = realize_channels(cfg, 0)
+
+        def link(c):
+            u_er, P_JM = build_mallory_chain(c * ch1.G, ch1.T,
+                                             c * ch1.M_self)
+            ch = replace(ch1, H=c * ch1.H, G=c * ch1.G, F=c * ch1.F,
+                         M_self=c * ch1.M_self, u_er=u_er, P_JM=P_JM)
+            point = replace(cfg, noise_var_bob=c * c, noise_var_eve=c * c)
+            return ch, {m: sjnr(compute_beamformer(m, ch, point).u, ch,
+                                point) for m in Method}
+
+        ref, ref_ratios = link(1.0)
+        for c in (1e-20, 1e-8, 1e-6, 1e-3, 1e3):
+            ch, ratios = link(c)
+            assert abs(ch.u_er.conj() @ ref.u_er) == pytest.approx(
+                1.0, abs=1e-12)
+            for method in Method:
+                assert ratios[method] == pytest.approx(ref_ratios[method],
+                                                       rel=1e-9), (c, method)
 
 
 @st.composite

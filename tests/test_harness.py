@@ -294,9 +294,11 @@ class TestRunSweep:
             assert ra.sr_samples == rb.sr_samples
             assert ra.trial_counts == rb.trial_counts
 
-    def test_pool_capped_at_realizations(self, monkeypatch):
-        # a fake pool records its size and runs each chunk at submit, so
-        # every chunk is taken before this process reaches the tail
+    @pytest.fixture
+    def serial_pool(self, monkeypatch):
+        """A fake pool that records its size and runs each chunk at
+        submit, so every chunk is taken before this process reaches the
+        tail. Returns the list of sizes asked for."""
         asked = []
 
         class SerialPool:
@@ -315,13 +317,26 @@ class TestRunSweep:
                 return future
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        return asked
+
+    def test_pool_capped_at_realizations(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(harness, "_cpus", lambda: 64)
         cfg = SystemConfig(seed=4)
         spec = tiny_spec(n_realizations=3)
         capped = run_sweep(cfg, spec, threads=64)
-        assert asked == [2]  # three processes: this one and two workers
+        assert serial_pool == [2]  # three processes: this one and two
         assert capped == run_sweep(cfg, spec, threads=1)
         run_sweep(cfg, tiny_spec(n_realizations=1), threads=64)
-        assert asked == [2]  # one realization takes the serial path
+        assert serial_pool == [2]  # one realization takes the serial path
+
+    def test_pool_capped_at_cpus(self, monkeypatch, serial_pool):
+        # a real pool would fork 9,999 workers at the first submit
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        cfg = SystemConfig(seed=4)
+        spec = tiny_spec(n_realizations=40)
+        capped = run_sweep(cfg, spec, threads=10_000)
+        assert serial_pool == [1]  # two processes: this one and one worker
+        assert capped == run_sweep(cfg, spec, threads=1)
 
     def test_this_process_computes_realizations(self, monkeypatch, tmp_path):
         real = harness._realization_task
@@ -330,8 +345,9 @@ class TestRunSweep:
             (tmp_path / str(r)).write_text(str(os.getpid()))
             return real(cfg, spec, r)
 
-        # fork inherits the patch
+        # fork inherits the patch; a 1-CPU host still gets a pool
         monkeypatch.setattr(harness, "_realization_task", recorded)
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
         cfg, spec = SystemConfig(seed=4), tiny_spec(n_realizations=8)
         pooled = run_sweep(cfg, spec, threads=2)
         pids = [path.read_text() for path in tmp_path.iterdir()]
@@ -361,6 +377,7 @@ class TestRunSweep:
             return {}
 
         monkeypatch.setattr(harness, "_realization_task", task)
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
         with pytest.raises(error, match=f"realization {failing}"):
             run_sweep(SystemConfig(), tiny_spec(n_realizations=40),
                       threads=2)

@@ -60,8 +60,11 @@ class TestMaxEigvec:
         assert v[j].real > 0
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            max_eigvec_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        # the check is relative to the largest entry at any scale
+        for scale in (1.0, 1e-13):
+            with pytest.raises(NotHermitianError):
+                max_eigvec_hermitian(scale * np.array([[1.0, 2.0],
+                                                       [0.0, 1.0]]))
 
     def test_rejects_nan(self):
         A = np.eye(3, dtype=complex)
@@ -173,8 +176,8 @@ class TestGenMaxEigvec:
 
     def test_matches_plain_eigensolver_when_den_identity(self):
         rng = np.random.default_rng(37)
-        for _ in range(20):
-            A = hermitian(rng, 5)
+        # the zero matrix too: both return eigh's last vector, e_5
+        for A in [np.zeros((5, 5))] + [hermitian(rng, 5) for _ in range(20)]:
             v1, lam1 = max_eigvec_hermitian(A)
             v2, lam2 = gen_max_eigvec(A, no_factor(5), 1.0)
             assert lam2 == pytest.approx(lam1, abs=1e-10 * max(1, lam1))
@@ -238,8 +241,26 @@ class TestGenMaxEigvec:
             gen_max_eigvec(np.eye(2), np.zeros((2, 2)), 0.0)
         with pytest.raises(ValueError):
             gen_max_eigvec(np.eye(2), no_factor(3), 1.0)
-        with pytest.raises(ValueError, match="PSD"):
-            gen_max_eigvec(np.diag([1.0, -1.0]), no_factor(2), 1.0)
+        for scale in (1.0, 1e-12):
+            with pytest.raises(ValueError, match="PSD"):
+                gen_max_eigvec(scale * np.diag([1.0, -1.0]), no_factor(2),
+                               1.0)
+
+
+def test_common_scale_invariance():
+    # no tolerance is absolute: scaling the inputs by c from 1e-30 to
+    # 1e30 scales the eigenvalue by c and leaves every vector as it is
+    rng = np.random.default_rng(59)
+    A, num, V = hermitian(rng, 5), hermitian(rng, 5), crandn_t(rng, 5, 3)
+    v_ref, lam_ref = max_eigvec_hermitian(A)
+    g_ref, ratio_ref = gen_max_eigvec(num, V, 0.5)
+    for c in 10.0 ** np.arange(-30, 31, 5):
+        v, lam = max_eigvec_hermitian(c * A)
+        np.testing.assert_allclose(v, v_ref, rtol=0.0, atol=1e-12)
+        assert lam == pytest.approx(c * lam_ref, rel=1e-12)
+        g, ratio = gen_max_eigvec(c * c * num, c * V, c * c * 0.5)
+        np.testing.assert_allclose(g, g_ref, rtol=0.0, atol=1e-12)
+        assert ratio == pytest.approx(ratio_ref, rel=1e-12)
 
 
 def test_unit_norm_everywhere():
