@@ -214,9 +214,7 @@ class TestCrossMethodProperties:
 
     def test_common_link_scale(self):
         # a common path loss c (every channel x c, both noise variances
-        # x c^2) changes no SJNR and not the attacker's u_er: at
-        # c = 1e-6 the signal Gram's eigenvalues are ~1e-11, all within
-        # an absolute tie gap of 1e-10 of each other
+        # x c^2) changes no SJNR and not the attacker's u_er
         cfg = SystemConfig()
         ch1 = realize_channels(cfg, 0)
 

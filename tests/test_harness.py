@@ -284,7 +284,8 @@ class TestRunSweep:
             assert ra.avg_sjnr_db == rb.avg_sjnr_db
             assert ra.trial_counts == rb.trial_counts
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(harness, "_cpus", lambda: 3)
         cfg = SystemConfig(seed=4)
         spec = tiny_spec(n_realizations=6,
                          methods=(Method.MAX_RP, Method.MAX_WFRP))
@@ -330,7 +331,8 @@ class TestRunSweep:
         assert serial_pool == [2]  # one realization takes the serial path
 
     def test_pool_capped_at_cpus(self, monkeypatch, serial_pool):
-        # a real pool would fork 9,999 workers at the first submit
+        # without the CPU cap this would fork 39 workers; the fake pool
+        # keeps any real process from starting at an extreme value
         monkeypatch.setattr(harness, "_cpus", lambda: 2)
         cfg = SystemConfig(seed=4)
         spec = tiny_spec(n_realizations=40)
