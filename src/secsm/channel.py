@@ -114,7 +114,8 @@ class ChannelSet:
     F       n_rx x n_mallory, attacker -> Bob
     M_self  n_mallory x n_mallory attacker self-interference channel
     T       n_tx x n_active 0/1 antenna-selection matrix
-    P_AN    n_active x n_active artificial-noise projection
+    P_AN    artificial-noise projection, n_active x (n_active - n_rx)
+            with null-space AN, n_active x n_active with random AN
     u_er    attacker's unit receive vector
     P_JM    n_mallory x (n_mallory - 1) jamming precoder with
             u_er^H M_self P_JM = 0
@@ -176,10 +177,10 @@ def build_tas_matrix(H, n_active):
 def build_an_projection(H, T, mode="nullspace", rng=None):
     """Artificial-noise projection matrix, scaled to unit trace.
 
-    In "nullspace" mode the leading columns form a basis of the null
-    space of the effective channel H T (so Bob never sees the AN),
-    zero-padded to a square n_active x n_active matrix. In "random" mode
-    the matrix is a scaled random unitary, which leaks AN into Bob's
+    In "nullspace" mode the columns form an orthonormal basis of the
+    null space of the effective channel H T (so Bob never sees the AN):
+    n_active x (n_active - rank(H T)). In "random" mode the matrix is a
+    scaled n_active x n_active random unitary, which leaks AN into Bob's
     receiver. Either way trace(P_AN P_AN^H) = 1.
     """
     if mode not in AN_MODES:
@@ -199,9 +200,7 @@ def build_an_projection(H, T, mode="nullspace", rng=None):
         raise ValueError(
             "AN null space empty: n_active must exceed n_rx for "
             "null-space artificial noise")
-    P = np.zeros((n_active, n_active), dtype=np.complex128)
-    P[:, :width] = basis / math.sqrt(width)
-    return P
+    return basis / math.sqrt(width)
 
 
 def build_mallory_chain(G, T, M_self):

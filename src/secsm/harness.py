@@ -11,7 +11,6 @@ powers enter separately through the system configuration.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -305,41 +304,35 @@ def _realization_task(cfg, spec, r):
             "squared_errors": squared}
 
 
-def _realization_chunk(cfg, spec, rs):
-    """The realizations of the index range rs: the pool's unit of work."""
-    return [_realization_task(cfg, spec, r) for r in rs]
-
-
 def _pooled_partials(cfg, spec, workers):
     """Per-realization results in index order, from this process plus
-    workers - 1 pool processes.
+    workers - 1 pool processes, one realization per pool task.
 
-    The pool takes chunks from the head of the queue. This process takes
-    them from the tail, cancelling each still-pending chunk and running
-    it itself, until it meets a chunk the pool has already taken. A
-    failure here, in a chunk, or an interrupt cancels every pending
-    chunk before the pool shuts down.
+    The pool takes realizations from the head of the queue. This process
+    takes them from the tail, cancelling each still-pending one and
+    running it itself, until it meets one the pool has already taken. A
+    failure here, in the pool, or an interrupt cancels every pending
+    realization; the pool finishes at most those it holds.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     # loaded once here, before the fork, not by every worker
     import numpy.random  # noqa: F401
-    rs = range(spec.n_realizations)
-    chunk = max(1, len(rs) // (4 * workers))
-    spans = [rs[i:i + chunk] for i in range(0, len(rs), chunk)]
     with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [pool.submit(_realization_chunk, cfg, spec, span)
-                   for span in spans]
+        futures = [pool.submit(_realization_task, cfg, spec, r)
+                   for r in range(spec.n_realizations)]
         try:
-            own = {}
-            for i in reversed(range(len(spans))):
-                # a failed chunk ends the sweep now, not at the last chunk
-                for future in futures[:i]:
-                    if future.done():
-                        future.result()
-                if not futures[i].cancel():
+            own, head = {}, 0
+            for r in reversed(range(len(futures))):
+                # a failed pool task ends the sweep now, not at the end
+                while head < r and futures[head].done():
+                    futures[head].result()
+                    head += 1
+                if not futures[r].cancel():
                     break
-                own[i] = _realization_chunk(cfg, spec, spans[i])
-            return [partial for i, future in enumerate(futures)
-                    for partial in (own[i] if i in own else future.result())]
+                own[r] = _realization_task(cfg, spec, r)
+            return [own[r] if r in own else future.result()
+                    for r, future in enumerate(futures)]
         finally:
             for future in futures:
                 future.cancel()
@@ -358,14 +351,17 @@ def run_sweep(cfg, spec, threads=1):
     Realizations are independent work items reduced in index order, so
     the result is identical for any `threads` value. `threads` counts
     processes: this one plus threads - 1 pool workers, at most one
-    process per realization and one per CPU the process may run on.
+    process per realization and one per CPU the process may run on. Each
+    realization is one pool task; a run on one process never imports
+    the pool.
     Every count is one sum over the stacked realizations. An infeasible
     (cfg, spec) pair raises ValueError before any realization starts.
     """
     check_feasible(cfg, spec)
     workers = min(threads, spec.n_realizations, _cpus())
     partials = (_pooled_partials(cfg, spec, workers) if workers > 1 else
-                _realization_chunk(cfg, spec, range(spec.n_realizations)))
+                [_realization_task(cfg, spec, r)
+                 for r in range(spec.n_realizations)])
     # (realization, SNR, P_M, method), the grid flattened in record order
     cells = {k: np.stack([p[k] for p in partials]).reshape(len(partials), -1)
              for k in partials[0]}
@@ -411,14 +407,14 @@ def _num_token(value):
     return repr(value)
 
 
-def write_outputs(records, cfg, spec, out_dir=None):
+def write_outputs(records, cfg, spec, out_dir):
     """Write results.csv, per-SNR secrecy-rate CDF tables, and a manifest.
 
     All files are UTF-8 with LF line endings; floats use shortest
     round-trip decimals, so identical records give identical bytes.
     CDF tables of an earlier run in the directory are deleted first.
     """
-    out = Path(out_dir) if out_dir is not None else Path(spec.output_dir)
+    out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

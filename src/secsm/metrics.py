@@ -196,13 +196,17 @@ def _ber_counts(u, chset, cfg, codebook, n_trials, rng):
     refs = refs.reshape(-1, codebook.size)
     sigma = np.sqrt(np.reshape(power, -1))
     tallies = np.zeros((len(refs), 2), dtype=np.int64)
+    # one buffer per call: a fresh 128 KiB one per block and row faults
+    diff = np.empty((min(BER_BLOCK_TRIALS, n_trials), codebook.size),
+                    dtype=np.complex128)
     for start in range(0, n_trials, BER_BLOCK_TRIALS):
         block = min(BER_BLOCK_TRIALS, n_trials - start)
         idx = rng.integers(codebook.size, size=block)
         noise = crandn(rng, block)
         for row, s, tally in zip(refs, sigma, tallies):
             z = row[idx] + s * noise
-            dist = np.abs(z[:, None] - row[None, :])
+            dist = np.abs(np.subtract(z[:, None], row[None, :],
+                                      out=diff[:block]))
             e = codebook.bit_errors[idx, np.argmin(dist, axis=1)]
             tally += (e.sum(), (e * e).sum())
     errors, squared = tallies.T.reshape((2,) + shape)

@@ -117,9 +117,10 @@ class TestAnProjection:
         H = crandn(rng, 6, 8)
         T = np.eye(8)
         P = build_an_projection(H, T)
-        assert P.shape == (8, 8)
-        # 8 - 6 = 2 live columns, the rest zero padding
-        assert np.linalg.norm(P[:, 2:]) == 0
+        # one column per null-space dimension, 8 - 6 = 2, unit trace
+        assert P.shape == (8, 2)
+        np.testing.assert_allclose(P.conj().T @ P, np.eye(2) / 2,
+                                   atol=1e-12)
         assert np.linalg.norm(H @ T @ P) <= 1e-10
 
     def test_power_normalization(self):

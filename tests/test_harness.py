@@ -2,11 +2,15 @@
 
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
 from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,9 +301,9 @@ class TestRunSweep:
 
     @pytest.fixture
     def serial_pool(self, monkeypatch):
-        """A fake pool that records its size and runs each chunk at
-        submit, so every chunk is taken before this process reaches the
-        tail. Returns the list of sizes asked for."""
+        """A fake pool that records its size and runs each realization
+        at submit, so every realization is taken before this process
+        reaches the tail. Returns the list of sizes asked for."""
         asked = []
 
         class SerialPool:
@@ -317,7 +321,8 @@ class TestRunSweep:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            SerialPool)
         return asked
 
     def test_pool_capped_at_realizations(self, monkeypatch, serial_pool):
@@ -341,14 +346,16 @@ class TestRunSweep:
         assert capped == run_sweep(cfg, spec, threads=1)
 
     def test_this_process_computes_realizations(self, monkeypatch, tmp_path):
-        real = harness._realization_task
+        real = harness.realize_channels
 
-        def recorded(cfg, spec, r):
-            (tmp_path / str(r)).write_text(str(os.getpid()))
-            return real(cfg, spec, r)
+        def recorded(cfg, index, an_mode):
+            (tmp_path / str(index)).write_text(str(os.getpid()))
+            return real(cfg, index, an_mode=an_mode)
 
-        # fork inherits the patch; a 1-CPU host still gets a pool
-        monkeypatch.setattr(harness, "_realization_task", recorded)
+        # the pool pickles _realization_task by reference, and the task
+        # looks realize_channels up, so the fork inherits this patch; a
+        # 1-CPU host still gets a pool
+        monkeypatch.setattr(harness, "realize_channels", recorded)
         monkeypatch.setattr(harness, "_cpus", lambda: 2)
         cfg, spec = SystemConfig(seed=4), tiny_spec(n_realizations=8)
         pooled = run_sweep(cfg, spec, threads=2)
@@ -358,36 +365,56 @@ class TestRunSweep:
         assert pooled == run_sweep(cfg, spec, threads=1)
 
     @pytest.mark.parametrize("failing, error", [
-        (0, RuntimeError), (35, RuntimeError), (35, KeyboardInterrupt),
+        (0, RuntimeError), (39, RuntimeError), (39, KeyboardInterrupt),
     ], ids=["worker", "this-process", "interrupt"])
     def test_failure_cancels_pending_work(self, monkeypatch, tmp_path,
                                           failing, error):
-        # 40 realizations on 2 processes: 8 chunks of 5, 0.4 s each; the
-        # worker takes chunk 0 onwards, this process chunk 7 (35-39)
+        # 40 realizations on 2 processes, 0.08 s each: the worker takes
+        # 0 onwards, this process 39 downwards
         parent = os.getpid()
+        real = harness.realize_channels
 
-        def task(cfg, spec, r):
-            (tmp_path / str(r)).touch()
-            if r == failing:
-                raise error(f"realization {r}")
-            # this process's time counts from the failure, not from the
-            # worker's start
-            while os.getpid() == parent and not (
-                    tmp_path / str(failing)).exists():
+        def realize(cfg, index, an_mode):
+            (tmp_path / str(index)).touch()
+            if index == failing:
+                raise error(f"realization {index}")
+            # this process's time counts from the worker's first
+            # realization, which in the worker case is the failure
+            while os.getpid() == parent and not (tmp_path / "0").exists():
                 time.sleep(0.005)
             time.sleep(0.08)
-            return {}
+            return real(cfg, index, an_mode=an_mode)
 
-        monkeypatch.setattr(harness, "_realization_task", task)
+        monkeypatch.setattr(harness, "realize_channels", realize)
         monkeypatch.setattr(harness, "_cpus", lambda: 2)
         with pytest.raises(error, match=f"realization {failing}"):
             run_sweep(SystemConfig(), tiny_spec(n_realizations=40),
                       threads=2)
         ran = {int(path.name) for path in tmp_path.iterdir()}
         assert failing in ran
-        # the pool holds up to 3 chunks (one running, two queued) and may
-        # take a 4th as the failure surfaces; chunks 5 and 6 stay pending
-        assert not ran & set(range(25, 35)), sorted(ran)
+        # the pool holds up to 3 realizations (one running, two queued)
+        # and may take a few more as the failure surfaces; the rest stay
+        # pending
+        assert not ran & set(range(12, 39)), sorted(ran)
+
+    def test_serial_run_never_imports_the_pool(self):
+        # a fresh interpreter: this one imported the pool long ago
+        code = textwrap.dedent("""
+            import sys
+            from secsm import Method, SweepSpec, SystemConfig, run_sweep
+            from secsm.harness import default_config_text, parse_config
+            parse_config(default_config_text())
+            spec = SweepSpec(snr_grid_db=(0.0,), methods=(Method.MAX_RP,),
+                             n_realizations=2, n_noise=4, n_ber_trials=4)
+            run_sweep(SystemConfig(), spec, threads=1)
+            print(sorted({"multiprocessing", "concurrent.futures.process"}
+                         & set(sys.modules)))
+            """)
+        src = str(Path(harness.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n", out.stderr
 
     def test_jamming_power_degrades_max_rp(self):
         cfg = SystemConfig(seed=5)

@@ -79,7 +79,7 @@ class TestNoiseCov:
         rng = derive_rng(3, 9, 0)
         n = 100_000
         an = (math.sqrt((1 - cfg.beta) * cfg.power)
-              * (ch.H @ ch.T @ ch.P_AN @ crandn(rng, 8, n).reshape(8, n)))
+              * (ch.H @ ch.T @ ch.P_AN @ crandn(rng, ch.P_AN.shape[1], n)))
         jam = (math.sqrt(cfg.power_mallory)
                * (ch.F @ ch.P_JM @ crandn(rng, 3, n)))
         w = an + jam + math.sqrt(cfg.noise_var_bob) * crandn(rng, 6, n)
