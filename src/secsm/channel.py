@@ -6,7 +6,6 @@ artificial-noise projection aimed at Bob's null space, and the attacker's
 receive vector / self-interference-free jamming precoder pair.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -14,8 +13,6 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import max_eigvec_hermitian, null_space_basis
-
-log = logging.getLogger(__name__)
 
 # rng stream tag for channel sampling; the sweep harness uses tags 1..3
 # for its own Monte-Carlo draws.
@@ -209,23 +206,17 @@ def build_mallory_chain(G, T, M_self):
     u_er maximizes intercepted signal power (dominant eigenvector of
     G T T^H G^H); P_JM spans the orthogonal complement of M_self^H u_er,
     which cancels the attacker's self-interference exactly, scaled so
-    trace(P_JM P_JM^H) = 1.
+    trace(P_JM P_JM^H) = 1. Should M_self^H u_er vanish, P_JM is the
+    leading n_mallory - 1 identity columns.
     """
     n_mallory = G.shape[0]
     if n_mallory < 2:
         raise ValueError("the attacker needs at least 2 antennas to jam")
     GT = G @ T
     u_er, _ = max_eigvec_hermitian(GT @ GT.conj().T)
-    back = M_self.conj().T @ u_er
-    if np.linalg.norm(back) <= 1e-14 * np.linalg.norm(M_self):
-        # Probability-zero degenerate self-channel: any precoder is
-        # self-interference free, use the leading identity columns.
-        log.warning("M_self^H u_er vanished; using identity-complement "
-                    "jamming precoder")
-        basis = np.eye(n_mallory, dtype=np.complex128)[:, :n_mallory - 1]
-    else:
-        basis = null_space_basis(back.reshape(-1, 1))
-    return u_er, basis / math.sqrt(basis.shape[1])
+    back = (M_self.conj().T @ u_er).reshape(-1, 1)
+    basis = null_space_basis(back)[:, :n_mallory - 1]
+    return u_er, basis / math.sqrt(n_mallory - 1)
 
 
 def realize_channels(cfg, index, an_mode="nullspace"):

@@ -2,6 +2,7 @@
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 
 from .harness import (ConfigError, default_config_text, parse_config,
@@ -44,10 +45,10 @@ def main(argv=None):
     try:
         cfg, spec = parse_config(text)
         out = Path(spec.output_dir if args.out is None else args.out)
-        # an unwritable output directory fails before the sweep
+        # an unwritable output directory fails before the sweep; the
+        # probe is an anonymous file, so no file of the user's is touched
         out.mkdir(parents=True, exist_ok=True)
-        (out / ".write_probe").touch()
-        (out / ".write_probe").unlink()
+        tempfile.TemporaryFile(dir=out).close()
         records = run_sweep(cfg, spec, threads=args.threads)
         write_outputs(records, cfg, spec, out)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:

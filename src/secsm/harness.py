@@ -253,30 +253,33 @@ def _realization_task(cfg, spec, r):
     """All per-realization work for every grid point.
 
     Returns {quantity: (SNR, P_M, method) array} for feasible, sr, sjnr
-    and the BER tally ber_uses, bit_errors, squared_errors; an
-    infeasible cell holds False and zeros. The attacker's rate is
-    computed once per SNR, the POINT_FREE combiners once. Bob's rates,
-    SJNRs and BER tallies of all feasible methods come from one stacked
-    call each, so the methods share one draw per grid point (common
-    random numbers), which sharpens method comparisons.
+    and the BER tally ber_uses, bit_errors, squared_errors. The POINT_FREE
+    builds decide feasibility at every point (only max_rp_zfc raises
+    ZfcInfeasibleError); an infeasible cell holds False and zeros, and
+    with no feasible method there is no MI call. Else the attacker's rate
+    is computed once per SNR, and Bob's rates, SJNRs and BER tallies of
+    the feasible methods come from one stacked call each: the methods
+    share one draw per grid point (common random numbers).
     """
     chset = realize_channels(cfg, r, an_mode=spec.an_mode)
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
     base, extra = divmod(spec.n_ber_trials, spec.n_realizations)
     ber_block = base + (1 if r < extra else 0)
 
-    def combiner(method, point):
-        try:
-            return compute_beamformer(method, chset, point).u
-        except ZfcInfeasibleError:
-            return None
-
-    fixed = {m: combiner(m, cfg) for m in spec.methods if m in POINT_FREE}
+    fixed = {}
+    for m in spec.methods:
+        if m in POINT_FREE:
+            try:
+                fixed[m] = compute_beamformer(m, chset, cfg).u
+            except ZfcInfeasibleError:
+                pass
+    ok = np.array([m in fixed or m not in POINT_FREE for m in spec.methods])
+    live = [m for m, f in zip(spec.methods, ok) if f]
     shape = (len(spec.snr_grid_db), len(spec.p_m_list), len(spec.methods))
-    feasible = np.zeros(shape, dtype=bool)
+    feasible = np.broadcast_to(ok, shape)
     sr, sjnr = np.zeros(shape), np.zeros(shape)
     errors, squared = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
-    for si, snr_db in enumerate(spec.snr_grid_db):
+    for si, snr_db in enumerate(spec.snr_grid_db if live else ()):
         # P_JM cancels the attacker's self-interference at u_er, so I_E
         # does not depend on P_M: P_M = 0 makes that cancellation exact
         i_eve = mutual_info_mc(
@@ -284,13 +287,9 @@ def _realization_task(cfg, spec, r):
             spec.n_noise, derive_rng(cfg.seed, _STREAM_MI_EVE, r, si, 0))
         for pi, p_m in enumerate(spec.p_m_list):
             point = _point_config(cfg, snr_db, p_m)
-            us = [fixed[m] if m in fixed else combiner(m, point)
-                  for m in spec.methods]
-            ok = np.array([u is not None for u in us])
-            if not ok.any():
-                continue
-            feasible[si, pi] = ok
-            stack = np.array([u for u in us if u is not None])
+            stack = np.array([
+                fixed[m] if m in fixed else
+                compute_beamformer(m, chset, point).u for m in live])
             i_bobs = mutual_info_mc(
                 stack, "bob", chset, point, spec.n_noise,
                 derive_rng(cfg.seed, _STREAM_MI_BOB, r, si, pi))

@@ -29,6 +29,9 @@ class TestConfig:
                 default_cfg(mod_order=mod_order)
         with pytest.raises(ValueError, match="power"):
             default_cfg(power=-1.0)
+        for name in ("n_tx", "n_rx"):
+            with pytest.raises(ValueError, match=f"^{name} must be at least"):
+                default_cfg(**{name: 0})
         for name in ("power", "power_mallory", "noise_var_bob",
                      "noise_var_eve"):
             for value in (math.nan, math.inf):
@@ -110,6 +113,10 @@ class TestTasMatrix:
         T = build_tas_matrix(H, 2)
         np.testing.assert_array_equal(T, np.eye(3)[:, [0, 1]])
 
+    def test_more_active_than_antennas_rejected(self):
+        with pytest.raises(ValueError, match="cannot select 4 of 3"):
+            build_tas_matrix(np.ones((2, 3)), 4)
+
 
 class TestAnProjection:
     def test_nullspace_dimensions(self):
@@ -138,6 +145,13 @@ class TestAnProjection:
         P = build_an_projection(H, np.eye(8), mode="random", rng=rng)
         PtP = P.conj().T @ P
         np.testing.assert_allclose(PtP, PtP[0, 0] * np.eye(8), atol=1e-10)
+
+    def test_bad_mode_arguments_rejected(self):
+        H = crandn(derive_rng(7, 0, 5), 6, 8)
+        with pytest.raises(ValueError, match="unknown AN mode 'off'"):
+            build_an_projection(H, np.eye(8), mode="off")
+        with pytest.raises(ValueError, match="random AN mode needs an rng"):
+            build_an_projection(H, np.eye(8), mode="random")
 
     def test_infeasible_when_no_null_space(self):
         rng = derive_rng(7, 0, 3)
@@ -183,6 +197,33 @@ class TestMalloryChain:
             u_er, P_JM = build_mallory_chain(G, np.eye(8), M)
             leak = u_er.conj() @ M @ P_JM
             assert float(np.sum(np.abs(leak) ** 2)) <= 1e-18
+
+    def test_one_antenna_cannot_jam(self):
+        G = crandn(derive_rng(9, 0, 3), 1, 8)
+        with pytest.raises(ValueError, match="at least 2 antennas"):
+            build_mallory_chain(G, np.eye(8), np.eye(1))
+
+    def test_near_degenerate_self_channel(self):
+        # M_self^H u_er is 1e-16 of M_self: still a direction to cancel
+        rng = derive_rng(9, 0, 4)
+        G, M0, v = crandn(rng, 4, 8), crandn(rng, 4, 4), crandn(rng, 4)
+        u_er, _ = build_mallory_chain(G, np.eye(8), np.eye(4))
+        M = M0 - np.outer(u_er, u_er.conj() @ M0)
+        M = M + 1e-16 * np.linalg.norm(M) * np.outer(u_er, v.conj())
+        back = M.conj().T @ u_er
+        assert 0.0 < np.linalg.norm(back) <= 1e-14 * np.linalg.norm(M)
+        u, P_JM = build_mallory_chain(G, np.eye(8), M)
+        np.testing.assert_array_equal(u, u_er)
+        assert P_JM.shape == (4, 3)
+        tr = float(np.real(np.trace(P_JM @ P_JM.conj().T)))
+        assert tr == pytest.approx(1.0, abs=1e-12)
+        assert (np.linalg.norm(P_JM.conj().T @ back)
+                <= 1e-12 * np.linalg.norm(back))
+
+    def test_zero_self_channel_leading_identity_columns(self):
+        G = crandn(derive_rng(9, 0, 5), 4, 8)
+        _, P_JM = build_mallory_chain(G, np.eye(8), np.zeros((4, 4)))
+        np.testing.assert_array_equal(P_JM, np.eye(4)[:, :3] / math.sqrt(3))
 
 
 class TestChannelSetInvariants:

@@ -345,6 +345,13 @@ class TestRunSweep:
         assert serial_pool == [1]  # two processes: this one and one worker
         assert capped == run_sweep(cfg, spec, threads=1)
 
+    def test_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert harness._cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert harness._cpus() == 1
+
     def test_this_process_computes_realizations(self, monkeypatch, tmp_path):
         real = harness.realize_channels
 
@@ -398,7 +405,8 @@ class TestRunSweep:
         assert not ran & set(range(12, 39)), sorted(ran)
 
     def test_serial_run_never_imports_the_pool(self):
-        # a fresh interpreter: this one imported the pool long ago
+        # a fresh interpreter: this one imported the pool long ago; nor
+        # does anything in secsm log
         code = textwrap.dedent("""
             import sys
             from secsm import Method, SweepSpec, SystemConfig, run_sweep
@@ -407,8 +415,8 @@ class TestRunSweep:
             spec = SweepSpec(snr_grid_db=(0.0,), methods=(Method.MAX_RP,),
                              n_realizations=2, n_noise=4, n_ber_trials=4)
             run_sweep(SystemConfig(), spec, threads=1)
-            print(sorted({"multiprocessing", "concurrent.futures.process"}
-                         & set(sys.modules)))
+            print(sorted({"multiprocessing", "concurrent.futures.process",
+                          "logging"} & set(sys.modules)))
             """)
         src = str(Path(harness.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -445,13 +453,36 @@ class TestRunSweep:
         assert all(rec.trial_counts["n_zfc_infeasible"] == 3 for rec in zfc)
         assert all(rec.sr_samples for rec in records if rec not in zfc)
 
-    def test_zfc_infeasible_recorded(self):
+    def test_zfc_infeasible_recorded(self, monkeypatch):
+        # with no feasible method, no rate is estimated
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an MI estimate was made")
+
+        monkeypatch.setattr(harness, "mutual_info_mc", unreachable)
         cfg = SystemConfig(n_mallory=7, seed=6)  # 6 streams fill C^6
-        spec = tiny_spec(methods=(Method.MAX_RP_ZFC,), n_realizations=3)
-        (rec,) = run_sweep(cfg, spec)
-        assert rec.trial_counts["n_zfc_infeasible"] == 3
-        assert rec.trial_counts["n_feasible"] == 0
-        assert math.isnan(rec.avg_sr)
+        spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(0.0, 4.0),
+                         methods=(Method.MAX_RP_ZFC,), n_realizations=3)
+        records = run_sweep(cfg, spec)
+        assert len(records) == 4
+        for rec in records:
+            assert rec.trial_counts["n_zfc_infeasible"] == 3
+            assert rec.trial_counts["n_feasible"] == 0
+            assert rec.trial_counts["n_ber_uses"] == 0
+            assert rec.sr_samples == ()
+            assert all(math.isnan(x)
+                       for x in (rec.avg_sr, rec.ber, rec.avg_sjnr_db))
+
+    def test_no_signal_power(self):
+        # beta = 0 puts all of Alice's power into AN: Bob sees no signal
+        spec = tiny_spec(snr_grid_db=(0.0, 10.0), methods=tuple(Method),
+                         n_realizations=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records = run_sweep(SystemConfig(beta=0.0), spec)
+        assert len(records) == 8
+        for rec in records:
+            assert rec.avg_sjnr_db == -math.inf
+            assert rec.avg_sr == 0.0
 
     @pytest.mark.parametrize("n_mallory", [2, 7])
     def test_realization_rates_match_single_calls(self, n_mallory):
@@ -843,6 +874,34 @@ class TestCli:
         assert err.startswith("error: ")
         assert str(blocker) in err
         assert "Traceback" not in err
+
+    def test_existing_write_probe_survives(self, tmp_path, capsys):
+        text = default_config_text()
+        for key, value in (("n_realizations", "1"), ("n_noise", "4"),
+                           ("n_ber_trials", "4"), ("snr_grid_db", "0"),
+                           ("methods", "max_rp")):
+            text = set_key(text, key, value)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".write_probe").write_text("user data")
+        assert main(["--config", str(path), "--out", str(out)]) == 0
+        assert (out / ".write_probe").read_text() == "user data"
+        assert sorted(p.name for p in out.iterdir()) == [
+            ".write_probe", "manifest.txt", "results.csv", "sr_cdf_0.csv"]
+
+    @pytest.mark.parametrize("argv", [[], ["--threads", "0"]],
+                             ids=["no-config", "zero-threads"])
+    def test_usage_error_exits_2(self, tmp_path, capsys, argv):
+        if argv:
+            path = tmp_path / "run.cfg"
+            path.write_text(default_config_text())
+            argv = ["--config", str(path), *argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: --" in capsys.readouterr().err
 
     def test_non_utf8_config_exits_cleanly(self, tmp_path, capsys):
         path = tmp_path / "binary.cfg"

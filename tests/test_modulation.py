@@ -66,6 +66,8 @@ class TestCodebook:
             build_codebook(3, 4)
         with pytest.raises(ValueError):
             build_codebook(8, 6)
+        with pytest.raises(ValueError, match="mod_order must be at least 2"):
+            build_codebook(2, 1)
 
 
 class TestTransmit:

@@ -65,6 +65,8 @@ class TestMaxEigvec:
             with pytest.raises(NotHermitianError):
                 max_eigvec_hermitian(scale * np.array([[1.0, 2.0],
                                                        [0.0, 1.0]]))
+        with pytest.raises(NotHermitianError, match=r"square: shape \(2, 3"):
+            max_eigvec_hermitian(np.ones((2, 3)))
 
     def test_rejects_nan(self):
         A = np.eye(3, dtype=complex)
@@ -83,6 +85,15 @@ class TestNullSpace:
     def test_full_rank_empty(self):
         U = null_space_basis(np.eye(3))
         assert U.shape == (3, 0)
+
+    @pytest.mark.parametrize("B, message", [
+        (np.ones(3), "expected a matrix, got ndim 1"),
+        (np.ones((1, 2, 2)), "expected a matrix, got ndim 3"),
+        (np.ones((0, 2)), "at least one row"),
+    ], ids=["vector", "stack", "zero-row"])
+    def test_rejects_non_matrix(self, B, message):
+        with pytest.raises(ValueError, match=message):
+            null_space_basis(B)
 
     def test_zero_matrix_identity(self):
         U = null_space_basis(np.zeros((4, 2)))
