@@ -9,6 +9,7 @@ noise variances to 10^(-snr/10) W (unit-power reference); the transmit
 powers enter separately through the system configuration.
 """
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, replace
@@ -191,8 +192,6 @@ def parse_config(text):
         except ValueError as exc:
             # Every constraint message starts with the field it checks.
             key = str(exc).split(" ", 1)[0]
-            if key not in lines:
-                key = None
             raise ConfigError(str(exc), key=key, line=lines.get(key))
 
     def build(cls):
@@ -303,38 +302,38 @@ def _realization_task(cfg, spec, r):
             "squared_errors": squared}
 
 
-def _pooled_partials(cfg, spec, workers):
+def _partials(cfg, spec, workers):
     """Per-realization results in index order, from this process plus
     workers - 1 pool processes, one realization per pool task.
 
-    The pool takes realizations from the head of the queue. This process
-    takes them from the tail, cancelling each still-pending one and
-    running it itself, until it meets one the pool has already taken. A
-    failure here, in the pool, or an interrupt cancels every pending
-    realization; the pool finishes at most those it holds.
+    This process runs realizations from the head (0, 1, ...) and the pool
+    from the tail (n-1, n-2, ...). At each step a failed pool task raises,
+    the pool gets the next tail realization if it holds fewer than two
+    per worker (one running, one queued), and else this process runs the
+    next head one. With one process that bound is 0 and no pool starts.
+    After a failure or an interrupt, leaving the pool waits for at most
+    the two realizations per worker that it holds.
     """
-    from concurrent.futures import ProcessPoolExecutor
+    pool = contextlib.nullcontext()
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-    # loaded once here, before the fork, not by every worker
-    import numpy.random  # noqa: F401
-    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [pool.submit(_realization_task, cfg, spec, r)
-                   for r in range(spec.n_realizations)]
-        try:
-            own, head = {}, 0
-            for r in reversed(range(len(futures))):
-                # a failed pool task ends the sweep now, not at the end
-                while head < r and futures[head].done():
-                    futures[head].result()
-                    head += 1
-                if not futures[r].cancel():
-                    break
-                own[r] = _realization_task(cfg, spec, r)
-            return [own[r] if r in own else future.result()
-                    for r, future in enumerate(futures)]
-        finally:
-            for future in futures:
-                future.cancel()
+        # loaded once here, before the fork, not by every worker
+        import numpy.random  # noqa: F401
+        pool = ProcessPoolExecutor(max_workers=workers - 1)
+    n, own, pooled, done = spec.n_realizations, [], [], 0
+    with pool:
+        while len(own) + len(pooled) < n:
+            # a failed pool task ends the sweep now, not at the end
+            while done < len(pooled) and pooled[done].done():
+                pooled[done].result()
+                done += 1
+            if len(pooled) < done + 2 * (workers - 1):
+                pooled.append(pool.submit(_realization_task, cfg, spec,
+                                          n - 1 - len(pooled)))
+            else:
+                own.append(_realization_task(cfg, spec, len(own)))
+    return own + [future.result() for future in reversed(pooled)]
 
 
 def _cpus():
@@ -350,17 +349,15 @@ def run_sweep(cfg, spec, threads=1):
     Realizations are independent work items reduced in index order, so
     the result is identical for any `threads` value. `threads` counts
     processes: this one plus threads - 1 pool workers, at most one
-    process per realization and one per CPU the process may run on. Each
-    realization is one pool task; a run on one process never imports
-    the pool.
+    process per realization and one per CPU the process may run on. Every
+    realization, on any number of processes, passes through the one loop
+    of `_partials`; a run on one process never imports the pool.
     Every count is one sum over the stacked realizations. An infeasible
     (cfg, spec) pair raises ValueError before any realization starts.
     """
     check_feasible(cfg, spec)
     workers = min(threads, spec.n_realizations, _cpus())
-    partials = (_pooled_partials(cfg, spec, workers) if workers > 1 else
-                [_realization_task(cfg, spec, r)
-                 for r in range(spec.n_realizations)])
+    partials = _partials(cfg, spec, workers)
     # (realization, SNR, P_M, method), the grid flattened in record order
     cells = {k: np.stack([p[k] for p in partials]).reshape(len(partials), -1)
              for k in partials[0]}

@@ -87,11 +87,23 @@ class TestParseConfig:
         assert info.value.key == "beta"
         assert info.value.line is not None
 
-    @pytest.mark.parametrize("key", ["power", "seed", "mod_order"])
-    def test_range_error_names_exact_key(self, key):
+    @pytest.mark.parametrize("key, value, message", [
+        ("power", "-1", "non-negative"),
+        ("power", "1e301", "at most 1e300"),
+        ("seed", "-1", "non-negative"),
+        ("mod_order", "1", "at least 2"),
+        ("n_tx", "0", "at least 1"),
+        ("n_rx", "0", "at least 1"),
+        ("n_realizations", "0", "at least 1"),
+        ("n_noise", "0", "at least 1"),
+        ("n_ber_trials", "0", "at least 1"),
+        ("an_mode", "bogus", "must be one of"),
+        ("output_dir", "", "non-empty"),
+    ], ids=["power", "power-bound", "seed", "mod_order", "n_tx", "n_rx",
+            "n_realizations", "n_noise", "n_ber_trials", "an_mode",
+            "output_dir"])
+    def test_range_error_names_exact_key(self, key, value, message):
         # the key comes from the constraint message, the line from the key
-        value, message = {"mod_order": ("1", "at least 2")}.get(
-            key, ("-1", "non-negative"))
         text = set_key(default_config_text(), key, value)
         with pytest.raises(ConfigError, match=message) as info:
             parse_config(text)
@@ -302,8 +314,9 @@ class TestRunSweep:
     @pytest.fixture
     def serial_pool(self, monkeypatch):
         """A fake pool that records its size and runs each realization
-        at submit, so every realization is taken before this process
-        reaches the tail. Returns the list of sizes asked for."""
+        at submit. Each of its realizations is done before this process
+        steps again, so it takes every realization. Returns the list of
+        sizes asked for."""
         asked = []
 
         class SerialPool:
@@ -325,6 +338,37 @@ class TestRunSweep:
                             SerialPool)
         return asked
 
+    def test_pool_holds_two_realizations_per_worker(self, monkeypatch):
+        # a fake pool whose realizations stay pending until it is left
+        submitted = []
+
+        class PendingPool:
+            def __init__(self, max_workers):
+                self.tasks = []
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                for future, fn, args in self.tasks:
+                    future.set_result(fn(*args))
+                return False
+
+            def submit(self, fn, *args):
+                submitted.append(args[-1])
+                self.tasks.append((Future(), fn, args))
+                return self.tasks[-1][0]
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            PendingPool)
+        monkeypatch.setattr(harness, "_cpus", lambda: 3)
+        cfg, spec = SystemConfig(seed=4), tiny_spec(n_realizations=10)
+        pooled = run_sweep(cfg, spec, threads=3)
+        # two workers, each with one realization running and one queued;
+        # this process runs the other six
+        assert submitted == [9, 8, 7, 6]
+        assert pooled == run_sweep(cfg, spec, threads=1)
+
     def test_pool_capped_at_realizations(self, monkeypatch, serial_pool):
         monkeypatch.setattr(harness, "_cpus", lambda: 64)
         cfg = SystemConfig(seed=4)
@@ -333,7 +377,7 @@ class TestRunSweep:
         assert serial_pool == [2]  # three processes: this one and two
         assert capped == run_sweep(cfg, spec, threads=1)
         run_sweep(cfg, tiny_spec(n_realizations=1), threads=64)
-        assert serial_pool == [2]  # one realization takes the serial path
+        assert serial_pool == [2]  # one realization starts no pool
 
     def test_pool_capped_at_cpus(self, monkeypatch, serial_pool):
         # without the CPU cap this would fork 39 workers; the fake pool
@@ -366,18 +410,20 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "_cpus", lambda: 2)
         cfg, spec = SystemConfig(seed=4), tiny_spec(n_realizations=8)
         pooled = run_sweep(cfg, spec, threads=2)
-        pids = [path.read_text() for path in tmp_path.iterdir()]
-        assert len(pids) == 8
-        assert str(os.getpid()) in pids and len(set(pids)) == 2
+        pids = {int(path.name): path.read_text()
+                for path in tmp_path.iterdir()}
+        assert len(pids) == 8 and len(set(pids.values())) == 2
+        # this process runs from the head, the worker from the tail
+        assert pids[0] == str(os.getpid()) != pids[7]
         assert pooled == run_sweep(cfg, spec, threads=1)
 
     @pytest.mark.parametrize("failing, error", [
-        (0, RuntimeError), (39, RuntimeError), (39, KeyboardInterrupt),
+        (39, RuntimeError), (0, RuntimeError), (0, KeyboardInterrupt),
     ], ids=["worker", "this-process", "interrupt"])
-    def test_failure_cancels_pending_work(self, monkeypatch, tmp_path,
-                                          failing, error):
+    def test_failure_ends_the_sweep(self, monkeypatch, tmp_path, failing,
+                                    error):
         # 40 realizations on 2 processes, 0.08 s each: the worker takes
-        # 0 onwards, this process 39 downwards
+        # 39 downwards, this process 0 onwards
         parent = os.getpid()
         real = harness.realize_channels
 
@@ -387,7 +433,7 @@ class TestRunSweep:
                 raise error(f"realization {index}")
             # this process's time counts from the worker's first
             # realization, which in the worker case is the failure
-            while os.getpid() == parent and not (tmp_path / "0").exists():
+            while os.getpid() == parent and not (tmp_path / "39").exists():
                 time.sleep(0.005)
             time.sleep(0.08)
             return real(cfg, index, an_mode=an_mode)
@@ -398,11 +444,9 @@ class TestRunSweep:
             run_sweep(SystemConfig(), tiny_spec(n_realizations=40),
                       threads=2)
         ran = {int(path.name) for path in tmp_path.iterdir()}
-        assert failing in ran
-        # the pool holds up to 3 realizations (one running, two queued)
-        # and may take a few more as the failure surfaces; the rest stay
-        # pending
-        assert not ran & set(range(12, 39)), sorted(ran)
+        # the pool holds 39 (running) and 38 (queued) and finishes both;
+        # nothing else is submitted
+        assert ran == {0, 38, 39}, sorted(ran)
 
     def test_serial_run_never_imports_the_pool(self):
         # a fresh interpreter: this one imported the pool long ago; nor
