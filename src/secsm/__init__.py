@@ -7,9 +7,8 @@ receive beamformers that counter it and estimates secrecy rate, BER and
 SJNR by Monte-Carlo simulation.
 """
 
-from .beamformers import (Beamformer, Method, ZfcInfeasibleError,
-                          compute_beamformer, max_rp, max_rp_zfc, max_sjnr,
-                          max_wfrp)
+from .beamformers import (Beamformer, Method, compute_beamformer, max_rp,
+                          max_rp_zfc, max_sjnr, max_wfrp)
 from .channel import (ChannelSet, SystemConfig, build_an_projection,
                       build_mallory_chain, build_tas_matrix, crandn,
                       derive_rng, realize_channels, sample_channels)

@@ -33,11 +33,6 @@ class Method(Enum):
     MAX_SJNR = "max_sjnr"
 
 
-class ZfcInfeasibleError(RuntimeError):
-    """The jamming subspace fills Bob's receive space; zero-forcing is
-    impossible for this realization."""
-
-
 @dataclass(frozen=True)
 class Beamformer:
     """A receive combining vector: unit norm, canonical phase, applied
@@ -80,12 +75,12 @@ def max_rp_zfc(chset, cfg):
     Restricts the combiner to the null space of F P_JM, spanned by the
     orthonormal columns of U, and maximizes receive power there: u = U eta
     with eta the dominant eigenvector of U^H H T T^H H^H U. Raises
-    ZfcInfeasibleError when the jamming subspace has full row rank.
+    ValueError when the jamming subspace has full row rank.
     """
     jam = chset.F_JM
     U = null_space_basis(jam)
     if U.shape[1] == 0:
-        raise ZfcInfeasibleError(
+        raise ValueError(
             f"ZFC infeasible: {jam.shape[1]} jamming streams fill the "
             f"{jam.shape[0]}-dimensional receive space")
     eta, _ = max_eigvec_hermitian(U.conj().T @ _signal_gram(chset) @ U)

@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .beamformers import (POINT_FREE, Method, ZfcInfeasibleError,
-                          compute_beamformer)
+from .beamformers import POINT_FREE, Method, compute_beamformer
 from .channel import AN_MODES, SystemConfig, derive_rng, realize_channels
 from .metrics import MetricsRecord, mutual_info_mc
 from .modulation import build_codebook
@@ -83,7 +82,9 @@ def check_feasible(cfg, spec):
     """Reject a (cfg, spec) pair that no realization could satisfy.
 
     Null-space artificial noise needs n_rx < n_active, or Bob's channel
-    leaves no null space to hide the noise in. The signal-to-noise ratio
+    leaves no null space to hide the noise in. max_rp_zfc needs
+    n_mallory <= n_rx, or the n_mallory - 1 jamming streams leave Bob no
+    receive dimension to zero-force them in. The signal-to-noise ratio
     beta * power * 10^(snr/10) may not exceed 1e300, or the whitened
     codebook distances overflow. The message starts with the offending
     key.
@@ -92,6 +93,10 @@ def check_feasible(cfg, spec):
         raise ValueError(
             f"n_rx must be below n_active = {cfg.n_active} for null-space "
             f"artificial noise, got {cfg.n_rx}")
+    if Method.MAX_RP_ZFC in spec.methods and cfg.n_mallory > cfg.n_rx:
+        raise ValueError(
+            f"methods max_rp_zfc needs n_mallory - 1 = {cfg.n_mallory - 1} "
+            f"jamming streams below n_rx = {cfg.n_rx}")
     signal, snr_db = cfg.beta * cfg.power, max(spec.snr_grid_db)
     # in the log domain: 10^(snr/10) alone overflows above 3082 dB
     if signal > 0.0 and math.log10(signal) + snr_db / 10.0 > 300.0:
@@ -251,34 +256,22 @@ def _point_config(cfg, snr_db, p_m):
 def _realization_task(cfg, spec, r):
     """All per-realization work for every grid point.
 
-    Returns {quantity: (SNR, P_M, method) array} for feasible, sr, sjnr
-    and the BER tally ber_uses, bit_errors, squared_errors. The POINT_FREE
-    builds decide feasibility at every point (only max_rp_zfc raises
-    ZfcInfeasibleError); an infeasible cell holds False and zeros, and
-    with no feasible method there is no MI call. Else the attacker's rate
-    is computed once per SNR, and Bob's rates, SJNRs and BER tallies of
-    the feasible methods come from one stacked call each: the methods
-    share one draw per grid point (common random numbers).
+    Returns {quantity: (SNR, P_M, method) array} for sr, sjnr and the BER
+    tally bit_errors, squared_errors. POINT_FREE methods are built once
+    and I_E once per SNR; Bob's rates, SJNRs and BER tallies come from
+    one stacked call each, the methods sharing one draw per grid point.
     """
     chset = realize_channels(cfg, r, an_mode=spec.an_mode)
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
     base, extra = divmod(spec.n_ber_trials, spec.n_realizations)
     ber_block = base + (1 if r < extra else 0)
 
-    fixed = {}
-    for m in spec.methods:
-        if m in POINT_FREE:
-            try:
-                fixed[m] = compute_beamformer(m, chset, cfg).u
-            except ZfcInfeasibleError:
-                pass
-    ok = np.array([m in fixed or m not in POINT_FREE for m in spec.methods])
-    live = [m for m, f in zip(spec.methods, ok) if f]
+    fixed = {m: compute_beamformer(m, chset, cfg).u
+             for m in spec.methods if m in POINT_FREE}
     shape = (len(spec.snr_grid_db), len(spec.p_m_list), len(spec.methods))
-    feasible = np.broadcast_to(ok, shape)
     sr, sjnr = np.zeros(shape), np.zeros(shape)
     errors, squared = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
-    for si, snr_db in enumerate(spec.snr_grid_db if live else ()):
+    for si, snr_db in enumerate(spec.snr_grid_db):
         # P_JM cancels the attacker's self-interference at u_er, so I_E
         # does not depend on P_M: P_M = 0 makes that cancellation exact
         i_eve = mutual_info_mc(
@@ -288,17 +281,16 @@ def _realization_task(cfg, spec, r):
             point = _point_config(cfg, snr_db, p_m)
             stack = np.array([
                 fixed[m] if m in fixed else
-                compute_beamformer(m, chset, point).u for m in live])
+                compute_beamformer(m, chset, point).u for m in spec.methods])
             i_bobs = mutual_info_mc(
                 stack, "bob", chset, point, spec.n_noise,
                 derive_rng(cfg.seed, _STREAM_MI_BOB, r, si, pi))
-            sr[si, pi, ok] = np.maximum(0.0, i_bobs - i_eve)
-            sjnr[si, pi, ok] = metrics.sjnr(stack, chset, point)
-            _, errors[si, pi, ok], squared[si, pi, ok] = metrics._ber_counts(
+            sr[si, pi] = np.maximum(0.0, i_bobs - i_eve)
+            sjnr[si, pi] = metrics.sjnr(stack, chset, point)
+            errors[si, pi], squared[si, pi] = metrics._ber_counts(
                 stack, chset, point, codebook, ber_block,
                 derive_rng(cfg.seed, _STREAM_BER, r, si, pi))
-    return {"feasible": feasible, "sr": sr, "sjnr": sjnr,
-            "ber_uses": np.where(feasible, ber_block, 0), "bit_errors": errors,
+    return {"sr": sr, "sjnr": sjnr, "bit_errors": errors,
             "squared_errors": squared}
 
 
@@ -361,34 +353,25 @@ def run_sweep(cfg, spec, threads=1):
     # (realization, SNR, P_M, method), the grid flattened in record order
     cells = {k: np.stack([p[k] for p in partials]).reshape(len(partials), -1)
              for k in partials[0]}
-    n_feasible, uses, errors, squared = (
-        cells[k].sum(axis=0).tolist()
-        for k in ("feasible", "ber_uses", "bit_errors", "squared_errors"))
+    errors, squared = (cells[k].sum(axis=0).tolist()
+                       for k in ("bit_errors", "squared_errors"))
 
     bits = build_codebook(cfg.n_active, cfg.mod_order).bits_per_use
     records = []
     grid = product(spec.snr_grid_db, spec.p_m_list, spec.methods)
     for c, (snr_db, p_m, method) in enumerate(grid):
-        ok = cells["feasible"][:, c]
-        srs = tuple(cells["sr"][ok, c].tolist())
-        avg_sr = float(np.mean(srs)) if srs else math.nan
-        mean_ratio = float(np.mean(cells["sjnr"][ok, c])) if srs else math.nan
-        if mean_ratio > 0.0:
-            avg_sjnr_db = 10.0 * math.log10(mean_ratio)
-        elif mean_ratio == 0.0:
-            avg_sjnr_db = -math.inf
-        else:
-            avg_sjnr_db = math.nan
-        ber = errors[c] / (uses[c] * bits) if uses[c] else math.nan
+        srs = tuple(cells["sr"][:, c].tolist())
+        ratio = float(np.mean(cells["sjnr"][:, c]))
         records.append(MetricsRecord(
             method=method, snr_db=float(snr_db), p_m=float(p_m),
-            avg_sr=avg_sr, ber=ber, avg_sjnr_db=avg_sjnr_db, sr_samples=srs,
+            avg_sr=float(np.mean(srs)), sr_samples=srs,
+            ber=errors[c] / (spec.n_ber_trials * bits),
+            avg_sjnr_db=10.0 * math.log10(ratio) if ratio else -math.inf,
+            # check_feasible rejects every ZFC-infeasible configuration
             trial_counts={
                 "n_realizations": spec.n_realizations,
-                "n_feasible": n_feasible[c],
-                "n_zfc_infeasible": spec.n_realizations - n_feasible[c],
-                "n_ber_uses": uses[c], "n_bit_errors": errors[c],
-                "ber_squared_errors": squared[c]}))
+                "n_zfc_infeasible": 0, "n_ber_uses": spec.n_ber_trials,
+                "n_bit_errors": errors[c], "ber_squared_errors": squared[c]}))
     return records
 
 

@@ -180,9 +180,9 @@ def _ber_counts(u, chset, cfg, codebook, n_trials, rng):
     """Bit-error tally of the combiner u over n_trials random codebook
     transmissions.
 
-    Returns (uses, bit_errors, squared_error_sum); the squared sum of
-    per-use bit errors supports an empirical variance estimate. For a
-    stack of combiners the two sums are arrays over its leading axes.
+    Returns (bit_errors, squared_error_sum); the squared sum of per-use
+    bit errors supports an empirical variance estimate. For a stack of
+    combiners both sums are arrays over its leading axes.
 
     The trials run in Bob's scalar_channel, z = r_idx + sqrt(power) n.
     Per block of BER_BLOCK_TRIALS the draws are the codebook indices,
@@ -211,8 +211,8 @@ def _ber_counts(u, chset, cfg, codebook, n_trials, rng):
             tally += (e.sum(), (e * e).sum())
     errors, squared = tallies.T.reshape((2,) + shape)
     if not shape:
-        return n_trials, int(errors), int(squared)
-    return n_trials, errors, squared
+        return int(errors), int(squared)
+    return errors, squared
 
 
 _FLOP_COEFFS = {

@@ -148,8 +148,8 @@ def ber_counts_antenna_domain(u, chset, cfg, codebook, n_trials, rng):
     Draws receive_bob samples, builds R_w from the ChannelSet matrices,
     whitens with u^H / sqrt(u^H R_w u) and detects by ML over the
     codebook; bit errors are popcounts of the label differences. Returns
-    (uses, bit_errors, squared_error_sum) like metrics._ber_counts, from
-    a different draw order.
+    (bit_errors, squared_error_sum) like metrics._ber_counts, from a
+    different draw order.
     """
     H, T = chset.H, chset.T
     idx = rng.integers(codebook.size, size=n_trials)
@@ -162,4 +162,4 @@ def ber_counts_antenna_domain(u, chset, cfg, codebook, n_trials, rng):
     diff = (codebook.labels[idx] ^ codebook.labels[detected]).astype(">u8")
     errs = np.unpackbits(diff.view(np.uint8).reshape(n_trials, 8),
                          axis=1).sum(axis=1).astype(np.int64)
-    return n_trials, int(errs.sum()), int((errs * errs).sum())
+    return int(errs.sum()), int((errs * errs).sum())

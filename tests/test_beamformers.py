@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secsm.beamformers import (Method, ZfcInfeasibleError,
-                               compute_beamformer, max_rp, max_rp_zfc,
-                               max_sjnr, max_wfrp)
+from secsm.beamformers import (Method, compute_beamformer, max_rp,
+                               max_rp_zfc, max_sjnr, max_wfrp)
 from secsm.channel import (AN_MODES, ChannelSet, SystemConfig,
                            build_mallory_chain, crandn, derive_rng,
                            realize_channels)
+from secsm.harness import SweepSpec, check_feasible
 from secsm.metrics import sjnr
 from secsm.numerics import null_space_basis
 
@@ -149,8 +149,32 @@ class TestMaxRpZfc:
     def test_infeasible_raises(self):
         cfg = SystemConfig(n_mallory=7)  # 6 jamming streams fill C^6
         ch = realize_channels(cfg, 0)
-        with pytest.raises(ZfcInfeasibleError):
+        with pytest.raises(ValueError, match="ZFC infeasible"):
             max_rp_zfc(ch, cfg)
+
+    def test_feasible_exactly_when_n_mallory_at_most_n_rx(self):
+        # rank(F P_JM) = n_mallory - 1 almost surely, so the null space
+        # has width n_rx - n_mallory + 1 in every realization or in none;
+        # check_feasible rejects exactly the geometries where it is empty
+        zfc = SweepSpec(methods=(Method.MAX_RP_ZFC,))
+        for n_rx in (1, 2, 3, 6):
+            for n_mallory in range(2, 9):
+                cfg = SystemConfig(n_rx=n_rx, n_mallory=n_mallory)
+                feasible = n_mallory <= n_rx
+                for r in range(25):
+                    ch = realize_channels(cfg, r)
+                    width = null_space_basis(ch.F_JM).shape[1]
+                    assert width == max(0, n_rx - n_mallory + 1)
+                    if feasible:
+                        max_rp_zfc(ch, cfg)
+                    else:
+                        with pytest.raises(ValueError, match="ZFC"):
+                            max_rp_zfc(ch, cfg)
+                if feasible:
+                    check_feasible(cfg, zfc)
+                else:
+                    with pytest.raises(ValueError, match="^methods"):
+                        check_feasible(cfg, zfc)
 
 
 class TestMaxSjnr:
@@ -262,7 +286,8 @@ class TestBeamformerProperties:
         for method in Method:
             try:
                 bf = compute_beamformer(method, ch, cfg)
-            except ZfcInfeasibleError:
+            except ValueError as exc:
+                assert "ZFC infeasible" in str(exc)
                 assert method is Method.MAX_RP_ZFC
                 assert cfg.n_mallory - 1 >= cfg.n_rx
                 continue

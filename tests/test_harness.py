@@ -18,8 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secsm import harness, metrics
-from secsm.beamformers import (POINT_FREE, Method, ZfcInfeasibleError,
-                               compute_beamformer)
+from secsm.beamformers import POINT_FREE, Method, compute_beamformer
 from secsm.channel import AN_MODES, SystemConfig, derive_rng, realize_channels
 from secsm.cli import main
 from secsm.harness import (ConfigError, SweepSpec, default_config_text,
@@ -172,6 +171,21 @@ class TestParseConfig:
                                               "an_mode = random"))
         assert (cfg.n_rx, spec.an_mode) == (9, "random")
 
+    def test_zfc_needs_n_mallory_at_most_n_rx(self):
+        # six jamming streams fill Bob's 6 receive dimensions
+        text = set_key(default_config_text(), "n_mallory", "7")
+        with pytest.raises(ConfigError,
+                           match="n_mallory - 1 = 6 .*n_rx = 6") as info:
+            parse_config(text)
+        assert info.value.key == "methods"
+        assert info.value.line == line_of(text, "methods")
+        # n_mallory = n_rx leaves one receive dimension to zero-force in
+        six = set_key(default_config_text(), "n_mallory", "6")
+        assert parse_config(six)[0].n_mallory == 6
+        # and without max_rp_zfc there is no bound
+        cfg, spec = parse_config(set_key(text, "methods", "max_rp, max_sjnr"))
+        assert (cfg.n_mallory, len(spec.methods)) == (7, 2)
+
     def test_single_antenna_attacker_rejected(self):
         text = default_config_text().replace("n_mallory = 2",
                                              "n_mallory = 1")
@@ -225,9 +239,17 @@ class TestParseConfig:
         # null-space AN needs n_rx < n_active, so at least 2 TX antennas
         n_tx = data.draw(st.integers(2 if nullspace else 1, 64))
         max_rx = SystemConfig(n_tx=n_tx).n_active - 1 if nullspace else 64
+        n_rx = data.draw(st.integers(1, max_rx))
+        # max_rp_zfc needs n_mallory <= n_rx, so at least 2 RX antennas
+        choices = [m for m in Method
+                   if n_rx > 1 or m is not Method.MAX_RP_ZFC]
+        methods = tuple(data.draw(st.lists(
+            st.sampled_from(choices), min_size=1, max_size=len(choices),
+            unique=True)))
         cfg = SystemConfig(
-            n_tx=n_tx, n_rx=data.draw(st.integers(1, max_rx)),
-            n_mallory=data.draw(st.integers(2, 16)),
+            n_tx=n_tx, n_rx=n_rx,
+            n_mallory=data.draw(st.integers(
+                2, n_rx if Method.MAX_RP_ZFC in methods else 16)),
             power=data.draw(nonneg),
             beta=data.draw(st.floats(0.0, 1.0)),
             mod_order=1 << data.draw(st.integers(1, 8)),
@@ -246,9 +268,7 @@ class TestParseConfig:
             p_m_list=tuple(data.draw(st.lists(
                 st.floats(0.0, 1e300), min_size=1, max_size=5,
                 unique=True))),
-            methods=tuple(data.draw(st.lists(
-                st.sampled_from(Method), min_size=1, max_size=4,
-                unique=True))),
+            methods=methods,
             n_realizations=data.draw(st.integers(1, 10 ** 6)),
             n_noise=data.draw(st.integers(1, 10 ** 6)),
             n_ber_trials=data.draw(st.integers(1, 10 ** 9)),
@@ -282,7 +302,7 @@ class TestRunSweep:
         rec = records[0]
         assert rec.method is Method.MAX_RP
         assert rec.trial_counts["n_realizations"] == 1
-        assert rec.trial_counts["n_feasible"] == 1
+        assert rec.trial_counts["n_zfc_infeasible"] == 0
         assert rec.trial_counts["n_ber_uses"] == 7
         assert len(rec.sr_samples) == 1
         assert 0.0 <= rec.avg_sr <= 5.0
@@ -482,39 +502,29 @@ class TestRunSweep:
     def test_record_fields_are_builtin(self):
         # _fmt writes repr(value): a numpy scalar would print as
         # np.float64(...) under numpy 2
-        cfg = SystemConfig(n_mallory=7, seed=6)  # ZFC infeasible
+        cfg = SystemConfig(n_mallory=6, seed=6)
         spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
                          methods=tuple(Method), n_realizations=3)
         records = run_sweep(cfg, spec)
         assert len(records) == 16
         for rec in records:
+            assert len(rec.sr_samples) == 3
             for value in (rec.snr_db, rec.p_m, rec.avg_sr, rec.ber,
                           rec.avg_sjnr_db, *rec.sr_samples):
                 assert type(value) is float, (rec, value)
             for value in rec.trial_counts.values():
                 assert type(value) is int, (rec, value)
-        zfc = [rec for rec in records if rec.method is Method.MAX_RP_ZFC]
-        assert all(rec.trial_counts["n_zfc_infeasible"] == 3 for rec in zfc)
-        assert all(rec.sr_samples for rec in records if rec not in zfc)
 
-    def test_zfc_infeasible_recorded(self, monkeypatch):
-        # with no feasible method, no rate is estimated
-        def unreachable(*args, **kwargs):
-            raise AssertionError("an MI estimate was made")
-
-        monkeypatch.setattr(harness, "mutual_info_mc", unreachable)
-        cfg = SystemConfig(n_mallory=7, seed=6)  # 6 streams fill C^6
-        spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(0.0, 4.0),
-                         methods=(Method.MAX_RP_ZFC,), n_realizations=3)
-        records = run_sweep(cfg, spec)
-        assert len(records) == 4
-        for rec in records:
-            assert rec.trial_counts["n_zfc_infeasible"] == 3
-            assert rec.trial_counts["n_feasible"] == 0
-            assert rec.trial_counts["n_ber_uses"] == 0
-            assert rec.sr_samples == ()
-            assert all(math.isnan(x)
-                       for x in (rec.avg_sr, rec.ber, rec.avg_sjnr_db))
+    def test_records_independent_of_other_methods(self):
+        # the stacked calls compute each row on its own, so a method's
+        # records do not depend on which other methods the sweep runs
+        cfg = SystemConfig(seed=6)
+        spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
+                         methods=tuple(Method), n_realizations=3)
+        full = run_sweep(cfg, spec)
+        others = tuple(m for m in Method if m is not Method.MAX_RP_ZFC)
+        assert run_sweep(cfg, replace(spec, methods=others)) == [
+            rec for rec in full if rec.method is not Method.MAX_RP_ZFC]
 
     def test_no_signal_power(self):
         # beta = 0 puts all of Alice's power into AN: Bob sees no signal
@@ -528,15 +538,16 @@ class TestRunSweep:
             assert rec.avg_sjnr_db == -math.inf
             assert rec.avg_sr == 0.0
 
-    @pytest.mark.parametrize("n_mallory", [2, 7])
+    @pytest.mark.parametrize("n_mallory", [2, 6])
     def test_realization_rates_match_single_calls(self, n_mallory):
-        # n_mallory = 7: six jamming streams fill C^6, ZFC is infeasible
+        # n_mallory = 6: five jamming streams leave ZFC one dimension of C^6
         cfg = SystemConfig(n_mallory=n_mallory, seed=8)
         spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
                          methods=tuple(Method), n_realizations=3,
                          n_ber_trials=600)
         r = 2
         out = harness._realization_task(cfg, spec, r)
+        assert out.keys() == {"sr", "sjnr", "bit_errors", "squared_errors"}
         chset = realize_channels(cfg, r, an_mode=spec.an_mode)
         codebook = build_codebook(cfg.n_active, cfg.mod_order)
         errors = 0
@@ -556,21 +567,13 @@ class TestRunSweep:
                 i_bobs = []
                 for mi, method in enumerate(spec.methods):
                     cell = si, pi, mi
-                    feasible, sr, ratio = (out[k][cell]
-                                           for k in ("feasible", "sr", "sjnr"))
-                    tally = tuple(out[k][cell] for k in (
-                        "ber_uses", "bit_errors", "squared_errors"))
-                    try:
-                        bf = compute_beamformer(method, chset, point)
-                    except ZfcInfeasibleError:
-                        assert (method, n_mallory) == (Method.MAX_RP_ZFC, 7)
-                        assert not feasible
-                        assert all(out[k][cell] == 0 for k in out)
-                        continue
+                    sr, ratio = out["sr"][cell], out["sjnr"][cell]
+                    tally = (out["bit_errors"][cell],
+                             out["squared_errors"][cell])
+                    bf = compute_beamformer(method, chset, point)
                     i_bob = mutual_info_mc(
                         bf.u, "bob", chset, point, spec.n_noise,
                         rng(harness._STREAM_MI_BOB))
-                    assert feasible
                     assert sr == max(0.0, i_bob - i_eve)
                     i_bobs.append(i_bob)
                     assert ratio == metrics.sjnr(bf.u, chset, point)
@@ -578,7 +581,7 @@ class TestRunSweep:
                     assert tally == metrics._ber_counts(
                         bf.u, chset, point, codebook, 200,
                         rng(harness._STREAM_BER))
-                    errors += tally[1]
+                    errors += tally[0]
                 # some secrecy rate is above the hinge, so i_eve is checked
                 assert max(i_bobs) > i_eve
         assert errors > 0  # the tallies have errors to compare
@@ -694,6 +697,27 @@ class TestRunSweep:
                 run_sweep(SystemConfig(n_rx=9), tiny_spec(), threads=threads)
         with pytest.raises(AssertionError, match="a realization started"):
             run_sweep(SystemConfig(n_rx=9), tiny_spec(an_mode="random"))
+
+    def test_zfc_infeasible_rejected_before_any_realization(
+            self, monkeypatch):
+        def unreachable(cfg, spec, r):
+            raise AssertionError("a realization started")
+
+        monkeypatch.setattr(harness, "_realization_task", unreachable)
+        cfg = SystemConfig(n_mallory=7)  # six streams fill Bob's C^6
+        others = tuple(m for m in Method if m is not Method.MAX_RP_ZFC)
+        for threads in (1, 2):
+            with pytest.raises(ValueError,
+                               match="^methods .*n_mallory - 1 = 6 "):
+                run_sweep(cfg, tiny_spec(methods=tuple(Method)),
+                          threads=threads)
+        with pytest.raises(AssertionError, match="a realization started"):
+            run_sweep(cfg, tiny_spec(methods=others))
+        # without max_rp_zfc the geometry runs
+        monkeypatch.undo()
+        records = run_sweep(cfg, tiny_spec(methods=others), threads=2)
+        assert [rec.method for rec in records] == list(others)
+        assert all(len(rec.sr_samples) == 4 for rec in records)
 
     def test_snr_bound_rejected_before_any_realization(self, monkeypatch):
         def unreachable(cfg, spec, r):
@@ -934,6 +958,35 @@ class TestCli:
         assert (out / ".write_probe").read_text() == "user data"
         assert sorted(p.name for p in out.iterdir()) == [
             ".write_probe", "manifest.txt", "results.csv", "sr_cdf_0.csv"]
+
+    def test_manifest_independent_of_out(self, tmp_path, capsys):
+        # the manifest records the document's output_dir, not --out, so
+        # two output directories of one document compare equal by diff -r
+        text = default_config_text()
+        for key, value in (("n_realizations", "1"), ("n_noise", "4"),
+                           ("n_ber_trials", "4"), ("snr_grid_db", "0"),
+                           ("methods", "max_rp")):
+            text = set_key(text, key, value)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        manifests = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["--config", str(path), "--out", str(out)]) == 0
+            manifests.append((out / "manifest.txt").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert b"\noutput_dir = results\n" in manifests[0]
+
+    def test_zfc_infeasible_exits_before_output(self, tmp_path, capsys):
+        text = set_key(default_config_text(), "n_mallory", "7")
+        path = tmp_path / "zfc.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: methods")
+        assert f"key 'methods', line {line_of(text, 'methods')}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [[], ["--threads", "0"]],
                              ids=["no-config", "zero-threads"])

@@ -48,7 +48,7 @@ def ber_over(method, sets, cfg, trials_per_set, rng):
     _ber_counts trials on each, all drawn from the one rng in turn."""
     cb = build_codebook(cfg.n_active, cfg.mod_order)
     errors = sum(_ber_counts(compute_beamformer(method, ch, cfg).u, ch,
-                             cfg, cb, trials_per_set, rng)[1] for ch in sets)
+                             cfg, cb, trials_per_set, rng)[0] for ch in sets)
     return errors / (len(sets) * trials_per_set * cb.bits_per_use)
 
 
@@ -277,10 +277,10 @@ class TestMutualInfo:
         assert ratios.tolist() == [sjnr(u, ch, cfg) for u in U]
         # a full block and a partial one
         n = BER_BLOCK_TRIALS + 37
-        uses, errors, squared = _ber_counts(U, ch, cfg, cb, n,
-                                            derive_rng(3, 9, 42))
+        errors, squared = _ber_counts(U, ch, cfg, cb, n,
+                                      derive_rng(3, 9, 42))
         for k, u in enumerate(U):
-            assert (uses, errors[k], squared[k]) == _ber_counts(
+            assert (errors[k], squared[k]) == _ber_counts(
                 u, ch, cfg, cb, n, derive_rng(3, 9, 42))
         assert errors.sum() > 0  # the tallies have errors to compare
 
@@ -342,9 +342,8 @@ class TestMlDetect:
         cb = build_codebook(8, 4)
         u = compute_beamformer(Method.MAX_RP, ch, cfg).u
         # 1000 uniform draws miss one of the 32 entries with p < 1e-12
-        uses, errors, _ = _ber_counts(u, ch, cfg, cb, 1000,
-                                      derive_rng(3, 9, 15))
-        assert (uses, errors) == (1000, 0)
+        errors, _ = _ber_counts(u, ch, cfg, cb, 1000, derive_rng(3, 9, 15))
+        assert errors == 0
 
     def test_scale_invariant_decision(self):
         # (P, sigma^2, P_M) -> 9 (P, sigma^2, P_M) scales every term of
@@ -362,7 +361,7 @@ class TestMlDetect:
             a = _ber_counts(u, ch, cfg, cb, 50, derive_rng(3, 9, 16))
             b = _ber_counts(u9, ch, big, cb, 50, derive_rng(3, 9, 16))
             assert a == b
-        assert a[1] > 0  # the realized case makes errors to compare
+        assert a[0] > 0  # the realized case makes errors to compare
 
 
 class TestBer:
@@ -408,9 +407,10 @@ class TestBer:
             assert b_wf <= b_rp + allow
 
 
-def ber_and_se(counts, bits):
-    """BER and its standard error from (uses, errors, squared errors)."""
-    uses, errors, squared = counts
+def ber_and_se(counts, uses, bits):
+    """BER and its standard error from (errors, squared errors) over
+    `uses` trials."""
+    errors, squared = counts
     mean = errors / uses
     var = max(squared / uses - mean * mean, 0.0)
     return mean / bits, math.sqrt(var / uses) / bits
@@ -440,9 +440,8 @@ class TestBatchedBerCounts:
                                       derive_rng(3, 9, tag, k))
                 looped = ber_counts_antenna_domain(
                     u, ch, point, cb, n, derive_rng(3, 9, ref_tag, k))
-                assert batched[0] == looped[0] == n
-                b, b_se = ber_and_se(batched, cb.bits_per_use)
-                r, r_se = ber_and_se(looped, cb.bits_per_use)
+                b, b_se = ber_and_se(batched, n, cb.bits_per_use)
+                r, r_se = ber_and_se(looped, n, cb.bits_per_use)
                 assert b > 0.0
                 assert abs(b - r) <= 3.0 * math.hypot(b_se, r_se), \
                     (tag, snr, b, r, abs(b - r) / math.hypot(b_se, r_se))
@@ -454,9 +453,8 @@ class TestBatchedBerCounts:
         ch = realize_channels(cfg, 0)
         cb = build_codebook(cfg.n_active, cfg.mod_order)
         u = compute_beamformer(Method.MAX_SJNR, ch, cfg).u
-        uses, errors, squared = _ber_counts(u, ch, cfg, cb, n_trials,
-                                            derive_rng(3, 9, 32))
-        assert uses == n_trials
+        errors, squared = _ber_counts(u, ch, cfg, cb, n_trials,
+                                      derive_rng(3, 9, 32))
         assert 0 <= errors <= squared <= n_trials * cb.bits_per_use ** 2
         assert errors <= n_trials * cb.bits_per_use
 
@@ -468,9 +466,9 @@ class TestBatchedBerCounts:
         ch = realize_channels(cfg, 1)
         cb = build_codebook(8, 4)
         u = compute_beamformer(Method.MAX_RP, ch, cfg).u
-        uses, errors, _ = _ber_counts(u, ch, cfg, cb, 100_000,
-                                      derive_rng(3, 9, 17))
-        assert errors / (uses * cb.bits_per_use) == \
+        errors, _ = _ber_counts(u, ch, cfg, cb, 100_000,
+                                derive_rng(3, 9, 17))
+        assert errors / (100_000 * cb.bits_per_use) == \
             pytest.approx(0.5, abs=0.01)
 
     def test_stack_noiseless_and_empty(self):
@@ -482,16 +480,12 @@ class TestBatchedBerCounts:
         cb = build_codebook(cfg.n_active, cfg.mod_order)
         U = np.array([compute_beamformer(m, ch, cfg).u
                       for m in (Method.MAX_RP, Method.MAX_RP_ZFC)])
-        uses, errors, squared = _ber_counts(U, ch, cfg, cb, 300,
-                                            derive_rng(3, 9, 44))
-        assert uses == 300
-        assert errors.tolist() == squared.tolist() == [0, 0]
-        uses, errors, squared = _ber_counts(U, ch, cfg, cb, 0,
-                                            derive_rng(3, 9, 44))
-        assert uses == 0
-        assert errors.tolist() == squared.tolist() == [0, 0]
+        for n_trials in (300, 0):
+            errors, squared = _ber_counts(U, ch, cfg, cb, n_trials,
+                                          derive_rng(3, 9, 44))
+            assert errors.tolist() == squared.tolist() == [0, 0]
         single = _ber_counts(U[0], ch, cfg, cb, 0, derive_rng(3, 9, 44))
-        assert single == (0, 0, 0)
+        assert single == (0, 0)
         assert all(type(x) is int for x in single)
 
     def test_same_seed_same_counts(self):
@@ -502,7 +496,7 @@ class TestBatchedBerCounts:
         runs = [_ber_counts(u, ch, cfg, cb, 1000, derive_rng(3, 9, 34))
                 for _ in range(2)]
         assert runs[0] == runs[1]
-        assert runs[0][1] > 0
+        assert runs[0][0] > 0
 
 
 class TestFlops:
