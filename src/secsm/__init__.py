@@ -21,6 +21,6 @@ from .numerics import (NotHermitianError, NotPositiveDefiniteError,
                        canonical_phase, gen_max_eigvec, max_eigvec_hermitian,
                        null_space_basis, whitening_matrix)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 # Recorded in run manifests; the MI kernel is metrics.mi_inner_mean.
 kernel_backend = "numpy"

@@ -151,17 +151,44 @@ def mi_inner_mean(diffs, noise):
     return acc / (K * T)
 
 
+def _lattice_noise(rng, K, n):
+    """K x n unit complex Gaussian noise, one stratified row per codebook
+    entry, in polar coordinates.
+
+    Row i's squared radii are the Exp(1) quantiles -log1p(-(t + w_i)/n),
+    one in each of the n equal-probability cells t = 0..n-1, and its
+    angles 2 pi (perm(t) + psi_i)/n, one in each of the n sectors, with
+    w_i and psi_i uniform per row. The permutation perm is drawn once
+    per call and pairs radius cells with angle sectors in every row. A
+    sample picked uniformly from a row is exactly CN(0, 1), so a row's
+    mean of any function is unbiased.
+    """
+    perm = rng.permutation(n)
+    w, psi = rng.random((2, K, 1))
+    # -log((n - t - w)/n) equals -log1p(-(t + w)/n); n - t - w >= 1 - w > 0
+    # keeps the last cell finite for every w in [0, 1)
+    radius = np.sqrt(-np.log((np.arange(n, 0, -1.0) - w) / n))
+    # exp(i(a + b)) = exp(ia) exp(ib): trig on n + K angles, not K n
+    step = 2.0 * math.pi / n
+    noise = np.exp(1j * step * psi) * np.exp(1j * step * perm)
+    noise *= radius
+    return noise
+
+
 def mutual_info_mc(u, side, chset, cfg, n_noise, rng):
     """Monte-Carlo mutual information of the scalar channel of u.
 
     The channel is whitened by its noise power; for every codebook
-    entry, n_noise unit complex Gaussian draws feed mi_inner_mean. The
-    result is clamped to [0, log2(size)] bits.
+    entry, a row of n_noise CN(0, 1) samples feeds mi_inner_mean. The
+    rows are a stratified lattice (_lattice_noise), one sample per
+    equal-probability radius cell and per angle sector, so each entry's
+    average is unbiased and spreads less than one over independent
+    draws. The result is clamped to [0, log2(size)] bits.
 
     u is one combiner (a float is returned) or an m x n_rx stack of
     combiners (an array of m estimates is returned). The K x n_noise
-    noise is drawn once and shared by every combiner in the stack, so a
-    row's estimate equals a single call on an identically seeded rng.
+    lattice is drawn once and shared by every combiner in the stack, so
+    a row's estimate equals a single call on an identically seeded rng.
     """
     if n_noise < 1:
         raise ValueError("n_noise must be at least 1")
@@ -169,7 +196,7 @@ def mutual_info_mc(u, side, chset, cfg, n_noise, rng):
     g = r / np.sqrt(_positive(power))[..., None]
     K = r.shape[-1]
     diffs = (g[..., :, None] - g[..., None, :]).reshape(-1, K, K)
-    noise = crandn(rng, K, n_noise)
+    noise = _lattice_noise(rng, K, n_noise)
     top = math.log2(K)
     bits = np.array([np.clip(top - mi_inner_mean(d, noise), 0.0, top)
                      for d in diffs]).reshape(r.shape[:-1])

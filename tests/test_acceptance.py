@@ -38,6 +38,16 @@ def sr_se(record):
     return float(np.std(samples) / math.sqrt(len(samples)))
 
 
+def allowances(lo, hi):
+    """(paired, unpaired) slack for lo.avg_sr <= hi.avg_sr: twice the SE
+    of the per-realization differences of the aligned sr_samples, which
+    share every channel and draw, and twice the SE as if independent.
+    The paired one is the bound; the other is reported beside it."""
+    diff = np.subtract(hi.sr_samples, lo.sr_samples)
+    paired = 2.0 * float(np.std(diff) / math.sqrt(len(diff)))
+    return paired, 2.0 * math.hypot(sr_se(lo), sr_se(hi))
+
+
 def ber_se(record):
     counts = record.trial_counts
     uses = counts["n_ber_uses"]
@@ -80,11 +90,14 @@ def test_criterion_01_sr_method_ordering(sr_sweep):
     table, elapsed = sr_sweep
     ok = True
     notes = []
+    allows = []
     for snr in (-5.0, 0.0, 5.0):
         recs = {m: table[snr, 1.0, m] for m in ORDERED}
         chain = (Method.MAX_RP, Method.MAX_RP_ZFC, Method.MAX_WFRP)
         for lo, hi in zip(chain, chain[1:]):
-            allow = 2.0 * math.hypot(sr_se(recs[lo]), sr_se(recs[hi]))
+            allow, unpaired = allowances(recs[lo], recs[hi])
+            allows.append(f"{lo.value[4:]}<={hi.value[4:]}@{snr:+.0f}dB "
+                          f"{allow:.4f}/{unpaired:.4f}")
             if not recs[lo].avg_sr <= recs[hi].avg_sr + allow:
                 ok = False
                 notes.append(f"{lo.value}>{hi.value}@{snr:+.0f}dB")
@@ -98,6 +111,7 @@ def test_criterion_01_sr_method_ordering(sr_sweep):
                                     for m in ORDERED)
         for snr in (-5.0, 0.0, 5.0))
     report(1, ok, f"SR ordering rp<=zfc<=wfrp~sjnr ({summary}; "
+                  f"paired/unpaired allowances {', '.join(allows)}; "
                   f"{elapsed:.0f}s)" + (" " + ";".join(notes) if notes else ""))
 
 
@@ -140,7 +154,7 @@ def test_criterion_04_high_jamming_degradation(sr_sweep):
         rp10 = table[snr, 10.0, Method.MAX_RP]
         sj1 = table[snr, 1.0, Method.MAX_SJNR]
         sj10 = table[snr, 10.0, Method.MAX_SJNR]
-        allow = 2.0 * math.hypot(sr_se(rp1), sr_se(rp10))
+        allow, unpaired = allowances(rp10, rp1)
         if not rp10.avg_sr <= rp1.avg_sr + allow:
             ok = False
             notes.append(f"max_rp not degraded@{snr:+.0f}dB")
@@ -149,7 +163,8 @@ def test_criterion_04_high_jamming_degradation(sr_sweep):
         if not gap_sj < gap_rp:
             ok = False
             notes.append(f"gap order@{snr:+.0f}dB")
-        notes.append(f"{snr:+.0f}dB:rp {gap_rp:+.3f}/sjnr {gap_sj:+.3f}")
+        notes.append(f"{snr:+.0f}dB:rp {gap_rp:+.3f}/sjnr {gap_sj:+.3f} "
+                     f"allow {allow:.4f}/{unpaired:.4f}")
     report(4, ok, "P_M 1W->10W SR loss, max_rp vs max_sjnr "
                   f"({'; '.join(notes)})")
 
@@ -267,7 +282,7 @@ def test_criterion_08_mi_estimator_vs_quadrature():
         mc = mutual_info_mc(u, "bob", ch, cfg, 20_000, derive_rng(8, 0, 0))
         exact = bpsk_mi_quadrature(2.0 * math.sqrt(cfg.power / noise_var))
         worst = max(worst, abs(mc - exact))
-    ok = worst <= 0.02
+    ok = worst <= 0.005
     report(8, ok, f"BPSK MI matches 1-D quadrature at 4 SNRs "
                   f"(worst |err| {worst:.4f} bits)")
 
