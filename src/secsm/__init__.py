@@ -21,6 +21,8 @@ from .numerics import (NotHermitianError, NotPositiveDefiniteError,
                        canonical_phase, gen_max_eigvec, max_eigvec_hermitian,
                        null_space_basis, whitening_matrix)
 
-__version__ = "0.2.0"
-# Recorded in run manifests; the MI kernel is metrics.mi_inner_mean.
+__version__ = "0.3.0"
+# Recorded in run manifests. The MI kernel, metrics.mi_inner_mean, is
+# numpy: per codebook entry, one batched matmul of separable Re- and
+# Im-axis exponential factors over a randomly shifted noise grid.
 kernel_backend = "numpy"

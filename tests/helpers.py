@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from secsm.metrics import mi_inner_mean, scalar_channel
+from secsm.metrics import scalar_channel
 
 
 def crandn_t(rng, *shape):
@@ -118,16 +118,30 @@ def bpsk_mi_quadrature(d, n_nodes=201):
     return 1.0 - float(weights @ f) / np.sqrt(np.pi)
 
 
+def dense_log2_sums(diffs, noise):
+    """log2 sum_j exp(-|d_ij|^2 - 2 Re(d_ij conj(n_it))) for every entry i
+    and draw t, a K x T array from the K x K differences d and the K x T
+    noise draws n: the exponent is -|d_ij + n_it|^2 + |n_it|^2 in a
+    cancellation-free form, from one real matmul of the coefficients
+    [-2 Re d_ij, -2 Im d_ij, -|d_ij|^2] with the draws [Re n, Im n, 1].
+    The dense kernel metrics.mi_inner_mean used before its separable
+    product grid."""
+    coef = np.stack([-2.0 * diffs.real, -2.0 * diffs.imag,
+                     -np.abs(diffs) ** 2], axis=-1)
+    draws = np.stack([noise.real, noise.imag, np.ones(noise.shape)], axis=1)
+    return np.log2(np.exp(coef @ draws).sum(axis=1))
+
+
 def mutual_info_iid(u, side, chset, cfg, n_noise, rng):
     """Mutual information of one combiner's scalar channel from n_noise
     independent CN(0, 1) draws per codebook entry, clamped to
     [0, log2 K]: the estimator metrics.mutual_info_mc used before its
-    stratified lattice, kept as the oracle for its spread."""
+    stratified noise, kept as the oracle for its spread."""
     r, power = scalar_channel(u, side, chset, cfg)
     g = r / math.sqrt(power)
     top = math.log2(len(g))
-    inner = mi_inner_mean(g[:, None] - g[None, :],
-                          crandn_t(rng, len(g), n_noise))
+    inner = dense_log2_sums(g[:, None] - g[None, :],
+                            crandn_t(rng, len(g), n_noise)).mean()
     return min(max(top - inner, 0.0), top)
 
 

@@ -282,9 +282,11 @@ def test_criterion_08_mi_estimator_vs_quadrature():
         mc = mutual_info_mc(u, "bob", ch, cfg, 20_000, derive_rng(8, 0, 0))
         exact = bpsk_mi_quadrature(2.0 * math.sqrt(cfg.power / noise_var))
         worst = max(worst, abs(mc - exact))
-    ok = worst <= 0.005
+    # the randomly shifted product rule's worst error at 20,000 nodes was
+    # 1.25e-6 bits over these SNRs, -10 and 15 dB and five streams
+    ok = worst <= 5e-6
     report(8, ok, f"BPSK MI matches 1-D quadrature at 4 SNRs "
-                  f"(worst |err| {worst:.4f} bits)")
+                  f"(worst |err| {worst:.2e} bits)")
 
 
 def test_criterion_09_flop_table():
@@ -321,3 +323,53 @@ def test_criterion_10_end_to_end_determinism(tmp_path, monkeypatch):
         ok &= (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     report(10, ok, f"byte-identical outputs for --threads 1 vs 2 "
                    f"({', '.join(names)})")
+
+
+def paired_z(diff):
+    """Mean of per-realization differences over their standard error;
+    identical samples score 0."""
+    diff = np.asarray(diff)
+    mean = float(np.mean(diff))
+    se = float(np.std(diff)) / math.sqrt(len(diff))
+    if se > 0.0:
+        return mean / se
+    return 0.0 if mean == 0.0 else math.copysign(math.inf, mean)
+
+
+def test_criterion_11_low_snr_gain(sr_sweep):
+    # The abstract: max_wfrp and max_sjnr gain substantially over max_rp
+    # and max_rp_zfc at low and medium SNR. Judged on the per-realization
+    # differences of the aligned sr_samples: the gain's paired z at -5
+    # and 0 dB, and the fall of the gain from one SNR to the next. The
+    # fall is that of the gain over max_rp_zfc, the stronger baseline
+    # (criterion 1); the gain over max_rp, which never suppresses the
+    # jamming, grows over -5/0/5 dB.
+    table, _ = sr_sweep
+    threshold = 4.0
+    ok = True
+    notes = []
+    snrs = (-5.0, 0.0, 5.0)
+    for p_m in (1.0, 10.0):
+        for hi in (Method.MAX_WFRP, Method.MAX_SJNR):
+            for lo in (Method.MAX_RP, Method.MAX_RP_ZFC):
+                gains = [np.subtract(table[snr, p_m, hi].sr_samples,
+                                     table[snr, p_m, lo].sr_samples)
+                         for snr in snrs]
+                zs = [paired_z(g) for g in gains[:2]]
+                if min(zs) <= threshold:
+                    ok = False
+                    notes.append(f"{hi.value}/{lo.value}@{p_m:g}W")
+                text = (f"{hi.value[4:]}-{lo.value[4:]}@{p_m:g}W "
+                        + "/".join(f"{np.mean(g):.4f}" for g in gains)
+                        + " z " + "/".join(f"{z:.1f}" for z in zs))
+                if lo is Method.MAX_RP_ZFC:
+                    falls = [paired_z(a - b)
+                             for a, b in zip(gains, gains[1:])]
+                    if min(falls) <= threshold:
+                        ok = False
+                        notes.append(f"no fall {hi.value}@{p_m:g}W")
+                    text += " fall z " + "/".join(f"{z:.1f}" for z in falls)
+                notes.append(text)
+    report(11, ok, f"gain over rp and zfc at -5/0 dB, paired z > "
+                   f"{threshold:g}, falling over -5/0/5 dB "
+                   f"({'; '.join(notes)})")

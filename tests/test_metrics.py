@@ -2,6 +2,7 @@
 the BER tally against an antenna-domain reference, and the FLOP table."""
 
 import math
+import statistics
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from secsm.beamformers import Method, compute_beamformer, max_sjnr
 from secsm.channel import (AN_MODES, ChannelSet, SystemConfig, crandn,
                            derive_rng, realize_channels)
 from secsm.metrics import (BER_BLOCK_TRIALS, SIDES, _ber_counts,
-                           _lattice_noise, _side_terms, flop_estimate,
+                           _noise_grid, _side_terms, flop_estimate,
                            mi_inner_mean, mutual_info_mc, scalar_channel,
                            sjnr)
 from secsm.modulation import build_codebook
@@ -301,57 +302,62 @@ class TestMutualInfo:
 
 
 class TestLatticeNoise:
-    """The stratified noise lattice behind mutual_info_mc."""
+    """The randomly shifted noise lattice behind mutual_info_mc: per
+    codebook entry, a product grid of Re- and Im-axis nodes."""
+
+    @pytest.mark.parametrize("n, shape", [(1, (2, 2)), (2, (2, 2)),
+                                          (5, (2, 3)), (7, (3, 3)),
+                                          (484, (22, 22)), (500, (22, 23)),
+                                          (20_000, (141, 142))])
+    def test_smallest_near_square_grid(self, n, shape):
+        K = 6
+        x, wx, y, wy = _noise_grid(derive_rng(3, 9, 50, n), K, n)
+        assert (x.shape, wx.shape) == ((K, shape[0]),) * 2
+        assert (y.shape, wy.shape) == ((K, shape[1]),) * 2
+        # one shift per entry and axis: no two entries share a node
+        for nodes in (x, y):
+            assert len(np.unique(nodes[:, 0])) == K
 
     @pytest.mark.parametrize("n", [1, 2, 7, 500])
-    def test_one_sample_per_cell_and_sector(self, n):
-        K = 6
-        noise = _lattice_noise(derive_rng(3, 9, 50, n), K, n)
-        assert noise.shape == (K, n)
-        # n times the Exp(1) CDF of |z|^2: cell t + the row's shift w_i
-        cells = -n * np.expm1(-np.abs(noise) ** 2)
-        offsets = np.sort(cells, axis=1) - np.arange(n)
-        np.testing.assert_allclose(offsets - offsets[:, :1], 0.0, atol=1e-9)
-        assert np.all((offsets >= 0.0) & (offsets < 1.0))
-        # the angles in sector units, each row ordered by radius cell and
-        # taken relative to the sample in its lowest cell: the row's
-        # rotation cancels and the sector offsets are whole numbers
-        sectors = np.angle(noise) * (n / (2.0 * math.pi))
-        by_cell = np.take_along_axis(sectors, np.argsort(cells, axis=1), 1)
-        relative = by_cell - by_cell[:, :1]
-        whole = np.round(relative)
-        np.testing.assert_allclose(relative, whole, atol=1e-9)
-        pairing = np.mod(whole, n).astype(int)
-        for row in pairing:
-            assert sorted(row) == list(range(n))
-            assert row.tolist() == pairing[0].tolist()
+    def test_one_node_per_cell(self, n):
+        # each axis's m nodes, mapped back through Phi(sqrt 2 x) =
+        # tau(v), fall one into each of the m equal cells of v, with edges
+        # Phi^-1(tau(k/m)) / sqrt 2 from the standard library
+        for nodes in _noise_grid(derive_rng(3, 9, 50, n), 6, n)[::2]:
+            m = nodes.shape[1]
+            v = np.arange(1, m) / m
+            tau = v - np.sin(2.0 * math.pi * v) / (2.0 * math.pi)
+            edges = np.array([statistics.NormalDist().inv_cdf(float(t))
+                              for t in tau]) / math.sqrt(2.0)
+            cells = np.array([np.searchsorted(edges, row) for row in nodes])
+            assert cells.tolist() == [list(range(m))] * len(nodes)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 5.0])
     def test_entry_mean_unbiased(self, n, snr_db):
         # criterion 8's BPSK link. The clamp of mutual_info_mc to
-        # [0, 1] bit biases any estimator at n <= 2 samples, so this
-        # checks the unclamped per-entry average the lattice keeps
-        # unbiased. Above 5 dB the rare samples that carry the error make
-        # the standard error itself unreliable at a few thousand lattices.
-        lattices = 2000
+        # [0, 1] bit biases any estimator at a few nodes, so this checks
+        # the unclamped per-entry average the random shifts keep
+        # unbiased. Above 5 dB the rare shifts that carry the error make
+        # the standard error itself unreliable at a few thousand grids.
+        grids = 2000
         cfg = scalar_cfg(10.0 ** (-snr_db / 10.0))
         r, power = scalar_channel(np.array([1.0 + 0j]), "bob",
                                   scalar_channel_set(), cfg)
         g = r / math.sqrt(power)
         diffs = g[:, None] - g[None, :]
         rng = derive_rng(3, 9, 51, n)
-        bits = np.array([1.0 - mi_inner_mean(diffs, _lattice_noise(rng, 2, n))
-                         for _ in range(lattices)])
-        se = bits.std(ddof=1) / math.sqrt(lattices)
+        bits = np.array([mi_inner_mean(diffs, *_noise_grid(rng, 2, n))
+                         for _ in range(grids)])
+        se = bits.std(ddof=1) / math.sqrt(grids)
         exact = bpsk_mi_quadrature(2.0 * math.sqrt(cfg.power
                                                    / cfg.noise_var_bob))
         assert abs(bits.mean() - exact) <= 4.0 * se
 
     @pytest.mark.parametrize("snr_db", [-5.0, 0.0])
     def test_spread_below_independent_draws(self, snr_db):
-        # at 50 samples per entry the lattice's spread over streams is
-        # 4-5x below that of independent draws on this link
+        # at 50 samples per entry the stratified estimate's spread over
+        # streams is well below that of independent draws on this link
         nv = 10.0 ** (-snr_db / 10.0)
         cfg = SystemConfig()
         point = replace(cfg, noise_var_bob=nv, noise_var_eve=nv)
