@@ -13,7 +13,9 @@ how much interference structure they use:
               the interference-plus-noise covariance
 
 Each returns a Beamformer whose `u` is the unit combining vector applied
-to the raw receive vector.
+to the raw receive vector. max_wfrp and max_sjnr depend on Bob's noise
+variance and build a whole vector of them at once, from one factor of
+the interference.
 """
 
 from dataclasses import dataclass
@@ -22,8 +24,9 @@ from enum import Enum
 import numpy as np
 
 from .metrics import _side_terms
-from .numerics import (canonical_phase, gen_max_eigvec, max_eigvec_hermitian,
-                       null_space_basis, whitening_matrix)
+from .numerics import (canonical_phase, conj_transpose, gen_max_eigvec,
+                       max_eigvec_hermitian, null_space_basis, unit_rows,
+                       whitening_matrix)
 
 
 class Method(Enum):
@@ -36,13 +39,21 @@ class Method(Enum):
 @dataclass(frozen=True)
 class Beamformer:
     """A receive combining vector: unit norm, canonical phase, applied
-    to the raw receive vector."""
+    to the raw receive vector. A build over a vector of noise variances
+    gives a stack of them, one row per variance."""
 
     u: np.ndarray
 
 
 def _signal_gram(chset):
     return chset.HT @ chset.HT.conj().T
+
+
+def _bob_interference(chset, cfg, noise_vars):
+    """(V, noise variances) of Bob's interference at cfg's jamming power:
+    noise_vars, or cfg's own noise variance as a length-1 vector."""
+    _, V, noise_var = _side_terms(chset, cfg, "bob")
+    return V, np.atleast_1d(noise_var if noise_vars is None else noise_vars)
 
 
 def max_rp(chset, cfg):
@@ -52,21 +63,23 @@ def max_rp(chset, cfg):
     return Beamformer(u=v)
 
 
-def max_wfrp(chset, cfg):
+def max_wfrp(chset, cfg, noise_vars=None):
     """Whitening-filter receive-power maximization.
 
     Whitens the interference-plus-noise covariance with its Hermitian
     inverse square root W (rescaled to unit largest entry, which keeps
     the products finite), maximizes receive power in the whitened domain,
-    and returns the effective combining vector W^H w.
+    and returns the effective combining vector W^H w. With noise_vars,
+    one row per noise variance, from one stacked eigh.
     """
-    _, V, noise_var = _side_terms(chset, cfg, "bob")
-    W = whitening_matrix(V, noise_var)
-    W = W / np.abs(W).max()
+    V, nvs = _bob_interference(chset, cfg, noise_vars)
+    W = whitening_matrix(V, nvs)
+    W = W / np.abs(W).max(axis=(-2, -1), keepdims=True)
     HT_w = W @ chset.HT
-    w, _ = max_eigvec_hermitian(HT_w @ HT_w.conj().T)
-    u = W.conj().T @ w
-    return Beamformer(u=canonical_phase(u / np.linalg.norm(u)))
+    w, _ = max_eigvec_hermitian(HT_w @ conj_transpose(HT_w))
+    u = canonical_phase(unit_rows((conj_transpose(W) @ w[..., None])
+                                  [..., 0]))
+    return Beamformer(u=u if noise_vars is not None else u[0])
 
 
 def max_rp_zfc(chset, cfg):
@@ -88,13 +101,13 @@ def max_rp_zfc(chset, cfg):
     return Beamformer(u=canonical_phase(u / np.linalg.norm(u)))
 
 
-def max_sjnr(chset, cfg):
+def max_sjnr(chset, cfg, noise_vars=None):
     """Maximum signal-to-jamming-plus-noise ratio: dominant generalized
     eigenvector of the signal Gram against the interference-plus-noise
-    covariance."""
-    _, V, noise_var = _side_terms(chset, cfg, "bob")
-    v, _ = gen_max_eigvec(_signal_gram(chset), V, noise_var)
-    return Beamformer(u=v)
+    covariance. With noise_vars, one row per noise variance."""
+    V, nvs = _bob_interference(chset, cfg, noise_vars)
+    v, _ = gen_max_eigvec(_signal_gram(chset), V, nvs)
+    return Beamformer(u=v if noise_vars is not None else v[0])
 
 
 # methods that read nothing of the operating point (SNR, P_M)
@@ -107,6 +120,13 @@ _BUILDERS = {
 }
 
 
-def compute_beamformer(method, chset, cfg):
-    """Build the beamformer for `method` on one channel realization."""
-    return _BUILDERS[Method(method)](chset, cfg)
+def compute_beamformer(method, chset, cfg, noise_vars=None):
+    """Build the beamformer for `method` on one channel realization.
+
+    noise_vars, a sequence of Bob's noise variances, builds a method
+    outside POINT_FREE at each of them and cfg's jamming power: u is then
+    a stack with one row per variance, each equal bit for bit to a build
+    at that variance alone. A POINT_FREE method takes none.
+    """
+    args = () if noise_vars is None else (noise_vars,)
+    return _BUILDERS[Method(method)](chset, cfg, *args)

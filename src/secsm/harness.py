@@ -257,17 +257,30 @@ def _realization_task(cfg, spec, r):
     """All per-realization work for every grid point.
 
     Returns {quantity: (SNR, P_M, method) array} for sr, sjnr and the BER
-    tally bit_errors, squared_errors. POINT_FREE methods are built once
-    and I_E once per SNR; Bob's rates, SJNRs and BER tallies come from
-    one stacked call each, the methods sharing one draw per grid point.
+    tally bit_errors, squared_errors. POINT_FREE methods are built once,
+    the others once per P_M across every SNR, and I_E once per SNR; Bob's
+    rates, SJNRs and BER tallies come from one stacked call each per
+    grid point, the methods sharing one draw.
     """
     chset = realize_channels(cfg, r, an_mode=spec.an_mode)
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
     base, extra = divmod(spec.n_ber_trials, spec.n_realizations)
     ber_block = base + (1 if r < extra else 0)
 
-    fixed = {m: compute_beamformer(m, chset, cfg).u
-             for m in spec.methods if m in POINT_FREE}
+    noise_vars = [snr_to_noise_var(snr_db) for snr_db in spec.snr_grid_db]
+    # the combiners of every method at each (P_M, SNR)
+    combiners = np.empty((len(spec.p_m_list), len(noise_vars),
+                          len(spec.methods), cfg.n_rx), dtype=np.complex128)
+    for mi, m in enumerate(spec.methods):
+        if m in POINT_FREE:
+            combiners[:, :, mi] = compute_beamformer(m, chset, cfg).u
+    # P_M outermost: the builds at one P_M share one SVD of its factor
+    for pi, p_m in enumerate(spec.p_m_list):
+        at_p_m = replace(cfg, power_mallory=p_m)
+        for mi, m in enumerate(spec.methods):
+            if m not in POINT_FREE:
+                combiners[pi, :, mi] = compute_beamformer(
+                    m, chset, at_p_m, noise_vars).u
     shape = (len(spec.snr_grid_db), len(spec.p_m_list), len(spec.methods))
     sr, sjnr = np.zeros(shape), np.zeros(shape)
     errors, squared = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
@@ -279,9 +292,7 @@ def _realization_task(cfg, spec, r):
             spec.n_noise, derive_rng(cfg.seed, _STREAM_MI_EVE, r, si, 0))
         for pi, p_m in enumerate(spec.p_m_list):
             point = _point_config(cfg, snr_db, p_m)
-            stack = np.array([
-                fixed[m] if m in fixed else
-                compute_beamformer(m, chset, point).u for m in spec.methods])
+            stack = combiners[pi, si]
             i_bobs = mutual_info_mc(
                 stack, "bob", chset, point, spec.n_noise,
                 derive_rng(cfg.seed, _STREAM_MI_BOB, r, si, pi))

@@ -237,15 +237,38 @@ def _grid_columns(m_x, m_y):
     return columns
 
 
-def _axis_factors(x, coef):
-    """exp(-d_ij^2 - 2 d_ij x_is) of one axis as a rows x m x K array:
-    one batched matmul of the rows x m nodes [x_is, 1] with the
+@functools.lru_cache(maxsize=1)
+def _mi_workspace(K, m_x, m_y):
+    """The buffers of mi_inner_mean for K codebook entries on m_x x m_y
+    grids, sized for its blocks of at most MI_BLOCK_BYTES of
+    temporaries. Kept for the last shape, a sweep has one, so a call
+    allocates no large array: the two factor arrays and the sums exceed
+    glibc's 128 KiB mmap threshold, and fresh ones would fault in new
+    pages on every call. Per process and not thread-safe; secsm runs
+    in parallel with processes.
+
+    The node arrays' second column holds the constant 1.0 of
+    _axis_factors' [x_is, 1] rows; it is written here and never again.
+    """
+    rows = min(K, max(1, MI_BLOCK_BYTES // (8 * (K * (m_x + m_y)
+                                                  + m_x * m_y))))
+    ws = {"coef": np.empty((2, K, 2, K))}
+    for axis, m in (("x", m_x), ("y", m_y)):
+        nodes = np.empty((rows, m, 2))
+        nodes[..., 1] = 1.0
+        ws["nodes_" + axis] = nodes
+        ws["factor_" + axis] = np.empty((rows, m, K))
+    ws["sums"] = np.empty((rows, m_x, m_y))
+    return rows, ws
+
+
+def _axis_factors(nodes, x, coef, out):
+    """exp(-d_ij^2 - 2 d_ij x_is) of one axis as a rows x m x K array in
+    out: one batched matmul of the rows x m nodes [x_is, 1] with the
     rows x 2 x K coefficients [-2 d_ij, -d_ij^2] of its parts d."""
-    nodes = np.empty(x.shape + (2,))
     nodes[..., 0] = x
-    nodes[..., 1] = 1.0
-    e = nodes @ coef
-    return np.exp(e, out=e)
+    np.matmul(nodes, coef, out=out)
+    return np.exp(out, out=out)
 
 
 def mi_inner_mean(diffs, x, wx, y, wy):
@@ -263,7 +286,7 @@ def mi_inner_mean(diffs, x, wx, y, wy):
     and y: K (m_x + m_y) exponentials per entry. Each factor is at most
     exp(x^2), and the j = i term is exactly 1, so a channel without
     signal gives exactly 0. Entries run in blocks of at most
-    MI_BLOCK_BYTES of temporaries.
+    MI_BLOCK_BYTES of temporaries, all in _mi_workspace.
     """
     diffs = np.asarray(diffs, dtype=np.complex128)
     K = diffs.shape[0]
@@ -272,20 +295,23 @@ def mi_inner_mean(diffs, x, wx, y, wy):
         raise ValueError(f"shape mismatch: diffs {diffs.shape}, "
                          f"x {x.shape}, wx {wx.shape}, y {y.shape}, "
                          f"wy {wy.shape}")
-    m_x, m_y = x.shape[1], y.shape[1]
+    rows, ws = _mi_workspace(K, x.shape[1], y.shape[1])
     # coef[0] holds the Re parts' coefficients, coef[1] the Im parts'
     parts = np.moveaxis(np.ascontiguousarray(diffs).view(np.float64)
                         .reshape(K, K, 2), -1, 0)
-    coef = np.empty((2, K, 2, K))
+    coef = ws["coef"]
     np.multiply(parts, -2.0, out=coef[:, :, 0])
     np.multiply(parts, parts, out=coef[:, :, 1])
     np.negative(coef[:, :, 1], out=coef[:, :, 1])
-    rows = max(1, MI_BLOCK_BYTES // (8 * (K * (m_x + m_y) + m_x * m_y)))
     total = 0.0
     for start in range(0, K, rows):
         block = slice(start, start + rows)
-        sums = (_axis_factors(x[block], coef[0, block])
-                @ _axis_factors(y[block], coef[1, block]).transpose(0, 2, 1))
+        n = min(rows, K - start)
+        a = _axis_factors(ws["nodes_x"][:n], x[block], coef[0, block],
+                          ws["factor_x"][:n])
+        b = _axis_factors(ws["nodes_y"][:n], y[block], coef[1, block],
+                          ws["factor_y"][:n])
+        sums = np.matmul(a, b.transpose(0, 2, 1), out=ws["sums"][:n])
         sums /= K
         np.log2(sums, out=sums)
         total -= float(np.sum(wx[block][:, None, :] @ sums

@@ -2,13 +2,18 @@
 
 Dominant Hermitian eigenvectors, null-space bases, noise-whitening filters
 and generalized Rayleigh-quotient maximizers, all on small dense matrices.
-A covariance noise_var I + V V^H is passed as its factor V and noise_var.
+A covariance noise_var I + V V^H is passed as its factor V and noise_var,
+which may be a vector of noise variances against the one V: the result
+then has one row (or matrix) per variance, each equal to a single call
+at that variance bit for bit.
 Every returned eigenvector is unit norm with a canonical phase (largest
 entry real positive) so downstream Monte-Carlo runs reproduce bit-for-bit.
 Every tolerance is relative to the input's own scale (its largest entry,
 eigenvalue or singular value), so results do not depend on a common
 scale of the inputs.
 """
+
+import functools
 
 import numpy as np
 
@@ -30,25 +35,43 @@ def _check_finite(A, name):
         raise ValueError(f"{name} contains NaN or Inf entries")
 
 
+def conj_transpose(A):
+    """A^H of a matrix or of each matrix in a stack."""
+    return np.swapaxes(A.conj(), -1, -2)
+
+
 def _check_hermitian(A, name="matrix"):
     """A as a complex128 array, symmetrized to 0.5 (A + A^H) after
     checking that it is finite, square and Hermitian: entrywise to 1e-12
-    of its largest entry."""
+    of its largest entry. A may be a stack of matrices, each checked
+    against its own largest entry."""
     A = np.asarray(A, dtype=np.complex128)
     _check_finite(A, name)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise NotHermitianError(f"{name} is not square: shape {A.shape}")
-    asym = np.abs(A - A.conj().T).max(initial=0.0)
-    if asym > 1e-12 * np.abs(A).max(initial=0.0):
+    AH = conj_transpose(A)
+    asym = np.abs(A - AH).max(axis=(-2, -1), initial=0.0)
+    if np.any(asym > 1e-12 * np.abs(A).max(axis=(-2, -1), initial=0.0)):
         raise NotHermitianError(
-            f"{name} is not Hermitian: max |A - A^H| = {asym:.3e}")
-    return 0.5 * (A + A.conj().T)
+            f"{name} is not Hermitian: max |A - A^H| = {asym.max():.3e}")
+    return 0.5 * (A + AH)
 
 
 def canonical_phase(v):
-    """Rotate v so its largest-magnitude entry is real and positive."""
+    """Rotate v so its largest-magnitude entry is real and positive; a
+    stack of vectors, its rows, is rotated row by row."""
+    if v.ndim > 1:
+        return np.array([canonical_phase(row) for row in v])
     pivot = v[np.argmax(np.abs(v))]
     return v if pivot == 0.0 else v * (np.conj(pivot) / abs(pivot))
+
+
+def unit_rows(v):
+    """v / ||v||, row by row for a stack of vectors: every row is scaled
+    by its own np.linalg.norm, as a single vector would be."""
+    if v.ndim > 1:
+        return np.array([unit_rows(row) for row in v])
+    return v / np.linalg.norm(v)
 
 
 def max_eigvec_hermitian(A):
@@ -57,11 +80,12 @@ def max_eigvec_hermitian(A):
     Returns (v, lam) with ||v|| = 1 and A v = lam v for the largest
     eigenvalue lam: eigh's last eigenpair, the one gen_max_eigvec takes
     too, with v in canonical phase. There is no tie rule: a repeated top
-    eigenvalue gives the vector eigh puts last.
+    eigenvalue gives the vector eigh puts last. For an S x n x n stack,
+    one stacked eigh gives an S x n stack of vectors and S eigenvalues.
     """
     vals, vecs = np.linalg.eigh(_check_hermitian(A))
-    v = canonical_phase(vecs[:, -1])
-    return v / np.linalg.norm(v), float(vals[-1])
+    v = unit_rows(canonical_phase(vecs[..., -1]))
+    return v, (float(vals[-1]) if vals.ndim == 1 else vals[..., -1])
 
 
 def null_space_basis(B):
@@ -87,19 +111,36 @@ def null_space_basis(B):
     return np.ascontiguousarray(U[:, rank:])
 
 
+@functools.lru_cache(maxsize=1)
+def _svd(shape, data):
+    """(Q, s) of the full SVD of the complex128 matrix with this shape and
+    these bytes. The last one is kept: max_wfrp and max_sjnr at one
+    (realization, P_M) factor the same V, so the second build reuses the
+    first's SVD. Read-only, since every caller shares it."""
+    Q, s, _ = np.linalg.svd(np.frombuffer(data, np.complex128)
+                            .reshape(shape), full_matrices=True)
+    Q.setflags(write=False)
+    s.setflags(write=False)
+    return Q, s
+
+
 def _interference_factor(V, noise_var):
     """(Q, t) with noise_var I + V V^H = Q diag(t^2) Q^H: Q is the unitary
     of the full SVD of V and t = sqrt(noise_var + s^2), its singular
-    values s zero-padded to n entries. The covariance is positive definite
-    exactly when noise_var > 0, the only condition checked."""
+    values s zero-padded to n entries. For a vector of noise variances t
+    has one row per variance, against the one SVD. The covariance is
+    positive definite exactly when noise_var > 0, the only condition
+    checked."""
     V = np.asarray(V, dtype=np.complex128)
     _check_finite(V, "interference factor")
-    if not 0.0 < noise_var < np.inf:
+    nv = np.asarray(noise_var, dtype=np.float64)
+    if nv.ndim > 1 or not np.all((0.0 < nv) & (nv < np.inf)):
         raise NotPositiveDefiniteError(
             f"noise variance must be positive and finite, got {noise_var!r}: "
             f"noise_var I + V V^H is singular")
-    Q, s, _ = np.linalg.svd(V, full_matrices=True)
-    return Q, np.hypot(np.sqrt(noise_var), np.pad(s, (0, len(Q) - len(s))))
+    Q, s = _svd(V.shape, V.tobytes())
+    return Q, np.hypot(np.sqrt(nv)[..., None],
+                       np.pad(s, (0, len(Q) - len(s))))
 
 
 def whitening_matrix(V, noise_var):
@@ -108,11 +149,12 @@ def whitening_matrix(V, noise_var):
     With V = Q S and sigma^2 = noise_var, W = sigma^{-1} (I - Q diag(1 -
     (1 + s^2 / sigma^2)^{-1/2}) Q^H) = Q diag(1 / t) Q^H, formed as the
     latter so that no eigenvalue is lost to cancellation. Exact at any
-    noise_var > 0; raises NotPositiveDefiniteError otherwise.
+    noise_var > 0; raises NotPositiveDefiniteError otherwise. A vector
+    of S noise variances gives an S x n x n stack of filters.
     """
     Q, t = _interference_factor(V, noise_var)
-    W = (Q / t) @ Q.conj().T
-    return 0.5 * (W + W.conj().T)
+    W = (Q / t[..., None, :]) @ Q.conj().T
+    return 0.5 * (W + conj_transpose(W))
 
 
 def gen_max_eigvec(num, V, noise_var):
@@ -125,6 +167,9 @@ def gen_max_eigvec(num, V, noise_var):
     eigenvector w of L^{-1} num L^{-H}, reduced with the scale-free
     min(t) L^{-1} = diag(min(t) / t) Q^H. num is PSD when its smallest
     eigenvalue is at least -1e-10 times its largest in magnitude.
+
+    A vector of S noise variances gives an S x n stack of vectors and S
+    ratios from one SVD, one check of num and one stacked eigh.
     """
     num = _check_hermitian(num, "numerator")
     Q, t = _interference_factor(V, noise_var)
@@ -136,10 +181,13 @@ def gen_max_eigvec(num, V, noise_var):
         raise ValueError(
             f"numerator is not PSD: min eigenvalue {nvals[0]:.3e}")
 
-    G = (t.min() / t)[:, None] * Q.conj().T
-    C = G @ num @ G.conj().T
-    _, vecs = np.linalg.eigh(0.5 * (C + C.conj().T))
-    v = canonical_phase(G.conj().T @ vecs[:, -1])
-    v = v / np.linalg.norm(v)
-    leak = np.linalg.norm(np.asarray(V).conj().T @ v) ** 2
-    return v, float(np.real(v.conj() @ num @ v) / (noise_var + leak))
+    G = (t.min(axis=-1, keepdims=True) / t)[..., :, None] * Q.conj().T
+    GH = conj_transpose(G)
+    C = G @ num @ GH
+    _, vecs = np.linalg.eigh(0.5 * (C + conj_transpose(C)))
+    v = unit_rows(canonical_phase((GH @ vecs[..., -1:])[..., 0]))
+    VH = np.asarray(V).conj().T
+    ratios = [float(np.real(x.conj() @ num @ x)
+                    / (nv + np.linalg.norm(VH @ x) ** 2))
+              for x, nv in zip(np.atleast_2d(v), np.atleast_1d(noise_var))]
+    return (v, ratios[0]) if v.ndim == 1 else (v, np.array(ratios))

@@ -6,7 +6,11 @@ import math
 
 import numpy as np
 
-from secsm.metrics import scalar_channel
+from secsm import harness, metrics
+from secsm.beamformers import compute_beamformer
+from secsm.channel import derive_rng, realize_channels
+from secsm.metrics import mutual_info_mc, scalar_channel
+from secsm.modulation import build_codebook
 
 
 def crandn_t(rng, *shape):
@@ -194,3 +198,40 @@ def ber_counts_antenna_domain(u, chset, cfg, codebook, n_trials, rng):
     errs = np.unpackbits(diff.view(np.uint8).reshape(n_trials, 8),
                          axis=1).sum(axis=1).astype(np.int64)
     return int(errs.sum()), int((errs * errs).sum())
+
+
+def realization_reference(cfg, spec, r):
+    """harness._realization_task computed one grid point and one method
+    at a time: each combiner built alone at its _point_config point, and
+    each MI, SJNR and BER tally from a single call on the point's rng
+    stream. Returns the task's {quantity: (SNR, P_M, method) array}."""
+    chset = realize_channels(cfg, r, an_mode=spec.an_mode)
+    codebook = build_codebook(cfg.n_active, cfg.mod_order)
+    base, extra = divmod(spec.n_ber_trials, spec.n_realizations)
+    ber_block = base + (1 if r < extra else 0)
+    shape = (len(spec.snr_grid_db), len(spec.p_m_list), len(spec.methods))
+    out = {"sr": np.zeros(shape), "sjnr": np.zeros(shape),
+           "bit_errors": np.zeros(shape, np.int64),
+           "squared_errors": np.zeros(shape, np.int64)}
+    for si, snr_db in enumerate(spec.snr_grid_db):
+        i_eve = mutual_info_mc(
+            chset.u_er, "mallory", chset,
+            harness._point_config(cfg, snr_db, 0.0), spec.n_noise,
+            derive_rng(cfg.seed, harness._STREAM_MI_EVE, r, si, 0))
+        for pi, p_m in enumerate(spec.p_m_list):
+            point = harness._point_config(cfg, snr_db, p_m)
+
+            def rng(tag):
+                return derive_rng(cfg.seed, tag, r, si, pi)
+
+            for mi, method in enumerate(spec.methods):
+                cell = si, pi, mi
+                u = compute_beamformer(method, chset, point).u
+                i_bob = mutual_info_mc(u, "bob", chset, point, spec.n_noise,
+                                       rng(harness._STREAM_MI_BOB))
+                out["sr"][cell] = max(0.0, i_bob - i_eve)
+                out["sjnr"][cell] = metrics.sjnr(u, chset, point)
+                out["bit_errors"][cell], out["squared_errors"][cell] = \
+                    metrics._ber_counts(u, chset, point, codebook, ber_block,
+                                        rng(harness._STREAM_BER))
+    return out

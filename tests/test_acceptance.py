@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from secsm import harness
+from secsm import harness, numerics
 from secsm.beamformers import Method, compute_beamformer, max_sjnr, max_wfrp
 from secsm.channel import SystemConfig, crandn, derive_rng, realize_channels
 from secsm.cli import main
@@ -289,7 +289,7 @@ def test_criterion_08_mi_estimator_vs_quadrature():
                   f"(worst |err| {worst:.2e} bits)")
 
 
-def test_criterion_09_flop_table():
+def test_criterion_09_flop_table(monkeypatch):
     expected = {Method.MAX_RP: 129 * 6 ** 3,
                  Method.MAX_WFRP: 266 * 6 ** 3 + 3 * 6,
                  Method.MAX_RP_ZFC: 259 * 6 ** 3,
@@ -298,8 +298,35 @@ def test_criterion_09_flop_table():
     for n in range(1, 65):
         chain = [flop_estimate(m, n) for m in ORDERED]
         ok &= chain == sorted(chain) and len(set(chain)) == 4
+    # the decompositions one realization runs: as many for one SNR as
+    # for three, and at most one more SVD per extra jamming power
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(
+            name, getattr(np.linalg, name)))
+    runs = {}
+    for snrs, p_ms in (((0.0,), (1.0,)), ((-5.0, 0.0, 5.0), (1.0,)),
+                       ((0.0,), (1.0, 10.0)), ((-5.0, 0.0, 5.0),
+                                               (1.0, 10.0, 100.0))):
+        counts.update(svd=0, eigh=0)
+        numerics._svd.cache_clear()
+        harness._realization_task(SystemConfig(seed=9), SweepSpec(
+            snr_grid_db=snrs, p_m_list=p_ms, methods=ORDERED,
+            n_realizations=1, n_noise=4, n_ber_trials=1), 0)
+        runs[len(snrs), len(p_ms)] = dict(counts)
+    ok &= runs[1, 1] == runs[3, 1]
+    ok &= runs[1, 2]["svd"] <= runs[1, 1]["svd"] + 1
+    ok &= runs[3, 3]["svd"] <= runs[3, 1]["svd"] + 2
     report(9, ok, "FLOP coefficients exact and ordering "
-                  "rp < zfc < wfrp < sjnr for N_b in 1..64")
+                  "rp < zfc < wfrp < sjnr for N_b in 1..64; decompositions "
+                  f"per realization {runs}")
 
 
 def test_criterion_10_end_to_end_determinism(tmp_path, monkeypatch):

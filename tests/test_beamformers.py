@@ -227,6 +227,22 @@ class TestCrossMethodProperties:
             b = compute_beamformer(method, ch, cfg)
             np.testing.assert_array_equal(a.u, b.u)
 
+    @pytest.mark.parametrize("noise_vars", [(1.0,), (10.0, 1e-14, 0.3),
+                                            (1e6, 1e6)])
+    def test_stacked_rows_equal_single_builds(self, noise_vars):
+        # one factor and one stacked eigh for every noise variance, each
+        # row bit for bit the build at that variance alone
+        cfg = SystemConfig(n_mallory=4, power_mallory=2.0)
+        for an_mode in AN_MODES:
+            ch = realize_channels(cfg, 3, an_mode=an_mode)
+            for method in (Method.MAX_WFRP, Method.MAX_SJNR):
+                stack = compute_beamformer(method, ch, cfg, noise_vars).u
+                assert stack.shape == (len(noise_vars), cfg.n_rx)
+                for nv, u in zip(noise_vars, stack):
+                    single = compute_beamformer(
+                        method, ch, replace(cfg, noise_var_bob=nv)).u
+                    assert u.tobytes() == single.tobytes()
+
     def test_scale_invariance(self):
         cfg = SystemConfig(n_mallory=4, power_mallory=2.0)
         ch = realize_channels(cfg, 10)

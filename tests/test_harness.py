@@ -17,15 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secsm import harness, metrics
-from secsm.beamformers import POINT_FREE, Method, compute_beamformer
-from secsm.channel import AN_MODES, SystemConfig, derive_rng, realize_channels
+from secsm import harness, metrics, numerics
+from secsm.beamformers import POINT_FREE, Method
+from secsm.channel import AN_MODES, SystemConfig
 from secsm.cli import main
 from secsm.harness import (ConfigError, SweepSpec, default_config_text,
                            emit_config, parse_config, run_sweep,
                            snr_to_noise_var, write_outputs)
-from secsm.metrics import mutual_info_mc
-from secsm.modulation import build_codebook
+
+from helpers import realization_reference
 
 
 def line_of(text, key):
@@ -545,72 +545,93 @@ class TestRunSweep:
         spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
                          methods=tuple(Method), n_realizations=3,
                          n_ber_trials=600)
-        r = 2
-        out = harness._realization_task(cfg, spec, r)
+        out = harness._realization_task(cfg, spec, 2)
+        ref = realization_reference(cfg, spec, 2)
         assert out.keys() == {"sr", "sjnr", "bit_errors", "squared_errors"}
-        chset = realize_channels(cfg, r, an_mode=spec.an_mode)
-        codebook = build_codebook(cfg.n_active, cfg.mod_order)
-        errors = 0
-        for si, snr_db in enumerate(spec.snr_grid_db):
-            # the attacker's rate at its own operating point, P_M = 0,
-            # serves every P_M column of this SNR
-            i_eve = mutual_info_mc(
-                chset.u_er, "mallory", chset,
-                harness._point_config(cfg, snr_db, 0.0), spec.n_noise,
-                derive_rng(cfg.seed, harness._STREAM_MI_EVE, r, si, 0))
-            for pi, p_m in enumerate(spec.p_m_list):
-                point = harness._point_config(cfg, snr_db, p_m)
+        for key, values in out.items():
+            assert values.tobytes() == ref[key].tobytes(), key
+        # at every point some secrecy rate is above the hinge, so the
+        # attacker's rate is checked; the tallies have errors to compare
+        assert np.all(out["sr"].max(axis=-1) > 0.0)
+        assert out["bit_errors"].sum() > 0
 
-                def rng(tag):
-                    return derive_rng(cfg.seed, tag, r, si, pi)
+    @pytest.mark.parametrize("cfg, spec", [
+        (SystemConfig(seed=9), tiny_spec(methods=tuple(Method))),
+        (SystemConfig(seed=9),
+         tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(0.0, 1e300),
+                   methods=tuple(Method))),
+        (SystemConfig(seed=4),
+         tiny_spec(snr_grid_db=(-5.0, 0.0, 5.0), p_m_list=(1.0, 4.0),
+                   methods=tuple(Method), an_mode="random")),
+        (SystemConfig(n_mallory=6, seed=5),
+         tiny_spec(snr_grid_db=(5.0, -5.0), p_m_list=(10.0, 1.0),
+                   methods=(Method.MAX_SJNR, Method.MAX_RP_ZFC,
+                            Method.MAX_RP))),
+        (SystemConfig(seed=6),
+         tiny_spec(snr_grid_db=(0.0, 20.0), p_m_list=(1.0, 0.5),
+                   methods=(Method.MAX_RP, Method.MAX_WFRP))),
+    ], ids=["one-point", "p_m-0-and-1e300", "random-an", "no-max_wfrp",
+            "no-max_sjnr"])
+    def test_realization_task_matches_per_point_reference(self, cfg, spec):
+        for r in range(2):
+            out = harness._realization_task(cfg, spec, r)
+            ref = realization_reference(cfg, spec, r)
+            assert out.keys() == ref.keys()
+            for key, values in out.items():
+                assert values.dtype == ref[key].dtype, key
+                assert values.tobytes() == ref[key].tobytes(), (key, r)
 
-                i_bobs = []
-                for mi, method in enumerate(spec.methods):
-                    cell = si, pi, mi
-                    sr, ratio = out["sr"][cell], out["sjnr"][cell]
-                    tally = (out["bit_errors"][cell],
-                             out["squared_errors"][cell])
-                    bf = compute_beamformer(method, chset, point)
-                    i_bob = mutual_info_mc(
-                        bf.u, "bob", chset, point, spec.n_noise,
-                        rng(harness._STREAM_MI_BOB))
-                    assert sr == max(0.0, i_bob - i_eve)
-                    i_bobs.append(i_bob)
-                    assert ratio == metrics.sjnr(bf.u, chset, point)
-                    # 600 trials over 3 realizations: 200 each
-                    assert tally == metrics._ber_counts(
-                        bf.u, chset, point, codebook, 200,
-                        rng(harness._STREAM_BER))
-                    errors += tally[0]
-                # some secrecy rate is above the hinge, so i_eve is checked
-                assert max(i_bobs) > i_eve
-        assert errors > 0  # the tallies have errors to compare
+    def test_calls_per_realization(self, monkeypatch):
+        calls = Counter()
 
-    def test_one_stacked_call_per_metric_per_point(self, monkeypatch):
-        calls = []
-
-        def counting(name, fn):
+        def counting(key, fn):
             def wrapper(*args, **kwargs):
-                calls.append(name)
+                calls[key(*args) if callable(key) else key] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(harness, "mutual_info_mc", counting(
-            "mi", harness.mutual_info_mc))
-        monkeypatch.setattr(harness, "derive_rng", counting(
-            "rng", harness.derive_rng))
+        monkeypatch.setattr(harness, "compute_beamformer", counting(
+            lambda method, *args: Method(method), harness.compute_beamformer))
+        for name in ("mutual_info_mc", "derive_rng"):
+            monkeypatch.setattr(harness, name, counting(
+                name, getattr(harness, name)))
         for name in ("sjnr", "_ber_counts"):
             monkeypatch.setattr(metrics, name, counting(
                 name, getattr(metrics, name)))
-        cfg = SystemConfig(seed=9)
-        spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
-                         methods=tuple(Method), n_realizations=2)
-        harness._realization_task(cfg, spec, 0)
+        for name in ("svd", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counting(
+                name, getattr(np.linalg, name)))
+
+        def run(snr_grid_db, p_m_list, methods=tuple(Method)):
+            calls.clear()
+            # the factor of the last V is kept across calls
+            numerics._svd.cache_clear()
+            harness._realization_task(SystemConfig(seed=9), tiny_spec(
+                snr_grid_db=snr_grid_db, p_m_list=p_m_list,
+                methods=methods, n_realizations=2), 0)
+            return dict(calls)
+
+        one = run((0.0,), (1.0,))
+        three = run((-5.0, 0.0, 5.0), (1.0,))
+        grid = run((-5.0, 0.0, 5.0), (1.0, 4.0))
+        point_free = run((-5.0, 0.0, 5.0), (1.0, 4.0), tuple(POINT_FREE))
+        # POINT_FREE methods once, the others once per P_M at every SNR
+        for counts, n_p_m in ((one, 1), (three, 1), (grid, 2)):
+            assert {m: counts[m] for m in Method} == {
+                Method.MAX_RP: 1, Method.MAX_RP_ZFC: 1,
+                Method.MAX_WFRP: n_p_m, Method.MAX_SJNR: n_p_m}
+        # one interference SVD per P_M, shared by max_wfrp and max_sjnr;
+        # neither the SVDs nor the stacked eighs grow with the SNR grid
+        assert grid["svd"] == point_free["svd"] + 2
+        assert three["svd"] == one["svd"] == grid["svd"] - 1
+        assert three["eigh"] == one["eigh"]
         # Bob's MI, SJNR and BER per point; the attacker's MI per SNR
-        points, n_snr = 4, 2
-        assert sorted(calls) == sorted(
-            ["mi"] * (points + n_snr) + ["rng"] * (2 * points + n_snr)
-            + ["sjnr"] * points + ["_ber_counts"] * points)
+        points, n_snr = 6, 3
+        assert {k: grid[k] for k in ("mutual_info_mc", "derive_rng", "sjnr",
+                                     "_ber_counts")} == {
+            "mutual_info_mc": points + n_snr,
+            "derive_rng": 2 * points + n_snr,
+            "sjnr": points, "_ber_counts": points}
 
     @pytest.mark.parametrize("snr_db,p_m", [(140.0, 1.0), (60.0, 1e6),
                                              (20.0, 1e12)])
@@ -646,38 +667,6 @@ class TestRunSweep:
             for rec in records:
                 assert all(math.isfinite(x)
                            for x in (rec.avg_sr, rec.ber, rec.avg_sjnr_db))
-
-    def test_point_free_combiners_built_once(self, monkeypatch):
-        built = []
-
-        def recording(method, chset, cfg):
-            bf = compute_beamformer(method, chset, cfg)
-            built.append(method)
-            return bf
-
-        monkeypatch.setattr(harness, "compute_beamformer", recording)
-        cfg = SystemConfig(seed=9)
-        spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
-                         methods=tuple(Method), n_realizations=2)
-        out = harness._realization_task(cfg, spec, 0)
-        assert Counter(built) == {Method.MAX_RP: 1, Method.MAX_RP_ZFC: 1,
-                                  Method.MAX_WFRP: 4, Method.MAX_SJNR: 4}
-        # built at every point, their combiners are identical
-        chset = realize_channels(cfg, 0)
-        for method in POINT_FREE:
-            us = [compute_beamformer(
-                method, chset, harness._point_config(cfg, s, p)).u
-                for s in (-10.0, 0.0, 30.0) for p in (0.0, 1.0, 1e6)]
-            for u in us[1:]:
-                np.testing.assert_array_equal(u, us[0])
-        # so the outputs equal those of a build at every point
-        monkeypatch.setattr(harness, "POINT_FREE", frozenset())
-        built.clear()
-        rebuilt = harness._realization_task(cfg, spec, 0)
-        assert rebuilt.keys() == out.keys()
-        for key, values in out.items():
-            assert np.array_equal(rebuilt[key], values), key
-        assert len(built) == 16
 
     def test_random_an_mode(self):
         cfg = SystemConfig(seed=7)

@@ -2,7 +2,10 @@
 their defining formulas."""
 
 import math
+import os
 import statistics
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +101,74 @@ def test_blocks_match_reference(K, T, scale, monkeypatch):
     blocked = mi_inner_mean(diffs, *grid)
     assert blocked == pytest.approx(whole, rel=1e-13)
     assert blocked == pytest.approx(dense_value(diffs, grid), rel=1e-12)
+
+
+# (K, n_noise, scale); K = 40 at n_noise 500 runs in blocks of 28 and
+# 12 entries under the default MI_BLOCK_BYTES
+WORKSPACE_CASES = [(32, 500, 0.5), (8, 12, 1.0), (40, 500, 1.0),
+                   (32, 500, 2.0), (7, 2, 3.0), (8, 12, 1.0)]
+
+
+def workspace_inputs(k):
+    K, n_noise, scale = WORKSPACE_CASES[k]
+    rng = np.random.default_rng(100 + k)
+    return random_diffs(rng, K, scale), _noise_grid(rng, K, n_noise)
+
+
+def test_partial_last_block_under_default_budget():
+    K, n_noise, _ = WORKSPACE_CASES[2]
+    grid = _noise_grid(np.random.default_rng(0), K, n_noise)
+    rows, _ = metrics._mi_workspace(K, grid[0].shape[1], grid[2].shape[1])
+    assert 1 < rows < K and K % rows
+
+
+def test_workspace_independent_of_call_history():
+    # interleaved shapes and a repeated call give the values a fresh
+    # process computes, bit for bit, and agree with the dense formula
+    inputs = [workspace_inputs(k) for k in range(len(WORKSPACE_CASES))]
+    here = [mi_inner_mean(diffs, *grid) for diffs, grid in inputs]
+    here.append(mi_inner_mean(inputs[0][0], *inputs[0][1]))
+    # each case's first call in its own process
+    script = ("import sys\n"
+              "sys.path[:0] = sys.argv[1:3]\n"
+              "from secsm.metrics import mi_inner_mean\n"
+              "from test_kernels import workspace_inputs\n"
+              "diffs, grid = workspace_inputs(int(sys.argv[3]))\n"
+              "print(repr(mi_inner_mean(diffs, *grid)))\n")
+    paths = [os.path.dirname(os.path.abspath(__file__)),
+             os.path.dirname(os.path.dirname(metrics.__file__))]
+    fresh = [float(subprocess.run(
+        [sys.executable, "-c", script, *paths, str(k)],
+        capture_output=True, text=True, check=True).stdout)
+        for k in range(len(WORKSPACE_CASES))]
+    assert here == fresh + fresh[:1]
+    for value, (diffs, grid) in zip(here, inputs):
+        assert value == pytest.approx(dense_value(diffs, grid), rel=1e-12)
+
+
+def test_workspace_cells_written_before_read():
+    # every buffer but the constant node column filled with NaN between
+    # calls: a cell read before it is written turns the estimate NaN
+    diffs, grid = workspace_inputs(2)
+    first = mi_inner_mean(diffs, *grid)
+    rows, ws = metrics._mi_workspace(len(diffs), grid[0].shape[1],
+                                     grid[2].shape[1])
+    for name, buf in ws.items():
+        if name.startswith("nodes"):
+            assert np.all(buf[..., 1] == 1.0)
+            buf[..., 0] = np.nan
+        else:
+            buf[...] = np.nan
+    assert mi_inner_mean(diffs, *grid) == first
+    # the constant column is written once, with the buffers, and read by
+    # every block: stale values there would show
+    for name in ("nodes_x", "nodes_y"):
+        assert np.all(ws[name][..., 1] == 1.0)
+    ws["nodes_x"][-1, :, 1] = 2.0
+    try:
+        assert mi_inner_mean(diffs, *grid) != first
+    finally:
+        ws["nodes_x"][..., 1] = 1.0
 
 
 def test_zero_diffs_gives_zero():

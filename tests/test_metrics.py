@@ -501,6 +501,7 @@ class TestBatchedBerCounts:
         cases = [(realize_channels(cfg, 2), {}, (30, 31)),
                  (realize_channels(cfg, 2, an_mode="random"),
                   {"beta": 0.95, "power_mallory": 10.0}, (35, 36))]
+        zs = []
         for ch, overrides, (tag, ref_tag) in cases:
             for k, snr in enumerate((0.0, 5.0, 10.0)):
                 nv = 10.0 ** (-snr / 10.0)
@@ -514,8 +515,14 @@ class TestBatchedBerCounts:
                 b, b_se = ber_and_se(batched, n, cb.bits_per_use)
                 r, r_se = ber_and_se(looped, n, cb.bits_per_use)
                 assert b > 0.0
-                assert abs(b - r) <= 3.0 * math.hypot(b_se, r_se), \
-                    (tag, snr, b, r, abs(b - r) / math.hypot(b_se, r_se))
+                z = (b - r) / math.hypot(b_se, r_se)
+                assert abs(z) <= 3.0, (tag, snr, b, r, z)
+                zs.append(z)
+        # the six cases together: sum z^2 is chi^2(6) without bias, and
+        # 22.458 its 0.999 quantile, the root of
+        # 1 - exp(-x/2) (1 + x/2 + x^2/8) = 0.999
+        assert len(zs) == 6
+        assert sum(z * z for z in zs) <= 22.458, zs
 
     @pytest.mark.parametrize("n_trials", [1, BER_BLOCK_TRIALS + 1,
                                           3 * BER_BLOCK_TRIALS - 37])

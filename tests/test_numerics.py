@@ -282,3 +282,49 @@ def test_unit_norm_everywhere():
         v2, _ = gen_max_eigvec(hermitian(rng, n), crandn_t(rng, n, n), 0.4)
         assert abs(np.linalg.norm(v1) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(v2) - 1.0) <= 1e-12
+
+
+class TestNoiseVarianceAxis:
+    """A vector of noise variances against one factor V: one row (or
+    matrix) per variance, each bit for bit a single call's."""
+
+    def test_rows_equal_single_calls(self):
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            V, _ = random_factor(rng, n)
+            num = hermitian(rng, n)
+            noise_vars = 10.0 ** rng.uniform(-12, 6, int(rng.integers(1, 5)))
+            W = whitening_matrix(V, noise_vars)
+            vs, ratios = gen_max_eigvec(num, V, noise_vars)
+            assert W.shape == (len(noise_vars), n, n)
+            assert vs.shape == (len(noise_vars), n)
+            for k, nv in enumerate(noise_vars):
+                assert W[k].tobytes() == whitening_matrix(V, nv).tobytes()
+                v, ratio = gen_max_eigvec(num, V, nv)
+                assert vs[k].tobytes() == v.tobytes()
+                assert ratios[k] == ratio
+
+    def test_stacked_eigvecs_equal_single_calls(self):
+        rng = np.random.default_rng(67)
+        A = np.array([hermitian(rng, 5) for _ in range(4)])
+        vs, lams = max_eigvec_hermitian(A)
+        for a, v, lam in zip(A, vs, lams):
+            v1, lam1 = max_eigvec_hermitian(a)
+            assert v.tobytes() == v1.tobytes() and lam == lam1
+
+    def test_each_variance_checked(self):
+        V = crandn_t(np.random.default_rng(71), 3, 2)
+        for bad in ([1.0, 0.0], [np.inf, 1.0], [np.nan], [[1.0]]):
+            with pytest.raises(NotPositiveDefiniteError):
+                whitening_matrix(V, np.array(bad))
+            with pytest.raises(NotPositiveDefiniteError):
+                gen_max_eigvec(np.eye(3), V, np.array(bad))
+
+    def test_each_matrix_of_a_stack_checked(self):
+        # each matrix against its own largest entry: a tiny non-Hermitian
+        # one next to a large Hermitian one is still rejected
+        A = np.array([1e6 * np.eye(2), 1e-6 * np.array([[1.0, 2.0],
+                                                        [0.0, 1.0]])])
+        with pytest.raises(NotHermitianError):
+            max_eigvec_hermitian(A)
