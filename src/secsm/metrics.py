@@ -238,10 +238,10 @@ def _grid_columns(m_x, m_y):
 
 
 @functools.lru_cache(maxsize=1)
-def _mi_workspace(K, m_x, m_y):
+def _mi_workspace(K, m_x, m_y, block_bytes):
     """The buffers of mi_inner_mean for K codebook entries on m_x x m_y
-    grids, sized for its blocks of at most MI_BLOCK_BYTES of
-    temporaries. Kept for the last shape, a sweep has one, so a call
+    grids, sized for its blocks of at most block_bytes of temporaries.
+    Kept for the last shape and budget, a sweep has one, so a call
     allocates no large array: the two factor arrays and the sums exceed
     glibc's 128 KiB mmap threshold, and fresh ones would fault in new
     pages on every call. Per process and not thread-safe; secsm runs
@@ -250,8 +250,8 @@ def _mi_workspace(K, m_x, m_y):
     The node arrays' second column holds the constant 1.0 of
     _axis_factors' [x_is, 1] rows; it is written here and never again.
     """
-    rows = min(K, max(1, MI_BLOCK_BYTES // (8 * (K * (m_x + m_y)
-                                                  + m_x * m_y))))
+    rows = min(K, max(1, block_bytes // (8 * (K * (m_x + m_y)
+                                               + m_x * m_y))))
     ws = {"coef": np.empty((2, K, 2, K))}
     for axis, m in (("x", m_x), ("y", m_y)):
         nodes = np.empty((rows, m, 2))
@@ -295,7 +295,7 @@ def mi_inner_mean(diffs, x, wx, y, wy):
         raise ValueError(f"shape mismatch: diffs {diffs.shape}, "
                          f"x {x.shape}, wx {wx.shape}, y {y.shape}, "
                          f"wy {wy.shape}")
-    rows, ws = _mi_workspace(K, x.shape[1], y.shape[1])
+    rows, ws = _mi_workspace(K, x.shape[1], y.shape[1], MI_BLOCK_BYTES)
     # coef[0] holds the Re parts' coefficients, coef[1] the Im parts'
     parts = np.moveaxis(np.ascontiguousarray(diffs).view(np.float64)
                         .reshape(K, K, 2), -1, 0)

@@ -200,15 +200,15 @@ def ber_counts_antenna_domain(u, chset, cfg, codebook, n_trials, rng):
     return int(errs.sum()), int((errs * errs).sum())
 
 
-def realization_reference(cfg, spec, r):
+def realization_reference(cfg, spec, r, ber_trials):
     """harness._realization_task computed one grid point and one method
     at a time: each combiner built alone at its _point_config point, and
     each MI, SJNR and BER tally from a single call on the point's rng
-    stream. Returns the task's {quantity: (SNR, P_M, method) array}."""
+    stream, with realization r's share ber_trials of spec.n_ber_trials
+    given by the caller. Returns the task's {quantity: (SNR, P_M,
+    method) array}."""
     chset = realize_channels(cfg, r, an_mode=spec.an_mode)
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
-    base, extra = divmod(spec.n_ber_trials, spec.n_realizations)
-    ber_block = base + (1 if r < extra else 0)
     shape = (len(spec.snr_grid_db), len(spec.p_m_list), len(spec.methods))
     out = {"sr": np.zeros(shape), "sjnr": np.zeros(shape),
            "bit_errors": np.zeros(shape, np.int64),
@@ -232,6 +232,6 @@ def realization_reference(cfg, spec, r):
                 out["sr"][cell] = max(0.0, i_bob - i_eve)
                 out["sjnr"][cell] = metrics.sjnr(u, chset, point)
                 out["bit_errors"][cell], out["squared_errors"][cell] = \
-                    metrics._ber_counts(u, chset, point, codebook, ber_block,
+                    metrics._ber_counts(u, chset, point, codebook, ber_trials,
                                         rng(harness._STREAM_BER))
     return out

@@ -546,7 +546,8 @@ class TestRunSweep:
                          methods=tuple(Method), n_realizations=3,
                          n_ber_trials=600)
         out = harness._realization_task(cfg, spec, 2)
-        ref = realization_reference(cfg, spec, 2)
+        # 600 trials over 3 realizations: 200 each
+        ref = realization_reference(cfg, spec, 2, 200)
         assert out.keys() == {"sr", "sjnr", "bit_errors", "squared_errors"}
         for key, values in out.items():
             assert values.tobytes() == ref[key].tobytes(), key
@@ -555,27 +556,31 @@ class TestRunSweep:
         assert np.all(out["sr"].max(axis=-1) > 0.0)
         assert out["bit_errors"].sum() > 0
 
-    @pytest.mark.parametrize("cfg, spec", [
-        (SystemConfig(seed=9), tiny_spec(methods=tuple(Method))),
+    # ber_trials: realizations 0 and 1's shares of n_ber_trials over
+    # n_realizations = 4, the first realizations taking the remainder
+    @pytest.mark.parametrize("cfg, spec, ber_trials", [
+        (SystemConfig(seed=9), tiny_spec(methods=tuple(Method)), (20, 20)),
         (SystemConfig(seed=9),
          tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(0.0, 1e300),
-                   methods=tuple(Method))),
+                   methods=tuple(Method)), (20, 20)),
         (SystemConfig(seed=4),
          tiny_spec(snr_grid_db=(-5.0, 0.0, 5.0), p_m_list=(1.0, 4.0),
-                   methods=tuple(Method), an_mode="random")),
+                   methods=tuple(Method), an_mode="random",
+                   n_ber_trials=81), (21, 20)),
         (SystemConfig(n_mallory=6, seed=5),
          tiny_spec(snr_grid_db=(5.0, -5.0), p_m_list=(10.0, 1.0),
                    methods=(Method.MAX_SJNR, Method.MAX_RP_ZFC,
-                            Method.MAX_RP))),
+                            Method.MAX_RP), n_ber_trials=82), (21, 21)),
         (SystemConfig(seed=6),
          tiny_spec(snr_grid_db=(0.0, 20.0), p_m_list=(1.0, 0.5),
-                   methods=(Method.MAX_RP, Method.MAX_WFRP))),
+                   methods=(Method.MAX_RP, Method.MAX_WFRP)), (20, 20)),
     ], ids=["one-point", "p_m-0-and-1e300", "random-an", "no-max_wfrp",
             "no-max_sjnr"])
-    def test_realization_task_matches_per_point_reference(self, cfg, spec):
+    def test_realization_task_matches_per_point_reference(self, cfg, spec,
+                                                          ber_trials):
         for r in range(2):
             out = harness._realization_task(cfg, spec, r)
-            ref = realization_reference(cfg, spec, r)
+            ref = realization_reference(cfg, spec, r, ber_trials[r])
             assert out.keys() == ref.keys()
             for key, values in out.items():
                 assert values.dtype == ref[key].dtype, key

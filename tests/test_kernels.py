@@ -2,10 +2,7 @@
 their defining formulas."""
 
 import math
-import os
 import statistics
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -98,7 +95,18 @@ def test_blocks_match_reference(K, T, scale, monkeypatch):
     m_x, m_y = grid[0].shape[1], grid[2].shape[1]
     monkeypatch.setattr(metrics, "MI_BLOCK_BYTES",
                         3 * 8 * (K * (m_x + m_y) + m_x * m_y))
+    # the workspace the blocked call runs in, not one cached before
+    rows = []
+    workspace = metrics._mi_workspace
+
+    def spy(*args):
+        result = workspace(*args)
+        rows.append(result[0])
+        return result
+
+    monkeypatch.setattr(metrics, "_mi_workspace", spy)
     blocked = mi_inner_mean(diffs, *grid)
+    assert rows == [3]
     assert blocked == pytest.approx(whole, rel=1e-13)
     assert blocked == pytest.approx(dense_value(diffs, grid), rel=1e-12)
 
@@ -118,29 +126,21 @@ def workspace_inputs(k):
 def test_partial_last_block_under_default_budget():
     K, n_noise, _ = WORKSPACE_CASES[2]
     grid = _noise_grid(np.random.default_rng(0), K, n_noise)
-    rows, _ = metrics._mi_workspace(K, grid[0].shape[1], grid[2].shape[1])
+    rows, _ = metrics._mi_workspace(K, grid[0].shape[1], grid[2].shape[1],
+                                    metrics.MI_BLOCK_BYTES)
     assert 1 < rows < K and K % rows
 
 
 def test_workspace_independent_of_call_history():
-    # interleaved shapes and a repeated call give the values a fresh
-    # process computes, bit for bit, and agree with the dense formula
+    # interleaved shapes and a repeated call give the values of calls on
+    # newly built workspaces, bit for bit, and agree with the dense formula
     inputs = [workspace_inputs(k) for k in range(len(WORKSPACE_CASES))]
     here = [mi_inner_mean(diffs, *grid) for diffs, grid in inputs]
     here.append(mi_inner_mean(inputs[0][0], *inputs[0][1]))
-    # each case's first call in its own process
-    script = ("import sys\n"
-              "sys.path[:0] = sys.argv[1:3]\n"
-              "from secsm.metrics import mi_inner_mean\n"
-              "from test_kernels import workspace_inputs\n"
-              "diffs, grid = workspace_inputs(int(sys.argv[3]))\n"
-              "print(repr(mi_inner_mean(diffs, *grid)))\n")
-    paths = [os.path.dirname(os.path.abspath(__file__)),
-             os.path.dirname(os.path.dirname(metrics.__file__))]
-    fresh = [float(subprocess.run(
-        [sys.executable, "-c", script, *paths, str(k)],
-        capture_output=True, text=True, check=True).stdout)
-        for k in range(len(WORKSPACE_CASES))]
+    fresh = []
+    for diffs, grid in inputs:
+        metrics._mi_workspace.cache_clear()
+        fresh.append(mi_inner_mean(diffs, *grid))
     assert here == fresh + fresh[:1]
     for value, (diffs, grid) in zip(here, inputs):
         assert value == pytest.approx(dense_value(diffs, grid), rel=1e-12)
@@ -152,7 +152,7 @@ def test_workspace_cells_written_before_read():
     diffs, grid = workspace_inputs(2)
     first = mi_inner_mean(diffs, *grid)
     rows, ws = metrics._mi_workspace(len(diffs), grid[0].shape[1],
-                                     grid[2].shape[1])
+                                     grid[2].shape[1], metrics.MI_BLOCK_BYTES)
     for name, buf in ws.items():
         if name.startswith("nodes"):
             assert np.all(buf[..., 1] == 1.0)
