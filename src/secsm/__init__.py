@@ -21,8 +21,8 @@ from .numerics import (NotHermitianError, NotPositiveDefiniteError,
                        canonical_phase, gen_max_eigvec, max_eigvec_hermitian,
                        null_space_basis, whitening_matrix)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 # Recorded in run manifests. The MI kernel, metrics.mi_inner_mean, is
-# numpy: per codebook entry, one batched matmul of separable Re- and
+# numpy: per transmit antenna, one batched matmul of separable Re- and
 # Im-axis exponential factors over a randomly shifted noise grid.
 kernel_backend = "numpy"

@@ -22,11 +22,10 @@ SIDES = ("bob", "mallory")
 # 1024-trial blocks ended ~0.5 MiB higher in peak RSS.
 BER_BLOCK_TRIALS = 256
 
-# Float64 temporaries of one mi_inner_mean block of codebook entries:
-# their Re- and Im-axis factors and their grid of inner sums. The default
-# 32-entry codebook on the 22 x 23 grid of n_noise 500 fits in one block
-# of ~490 KiB, as much as the dense kernel's block of 4 entries x 500
-# draws took.
+# Float64 temporaries of one mi_inner_mean block of rows: their Re- and
+# Im-axis factors and their grid of inner sums. The default 8 antenna
+# rows against 32 entries on the 45 x 45 grid of n_noise 500 fit in one
+# block of ~310 KiB.
 MI_BLOCK_BYTES = 512 * 1024
 
 # Wichura's AS241 rational approximations of the standard normal quantile
@@ -185,16 +184,17 @@ def _normal_quantile(p):
     return num * np.where(tail, np.sign(q), q) / den
 
 
-def _noise_grid(rng, K, n_noise):
-    """Nodes and weights of entry-wise product rules for E f(n), n ~
-    CN(0, 1): per codebook entry, an m_x x m_y grid of nodes
-    n = x + i y, the smallest 2 <= m_x <= m_y <= m_x + 1 with at least
-    n_noise nodes. Returns (x, wx, y, wy), K x m_x and K x m_y.
+def _noise_grid(rng, R, n_noise):
+    """Nodes and weights of row-wise product rules for E f(n), n ~
+    CN(0, 1): per row (mutual_info_mc has one per transmit antenna), an
+    m_x x m_y grid of nodes n = x + i y, the smallest
+    2 <= m_x <= m_y <= m_x + 1 with at least n_noise nodes. Returns
+    (x, wx, y, wy), R x m_x and R x m_y.
 
     Each axis x ~ N(0, 1/2) takes the m-point rectangle rule at
     v = (s + w)/m, s = 0..m-1, of the integral over (0, 1) of
     f(Phi^-1(tau(v)) / sqrt 2) tau'(v) dv under Sidi's periodizing map
-    tau(v) = v - sin(2 pi v)/(2 pi), with one shift w per entry and axis
+    tau(v) = v - sin(2 pi v)/(2 pi), with one shift w per row and axis
     drawn uniformly from (0, 1) (odd multiples of 2^-53). A uniform shift
     makes each rule's weighted sum an unbiased estimate of E f(x), and
     for m >= 2 the weights tau'(v)/m sum to 1 in exact arithmetic.
@@ -202,7 +202,7 @@ def _noise_grid(rng, K, n_noise):
     m_y = math.isqrt(n_noise - 1) + 1
     m_x = max(2, m_y - 1 if (m_y - 1) * m_y >= n_noise else m_y)
     m_y = max(2, m_y)
-    shifts = (rng.integers(2 ** 52, size=(2, K)) + 0.5) / 2 ** 52
+    shifts = (rng.integers(2 ** 52, size=(2, R)) + 0.5) / 2 ** 52
     s, rest, step = _grid_columns(m_x, m_y)
     w = np.repeat(shifts.T, [m_x, m_y], axis=1)
     # v and 1 - v, the latter in a form that stays positive for w < 1;
@@ -238,21 +238,21 @@ def _grid_columns(m_x, m_y):
 
 
 @functools.lru_cache(maxsize=1)
-def _mi_workspace(K, m_x, m_y, block_bytes):
-    """The buffers of mi_inner_mean for K codebook entries on m_x x m_y
-    grids, sized for its blocks of at most block_bytes of temporaries.
-    Kept for the last shape and budget, a sweep has one, so a call
-    allocates no large array: the two factor arrays and the sums exceed
-    glibc's 128 KiB mmap threshold, and fresh ones would fault in new
-    pages on every call. Per process and not thread-safe; secsm runs
-    in parallel with processes.
+def _mi_workspace(R, K, m_x, m_y, block_bytes):
+    """The buffers of mi_inner_mean for R representative rows against K
+    codebook entries on m_x x m_y grids, sized for its blocks of at most
+    block_bytes of temporaries. Kept for the last shape and budget, a
+    sweep has one, so a call allocates no large array: the two factor
+    arrays and the sums exceed glibc's 128 KiB mmap threshold, and fresh
+    ones would fault in new pages on every call. Per process and not
+    thread-safe; secsm runs in parallel with processes.
 
     The node arrays' second column holds the constant 1.0 of
     _axis_factors' [x_is, 1] rows; it is written here and never again.
     """
-    rows = min(K, max(1, block_bytes // (8 * (K * (m_x + m_y)
+    rows = min(R, max(1, block_bytes // (8 * (K * (m_x + m_y)
                                                + m_x * m_y))))
-    ws = {"coef": np.empty((2, K, 2, K))}
+    ws = {"coef": np.empty((2, R, 2, K))}
     for axis, m in (("x", m_x), ("y", m_y)):
         nodes = np.empty((rows, m, 2))
         nodes[..., 1] = 1.0
@@ -272,61 +272,71 @@ def _axis_factors(nodes, x, coef, out):
 
 
 def mi_inner_mean(diffs, x, wx, y, wy):
-    """Unclamped mutual-information estimate in bits: the mean over
-    codebook entries i, and the weighted sum over entry i's grid of
-    noise nodes n = x_is + i y_iq with weights wx_is wy_iq, of
+    """Unclamped mutual-information estimate in bits: the mean over the
+    R rows i of diffs, and the weighted sum over row i's grid of noise
+    nodes n = x_is + i y_iq with weights wx_is wy_iq, of
 
         -log2(S_isq / K),  S_isq = sum_j exp(-|d_ij|^2 - 2 Re(d_ij conj n)).
 
-    diffs is the K x K matrix of pairwise effective-symbol differences
-    d_ij = g_i - g_j in the whitened scalar channel; x, wx are K x m_x
-    and y, wy K x m_y. With d = a + i b the exponent is
-    -a(a + 2x) - b(b + 2y), so S_i = A_i B_i^T for the factors
-    A_i[s, j] = exp(-a_ij (a_ij + 2 x_is)) and B_i[q, j] likewise in b
-    and y: K (m_x + m_y) exponentials per entry. Each factor is at most
-    exp(x^2), and the j = i term is exactly 1, so a channel without
-    signal gives exactly 0. Entries run in blocks of at most
-    MI_BLOCK_BYTES of temporaries, all in _mi_workspace.
+    diffs is the R x K matrix of effective-symbol differences
+    d_ij = g_i - g_j in the whitened scalar channel, R representative
+    codebook entries against all K; x, wx are R x m_x and y, wy R x m_y.
+    With d = a + i b the exponent is -a(a + 2x) - b(b + 2y), so
+    S_i = A_i B_i^T for the factors A_i[s, j] = exp(-a_ij (a_ij + 2 x_is))
+    and B_i[q, j] likewise in b and y: K (m_x + m_y) exponentials per
+    row. Each factor is at most exp(x^2), and a row's own entry
+    contributes exactly 1, so a channel without signal gives exactly 0.
+    The sums are scaled by 1/K as a product, which equals the quotient
+    bit for bit for a power-of-two K (every codebook size) only. Rows
+    run in blocks of at most MI_BLOCK_BYTES of temporaries, all in
+    _mi_workspace.
     """
     diffs = np.asarray(diffs, dtype=np.complex128)
-    K = diffs.shape[0]
-    if (diffs.shape != (K, K) or x.shape != wx.shape or y.shape != wy.shape
-            or x.ndim != 2 or y.ndim != 2 or len(x) != K or len(y) != K):
+    if (diffs.ndim != 2 or x.shape != wx.shape or y.shape != wy.shape
+            or x.ndim != 2 or y.ndim != 2 or len(x) != len(diffs)
+            or len(y) != len(diffs)):
         raise ValueError(f"shape mismatch: diffs {diffs.shape}, "
                          f"x {x.shape}, wx {wx.shape}, y {y.shape}, "
                          f"wy {wy.shape}")
-    rows, ws = _mi_workspace(K, x.shape[1], y.shape[1], MI_BLOCK_BYTES)
+    R, K = diffs.shape
+    rows, ws = _mi_workspace(R, K, x.shape[1], y.shape[1], MI_BLOCK_BYTES)
     # coef[0] holds the Re parts' coefficients, coef[1] the Im parts'
     parts = np.moveaxis(np.ascontiguousarray(diffs).view(np.float64)
-                        .reshape(K, K, 2), -1, 0)
+                        .reshape(R, K, 2), -1, 0)
     coef = ws["coef"]
     np.multiply(parts, -2.0, out=coef[:, :, 0])
     np.multiply(parts, parts, out=coef[:, :, 1])
     np.negative(coef[:, :, 1], out=coef[:, :, 1])
     total = 0.0
-    for start in range(0, K, rows):
+    for start in range(0, R, rows):
         block = slice(start, start + rows)
-        n = min(rows, K - start)
+        n = min(rows, R - start)
         a = _axis_factors(ws["nodes_x"][:n], x[block], coef[0, block],
                           ws["factor_x"][:n])
         b = _axis_factors(ws["nodes_y"][:n], y[block], coef[1, block],
                           ws["factor_y"][:n])
         sums = np.matmul(a, b.transpose(0, 2, 1), out=ws["sums"][:n])
-        sums /= K
+        sums *= 1.0 / K
         np.log2(sums, out=sums)
         total -= float(np.sum(wx[block][:, None, :] @ sums
                               @ wy[block][:, :, None]))
-    return total / K
+    return total / R
 
 
 def mutual_info_mc(u, side, chset, cfg, n_noise, rng):
     """Monte-Carlo mutual information of the scalar channel of u.
 
-    The channel is whitened by its noise power; for every codebook
-    entry, the noise expectation is a randomly shifted product rule of
-    about n_noise CN(0, 1) nodes (_noise_grid) that mi_inner_mean sums.
-    Each entry's weighted sum is an unbiased estimate of its
-    expectation. The result is clamped to [0, log2(size)] bits.
+    The channel is whitened by its noise power. Entry (a, k), antenna a
+    and PSK symbol s_k, has the differences of entry (a, 0) rotated by
+    s_k and permuted, and circular noise makes the noise expectation
+    rotation-invariant, so the mod_order entries of one antenna share
+    it. It is estimated once per antenna, on the row of its symbol-1
+    entry (build_codebook orders entries a * mod_order + k), by a
+    randomly shifted product rule of about mod_order * n_noise CN(0, 1)
+    nodes (_noise_grid) that mi_inner_mean sums: n_noise nodes per
+    codebook entry, pooled per antenna. Each antenna's weighted sum is
+    an unbiased estimate of its expectation. The result is clamped to
+    [0, log2(size)] bits.
 
     u is one combiner (a float is returned) or an m x n_rx stack of
     combiners (an array of m estimates is returned). The grid is drawn
@@ -338,8 +348,9 @@ def mutual_info_mc(u, side, chset, cfg, n_noise, rng):
     r, power = scalar_channel(u, side, chset, cfg)
     g = r / np.sqrt(_positive(power))[..., None]
     K = r.shape[-1]
-    diffs = (g[..., :, None] - g[..., None, :]).reshape(-1, K, K)
-    grid = _noise_grid(rng, K, n_noise)
+    M = cfg.mod_order
+    diffs = (g[..., ::M, None] - g[..., None, :]).reshape(-1, K // M, K)
+    grid = _noise_grid(rng, K // M, M * n_noise)
     top = math.log2(K)
     bits = np.array([min(max(mi_inner_mean(d, *grid), 0.0), top)
                      for d in diffs]).reshape(r.shape[:-1])

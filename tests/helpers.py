@@ -122,9 +122,22 @@ def bpsk_mi_quadrature(d, n_nodes=201):
     return 1.0 - float(weights @ f) / np.sqrt(np.pi)
 
 
+def gh_entry_means(diffs, order):
+    """E_n log2 sum_j exp(-|d_ij|^2 - 2 Re(d_ij conj n)), n ~ CN(0, 1),
+    for every row i of the R x K differences d, by the order-`order`
+    Gauss-Hermite product rule over Re n and Im n, each N(0, 1/2)."""
+    x, w = np.polynomial.hermite.hermgauss(order)
+    w = w / math.sqrt(math.pi)
+    # splitting |d|^2 between the two factors keeps both finite
+    half = -0.5 * np.abs(diffs[:, None, :]) ** 2
+    a = np.exp(half - 2.0 * x[:, None] * diffs.real[:, None, :])
+    b = np.exp(half - 2.0 * x[:, None] * diffs.imag[:, None, :])
+    return np.einsum("s,isq,q->i", w, np.log2(a @ b.transpose(0, 2, 1)), w)
+
+
 def dense_log2_sums(diffs, noise):
-    """log2 sum_j exp(-|d_ij|^2 - 2 Re(d_ij conj(n_it))) for every entry i
-    and draw t, a K x T array from the K x K differences d and the K x T
+    """log2 sum_j exp(-|d_ij|^2 - 2 Re(d_ij conj(n_it))) for every row i
+    and draw t, an R x T array from the R x K differences d and the R x T
     noise draws n: the exponent is -|d_ij + n_it|^2 + |n_it|^2 in a
     cancellation-free form, from one real matmul of the coefficients
     [-2 Re d_ij, -2 Im d_ij, -|d_ij|^2] with the draws [Re n, Im n, 1].

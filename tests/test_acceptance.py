@@ -282,9 +282,11 @@ def test_criterion_08_mi_estimator_vs_quadrature():
         mc = mutual_info_mc(u, "bob", ch, cfg, 20_000, derive_rng(8, 0, 0))
         exact = bpsk_mi_quadrature(2.0 * math.sqrt(cfg.power / noise_var))
         worst = max(worst, abs(mc - exact))
-    # the randomly shifted product rule's worst error at 20,000 nodes was
-    # 1.25e-6 bits over these SNRs, -10 and 15 dB and five streams
-    ok = worst <= 5e-6
+    # the randomly shifted product rule at 20,000 nodes per entry, one
+    # 200 x 200 grid per antenna, erred by at most 8.6e-7 bits over these
+    # SNRs, -10 and 15 dB and the streams (8, 0, s), s = 0..4; it reads
+    # 5.1e-7 here
+    ok = worst <= 1.7e-6
     report(8, ok, f"BPSK MI matches 1-D quadrature at 4 SNRs "
                   f"(worst |err| {worst:.2e} bits)")
 

@@ -17,12 +17,12 @@ EPS = np.finfo(float).eps
 
 def reference_mean(diffs, noise, weights):
     """Direct evaluation of the defining formula, no vectorization: the
-    mean over entries i of sum_t weights_it (log2 K - log2 sum_j
-    exp(-|d_ij + n_it|^2 + |n_it|^2))."""
-    K = diffs.shape[0]
+    mean over the R rows i of the R x K differences of sum_t weights_it
+    (log2 K - log2 sum_j exp(-|d_ij + n_it|^2 + |n_it|^2))."""
+    R, K = diffs.shape
     T = noise.shape[1]
     acc = 0.0
-    for i in range(K):
+    for i in range(R):
         for t in range(T):
             s = 0.0
             for j in range(K):
@@ -30,19 +30,21 @@ def reference_mean(diffs, noise, weights):
                 n = noise[i, t]
                 s += np.exp(-abs(d + n) ** 2 + abs(n) ** 2)
             acc += weights[i, t] * (math.log2(K) - np.log2(s))
-    return acc / K
+    return acc / R
 
 
-def random_diffs(rng, K, scale):
+def random_diffs(rng, K, scale, step=1):
+    """Differences of K random hypotheses: every step-th one's row, so
+    step = mod_order gives mutual_info_mc's n_active x K class rows."""
     g = scale * crandn_t(rng, K)
-    return g[:, None] - g[None, :]
+    return g[::step, None] - g[None, :]
 
 
 def expand(x, wx, y, wy):
-    """The grid as K x (m_x m_y) nodes x_is + i y_iq, weights wx_is wy_iq."""
-    K = len(x)
-    noise = (x[:, :, None] + 1j * y[:, None, :]).reshape(K, -1)
-    weights = (wx[:, :, None] * wy[:, None, :]).reshape(K, -1)
+    """The grid as R x (m_x m_y) nodes x_is + i y_iq, weights wx_is wy_iq."""
+    R = len(x)
+    noise = (x[:, :, None] + 1j * y[:, None, :]).reshape(R, -1)
+    weights = (wx[:, :, None] * wy[:, None, :]).reshape(R, -1)
     return noise, weights
 
 
@@ -50,47 +52,72 @@ def dense_value(diffs, grid):
     """The separable kernel's value from the dense helper formula on the
     expanded grid."""
     noise, weights = expand(*grid)
-    K = len(diffs)
+    R, K = diffs.shape
     return float(np.sum(weights * (math.log2(K)
-                                   - dense_log2_sums(diffs, noise)))) / K
+                                   - dense_log2_sums(diffs, noise)))) / R
+
+
+def case_ids(cases):
+    """Test ids of (K, ..., step) cases: the values but the step, joined
+    by '-', and '-step<n>' for a case of every n-th row."""
+    return ["-".join(map(str, c[:-1])) + (f"-step{c[-1]}" if c[-1] > 1
+                                          else "") for c in cases]
 
 
 def test_numpy_matches_reference():
-    rng = np.random.default_rng(1)
-    diffs = random_diffs(rng, 8, 1.0)
-    grid = _noise_grid(rng, 8, 16)
-    assert mi_inner_mean(diffs, *grid) == \
-        pytest.approx(reference_mean(diffs, *expand(*grid)), rel=1e-12)
+    # every entry's row, and 2 rows of 8, one per antenna of a QPSK
+    # codebook on 2 antennas
+    for step in (1, 4):
+        rng = np.random.default_rng(1)
+        diffs = random_diffs(rng, 8, 1.0, step)
+        grid = _noise_grid(rng, len(diffs), 16)
+        assert mi_inner_mean(diffs, *grid) == \
+            pytest.approx(reference_mean(diffs, *expand(*grid)), rel=1e-12)
 
 
 def test_dense_helper_matches_reference():
-    rng = np.random.default_rng(2)
-    diffs = random_diffs(rng, 8, 1.0)
-    noise = crandn_t(rng, 8, 16)
-    dense = 3.0 - float(dense_log2_sums(diffs, noise).mean())
-    assert dense == pytest.approx(
-        reference_mean(diffs, noise, np.full((8, 16), 1 / 16)), rel=1e-12)
+    for step in (1, 4):
+        rng = np.random.default_rng(2)
+        diffs = random_diffs(rng, 8, 1.0, step)
+        R = len(diffs)
+        noise = crandn_t(rng, R, 16)
+        dense = 3.0 - float(dense_log2_sums(diffs, noise).mean())
+        assert dense == pytest.approx(
+            reference_mean(diffs, noise, np.full((R, 16), 1 / 16)),
+            rel=1e-12)
 
 
-@pytest.mark.parametrize("K, n_noise, scale", [(8, 12, 1.0), (7, 2, 3.0),
-                                               (32, 500, 0.5), (2, 7, 2.0)])
-def test_separable_matches_dense_grid(K, n_noise, scale):
+# (K, n_noise, scale, step); the last case is mutual_info_mc's default:
+# 8 antenna rows of a 32-entry codebook on the 45 x 45 grid of n_noise
+# 500 per entry
+SEPARABLE_CASES = [(8, 12, 1.0, 1), (7, 2, 3.0, 1), (32, 500, 0.5, 1),
+                   (2, 7, 2.0, 1), (32, 2000, 0.5, 4)]
+
+
+@pytest.mark.parametrize("K, n_noise, scale, step", SEPARABLE_CASES,
+                         ids=case_ids(SEPARABLE_CASES))
+def test_separable_matches_dense_grid(K, n_noise, scale, step):
     rng = np.random.default_rng(K + n_noise)
-    diffs = random_diffs(rng, K, scale)
-    grid = _noise_grid(rng, K, n_noise)
+    diffs = random_diffs(rng, K, scale, step)
+    grid = _noise_grid(rng, len(diffs), n_noise)
     assert mi_inner_mean(diffs, *grid) == \
         pytest.approx(dense_value(diffs, grid), rel=1e-12)
 
 
-@pytest.mark.parametrize("K, T, scale", [(7, 16, 1.0), (7, 1, 3.0),
-                                         (32, 3, 0.5)])
-def test_blocks_match_reference(K, T, scale, monkeypatch):
-    # blocks of 3 entries, the last one shorter, on the grid of T nodes:
-    # a 4 x 4 grid, the 2 x 2 floor at one node, and the default
-    # 32-entry codebook over several blocks
+BLOCK_CASES = [(7, 16, 1.0, 1), (7, 1, 3.0, 1), (32, 3, 0.5, 1),
+               (64, 40, 1.0, 8)]
+
+
+@pytest.mark.parametrize("K, T, scale, step", BLOCK_CASES,
+                         ids=case_ids(BLOCK_CASES))
+def test_blocks_match_reference(K, T, scale, step, monkeypatch):
+    # blocks of 3 rows, the last one shorter, on the grid of T nodes:
+    # a 4 x 4 grid, the 2 x 2 floor at one node, the default 32-entry
+    # codebook over several blocks, and the 8 antenna rows of a 64-entry
+    # 8-PSK codebook
     rng = np.random.default_rng(K + T)
-    diffs = random_diffs(rng, K, scale)
-    grid = _noise_grid(rng, K, T)
+    diffs = random_diffs(rng, K, scale, step)
+    grid = _noise_grid(rng, len(diffs), T)
     whole = mi_inner_mean(diffs, *grid)
     m_x, m_y = grid[0].shape[1], grid[2].shape[1]
     monkeypatch.setattr(metrics, "MI_BLOCK_BYTES",
@@ -111,24 +138,31 @@ def test_blocks_match_reference(K, T, scale, monkeypatch):
     assert blocked == pytest.approx(dense_value(diffs, grid), rel=1e-12)
 
 
-# (K, n_noise, scale); K = 40 at n_noise 500 runs in blocks of 28 and
-# 12 entries under the default MI_BLOCK_BYTES
-WORKSPACE_CASES = [(32, 500, 0.5), (8, 12, 1.0), (40, 500, 1.0),
-                   (32, 500, 2.0), (7, 2, 3.0), (8, 12, 1.0)]
+# (K, n_noise, scale, step); K = 40 at n_noise 500 runs in blocks of 28
+# and 12 rows under the default MI_BLOCK_BYTES, and the last case has
+# mutual_info_mc's default 8 x 32 shape
+WORKSPACE_CASES = [(32, 500, 0.5, 1), (8, 12, 1.0, 1), (40, 500, 1.0, 1),
+                   (32, 500, 2.0, 1), (7, 2, 3.0, 1), (8, 12, 1.0, 1),
+                   (32, 2000, 1.0, 4)]
 
 
 def workspace_inputs(k):
-    K, n_noise, scale = WORKSPACE_CASES[k]
+    K, n_noise, scale, step = WORKSPACE_CASES[k]
     rng = np.random.default_rng(100 + k)
-    return random_diffs(rng, K, scale), _noise_grid(rng, K, n_noise)
+    diffs = random_diffs(rng, K, scale, step)
+    return diffs, _noise_grid(rng, len(diffs), n_noise)
+
+
+def workspace_of(diffs, grid):
+    """The workspace a call on diffs and grid runs in."""
+    return metrics._mi_workspace(*diffs.shape, grid[0].shape[1],
+                                 grid[2].shape[1], metrics.MI_BLOCK_BYTES)
 
 
 def test_partial_last_block_under_default_budget():
-    K, n_noise, _ = WORKSPACE_CASES[2]
-    grid = _noise_grid(np.random.default_rng(0), K, n_noise)
-    rows, _ = metrics._mi_workspace(K, grid[0].shape[1], grid[2].shape[1],
-                                    metrics.MI_BLOCK_BYTES)
-    assert 1 < rows < K and K % rows
+    diffs, grid = workspace_inputs(2)
+    rows, _ = workspace_of(diffs, grid)
+    assert 1 < rows < len(diffs) and len(diffs) % rows
 
 
 def test_workspace_independent_of_call_history():
@@ -151,8 +185,7 @@ def test_workspace_cells_written_before_read():
     # calls: a cell read before it is written turns the estimate NaN
     diffs, grid = workspace_inputs(2)
     first = mi_inner_mean(diffs, *grid)
-    rows, ws = metrics._mi_workspace(len(diffs), grid[0].shape[1],
-                                     grid[2].shape[1], metrics.MI_BLOCK_BYTES)
+    rows, ws = workspace_of(diffs, grid)
     for name, buf in ws.items():
         if name.startswith("nodes"):
             assert np.all(buf[..., 1] == 1.0)
@@ -181,8 +214,12 @@ def test_zero_diffs_gives_zero():
 
 def test_shape_validation():
     x, w = np.zeros((3, 2)), np.zeros((3, 2))
+    # 3 rows against 4 entries is legal; 4 rows on 3-row grids is not
+    assert mi_inner_mean(np.zeros((3, 4)), x, w, x, w) == 0.0
     with pytest.raises(ValueError):
-        mi_inner_mean(np.zeros((3, 4)), x, w, x, w)
+        mi_inner_mean(np.zeros((4, 4)), x, w, x, w)
+    with pytest.raises(ValueError):
+        mi_inner_mean(np.zeros(3), x, w, x, w)
     with pytest.raises(ValueError):
         mi_inner_mean(np.zeros((3, 3)), x, w, np.zeros((4, 2)), w)
     with pytest.raises(ValueError):

@@ -18,6 +18,15 @@ class TestCodebook:
         np.testing.assert_array_equal(cb.antennas, [0, 0, 1, 1])
         np.testing.assert_allclose(cb.symbols, [1, -1, 1, -1], atol=1e-15)
 
+    @pytest.mark.parametrize("n_active, mod_order", [(1, 2), (8, 4), (4, 8)])
+    def test_symbol_one_heads_each_antenna(self, n_active, mod_order):
+        # mutual_info_mc takes every mod_order-th entry as its antenna's
+        # representative: entry a * mod_order, antenna a, symbol exactly 1
+        cb = build_codebook(n_active, mod_order)
+        assert np.all(cb.symbols[::mod_order] == 1.0)
+        np.testing.assert_array_equal(cb.antennas[::mod_order],
+                                      np.arange(n_active))
+
     def test_default_size_and_bits(self):
         cb = build_codebook(8, 4)
         assert cb.size == 32
