@@ -22,7 +22,8 @@ from .numerics import (NotHermitianError, NotPositiveDefiniteError,
                        null_space_basis, whitening_matrix)
 
 __version__ = "0.4.0"
-# Recorded in run manifests. The MI kernel, metrics.mi_inner_mean, is
-# numpy: per transmit antenna, one batched matmul of separable Re- and
-# Im-axis exponential factors over a randomly shifted noise grid.
+# Recorded in run manifests and in perfbench/run.py's report, the one
+# reason it stays. The MI kernel, metrics.mi_inner_mean, is numpy: per
+# transmit antenna, one batched matmul of separable Re- and Im-axis
+# exponential factors over a cached Gauss-Hermite product rule.
 kernel_backend = "numpy"

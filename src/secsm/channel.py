@@ -14,8 +14,8 @@ import numpy as np
 
 from .numerics import max_eigvec_hermitian, null_space_basis
 
-# rng stream tag for channel sampling; the sweep harness uses tags 1..3
-# for its own Monte-Carlo draws.
+# rng stream tag for channel sampling; the sweep harness draws its BER
+# trials on tag 3.
 CHANNEL_STREAM = 0
 
 AN_MODES = ("nullspace", "random")

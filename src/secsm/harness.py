@@ -24,9 +24,7 @@ from .channel import AN_MODES, SystemConfig, derive_rng, realize_channels
 from .metrics import MetricsRecord, mutual_info_mc
 from .modulation import build_codebook
 
-# rng stream tags (channel sampling owns tag 0).
-_STREAM_MI_BOB = 1
-_STREAM_MI_EVE = 2
+# rng stream tag of the BER trials (channel sampling owns tag 0).
 _STREAM_BER = 3
 
 
@@ -260,7 +258,7 @@ def _realization_task(cfg, spec, r):
     tally bit_errors, squared_errors. POINT_FREE methods are built once,
     the others once per P_M across every SNR, and I_E once per SNR; Bob's
     rates, SJNRs and BER tallies come from one stacked call each per
-    grid point, the methods sharing one draw.
+    grid point, the methods sharing one BER draw.
     """
     chset = realize_channels(cfg, r, an_mode=spec.an_mode)
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
@@ -287,15 +285,12 @@ def _realization_task(cfg, spec, r):
     for si, snr_db in enumerate(spec.snr_grid_db):
         # P_JM cancels the attacker's self-interference at u_er, so I_E
         # does not depend on P_M: P_M = 0 makes that cancellation exact
-        i_eve = mutual_info_mc(
-            chset.u_er, "mallory", chset, _point_config(cfg, snr_db, 0.0),
-            spec.n_noise, derive_rng(cfg.seed, _STREAM_MI_EVE, r, si, 0))
+        i_eve = mutual_info_mc(chset.u_er, "mallory", chset,
+                               _point_config(cfg, snr_db, 0.0), spec.n_noise)
         for pi, p_m in enumerate(spec.p_m_list):
             point = _point_config(cfg, snr_db, p_m)
             stack = combiners[pi, si]
-            i_bobs = mutual_info_mc(
-                stack, "bob", chset, point, spec.n_noise,
-                derive_rng(cfg.seed, _STREAM_MI_BOB, r, si, pi))
+            i_bobs = mutual_info_mc(stack, "bob", chset, point, spec.n_noise)
             sr[si, pi] = np.maximum(0.0, i_bobs - i_eve)
             sjnr[si, pi] = metrics.sjnr(stack, chset, point)
             errors[si, pi], squared[si, pi] = metrics._ber_counts(

@@ -153,7 +153,7 @@ def mutual_info_iid(u, side, chset, cfg, n_noise, rng):
     """Mutual information of one combiner's scalar channel from n_noise
     independent CN(0, 1) draws per codebook entry, clamped to
     [0, log2 K]: the estimator metrics.mutual_info_mc used before its
-    stratified noise, kept as the oracle for its spread."""
+    stratified noise, kept as the Monte-Carlo oracle of its rule."""
     r, power = scalar_channel(u, side, chset, cfg)
     g = r / math.sqrt(power)
     top = math.log2(len(g))
@@ -216,10 +216,10 @@ def ber_counts_antenna_domain(u, chset, cfg, codebook, n_trials, rng):
 def realization_reference(cfg, spec, r, ber_trials):
     """harness._realization_task computed one grid point and one method
     at a time: each combiner built alone at its _point_config point, and
-    each MI, SJNR and BER tally from a single call on the point's rng
-    stream, with realization r's share ber_trials of spec.n_ber_trials
-    given by the caller. Returns the task's {quantity: (SNR, P_M,
-    method) array}."""
+    each MI, SJNR and BER tally from a single call, the BER tally on the
+    point's rng stream, with realization r's share ber_trials of
+    spec.n_ber_trials given by the caller. Returns the task's
+    {quantity: (SNR, P_M, method) array}."""
     chset = realize_channels(cfg, r, an_mode=spec.an_mode)
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
     shape = (len(spec.snr_grid_db), len(spec.p_m_list), len(spec.methods))
@@ -229,22 +229,18 @@ def realization_reference(cfg, spec, r, ber_trials):
     for si, snr_db in enumerate(spec.snr_grid_db):
         i_eve = mutual_info_mc(
             chset.u_er, "mallory", chset,
-            harness._point_config(cfg, snr_db, 0.0), spec.n_noise,
-            derive_rng(cfg.seed, harness._STREAM_MI_EVE, r, si, 0))
+            harness._point_config(cfg, snr_db, 0.0), spec.n_noise)
         for pi, p_m in enumerate(spec.p_m_list):
             point = harness._point_config(cfg, snr_db, p_m)
-
-            def rng(tag):
-                return derive_rng(cfg.seed, tag, r, si, pi)
-
             for mi, method in enumerate(spec.methods):
                 cell = si, pi, mi
                 u = compute_beamformer(method, chset, point).u
-                i_bob = mutual_info_mc(u, "bob", chset, point, spec.n_noise,
-                                       rng(harness._STREAM_MI_BOB))
+                i_bob = mutual_info_mc(u, "bob", chset, point, spec.n_noise)
                 out["sr"][cell] = max(0.0, i_bob - i_eve)
                 out["sjnr"][cell] = metrics.sjnr(u, chset, point)
                 out["bit_errors"][cell], out["squared_errors"][cell] = \
                     metrics._ber_counts(u, chset, point, codebook, ber_trials,
-                                        rng(harness._STREAM_BER))
+                                        derive_rng(cfg.seed,
+                                                   harness._STREAM_BER,
+                                                   r, si, pi))
     return out

@@ -630,12 +630,13 @@ class TestRunSweep:
         assert grid["svd"] == point_free["svd"] + 2
         assert three["svd"] == one["svd"] == grid["svd"] - 1
         assert three["eigh"] == one["eigh"]
-        # Bob's MI, SJNR and BER per point; the attacker's MI per SNR
+        # Bob's MI, SJNR and BER per point, one generator for the BER
+        # trials only; the attacker's MI per SNR
         points, n_snr = 6, 3
         assert {k: grid[k] for k in ("mutual_info_mc", "derive_rng", "sjnr",
                                      "_ber_counts")} == {
             "mutual_info_mc": points + n_snr,
-            "derive_rng": 2 * points + n_snr,
+            "derive_rng": points,
             "sjnr": points, "_ber_counts": points}
 
     @pytest.mark.parametrize("snr_db,p_m", [(140.0, 1.0), (60.0, 1e6),
