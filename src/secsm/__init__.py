@@ -23,7 +23,8 @@ from .numerics import (NotHermitianError, NotPositiveDefiniteError,
 
 __version__ = "0.4.0"
 # Recorded in run manifests and in perfbench/run.py's report, the one
-# reason it stays. The MI kernel, metrics.mi_inner_mean, is numpy: per
-# transmit antenna, one batched matmul of separable Re- and Im-axis
+# reason it stays. The MI kernel, metrics.mi_inner_mean, is numpy: one
+# call per realization on every channel's antenna rows, in blocks of
+# whole channels, each a batched matmul of separable Re- and Im-axis
 # exponential factors over a cached Gauss-Hermite product rule.
 kernel_backend = "numpy"

@@ -21,7 +21,10 @@ import numpy as np
 from . import metrics
 from .beamformers import POINT_FREE, Method, compute_beamformer
 from .channel import AN_MODES, SystemConfig, derive_rng, realize_channels
-from .metrics import MetricsRecord, mutual_info_mc
+from .metrics import MetricsRecord, scalar_channel
+# not called here: perfbench/tracing.py hooks this name, until the
+# benchmark change that retires the hook
+from .metrics import mutual_info_mc  # noqa: F401
 from .modulation import build_codebook
 
 # rng stream tag of the BER trials (channel sampling owns tag 0).
@@ -256,9 +259,10 @@ def _realization_task(cfg, spec, r):
 
     Returns {quantity: (SNR, P_M, method) array} for sr, sjnr and the BER
     tally bit_errors, squared_errors. POINT_FREE methods are built once,
-    the others once per P_M across every SNR, and I_E once per SNR; Bob's
-    rates, SJNRs and BER tallies come from one stacked call each per
-    grid point, the methods sharing one BER draw.
+    the others once per P_M across every SNR. Each (SNR, P_M) takes one
+    scalar channel of its method stack, which its BER tally reads at
+    once, the methods sharing one BER draw; the attacker takes one per
+    SNR. All of them then go through one SJNR and one MI call.
     """
     chset = realize_channels(cfg, r, an_mode=spec.an_mode)
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
@@ -280,22 +284,29 @@ def _realization_task(cfg, spec, r):
                 combiners[pi, :, mi] = compute_beamformer(
                     m, chset, at_p_m, noise_vars).u
     shape = (len(spec.snr_grid_db), len(spec.p_m_list), len(spec.methods))
-    sr, sjnr = np.zeros(shape), np.zeros(shape)
+    n_snr, n_p_m, n_methods = shape
     errors, squared = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
+    # the scalar channels per SNR: Bob's per (P_M, method), then the
+    # attacker's, the last row
+    refs = np.empty((n_snr, n_p_m * n_methods + 1, codebook.size),
+                    dtype=np.complex128)
+    power = np.empty(refs.shape[:-1])
     for si, snr_db in enumerate(spec.snr_grid_db):
         # P_JM cancels the attacker's self-interference at u_er, so I_E
         # does not depend on P_M: P_M = 0 makes that cancellation exact
-        i_eve = mutual_info_mc(chset.u_er, "mallory", chset,
-                               _point_config(cfg, snr_db, 0.0), spec.n_noise)
+        refs[si, -1], power[si, -1] = scalar_channel(
+            chset.u_er, "mallory", chset, _point_config(cfg, snr_db, 0.0))
         for pi, p_m in enumerate(spec.p_m_list):
-            point = _point_config(cfg, snr_db, p_m)
-            stack = combiners[pi, si]
-            i_bobs = mutual_info_mc(stack, "bob", chset, point, spec.n_noise)
-            sr[si, pi] = np.maximum(0.0, i_bobs - i_eve)
-            sjnr[si, pi] = metrics.sjnr(stack, chset, point)
+            bob = slice(pi * n_methods, (pi + 1) * n_methods)
+            refs[si, bob], power[si, bob] = scalar_channel(
+                combiners[pi, si], "bob", chset,
+                _point_config(cfg, snr_db, p_m))
             errors[si, pi], squared[si, pi] = metrics._ber_counts(
-                stack, chset, point, codebook, ber_block,
+                refs[si, bob], power[si, bob], codebook, ber_block,
                 derive_rng(cfg.seed, _STREAM_BER, r, si, pi))
+    bits = metrics.mutual_info(refs, power, cfg.mod_order, spec.n_noise)
+    sr = np.maximum(0.0, bits[:, :-1] - bits[:, -1:]).reshape(shape)
+    sjnr = metrics.channel_sjnr(refs[:, :-1], power[:, :-1]).reshape(shape)
     return {"sr": sr, "sjnr": sjnr, "bit_errors": errors,
             "squared_errors": squared}
 

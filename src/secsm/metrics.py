@@ -24,9 +24,11 @@ SIDES = ("bob", "mallory")
 BER_BLOCK_TRIALS = 256
 
 # Float64 temporaries of one mi_inner_mean block of rows: their Re- and
-# Im-axis factors and their grid of inner sums. The default 8 antenna
-# rows against 32 entries on the 45 x 45 grid of n_noise 500 fit in one
-# block of ~310 KiB.
+# Im-axis factors and their grid of inner sums (the exponent
+# coefficients, 4 K per row, come on top). A block takes as many whole
+# channels of rows as fit. One channel's default 8 antenna rows against
+# 32 entries on the 45 x 45 grid of n_noise 500 take ~310 KiB, so a
+# block holds one; at n_noise 2 (a 3 x 3 grid) it holds up to 40.
 MI_BLOCK_BYTES = 512 * 1024
 
 # The Gauss-Hermite rule of mutual_info_mc keeps its nodes with
@@ -112,7 +114,13 @@ def _positive(power):
 
 def sjnr(u, chset, cfg):
     """Signal-to-jamming-plus-noise ratio at Bob of a combiner or stack."""
-    r, power = scalar_channel(u, "bob", chset, cfg)
+    return channel_sjnr(*scalar_channel(u, "bob", chset, cfg))
+
+
+def channel_sjnr(r, power):
+    """The SJNR of scalar channels (r, power) of scalar_channel: the mean
+    output power over the codebook per unit noise power. A 1-D r gives
+    a float."""
     ratio = (np.mean(np.ascontiguousarray(np.abs(r) ** 2), axis=-1)
              / _positive(power))
     return float(ratio) if r.ndim == 1 else ratio
@@ -162,77 +170,122 @@ def _gauss_hermite(m):
 
 
 @functools.lru_cache(maxsize=1)
-def _mi_workspace(R, K, m, block_bytes):
-    """The factor and sum buffers of mi_inner_mean for R representative
-    rows against K codebook entries on an m x m grid, sized for its
-    blocks of at most block_bytes. Kept for the last shape and budget, a
-    sweep has one, so a call allocates no large array: at the default
-    shape the factors exceed glibc's 128 KiB mmap threshold, and fresh
-    ones would fault in new pages on every call. Per process and not
-    thread-safe; secsm runs in parallel with processes.
+def _mi_workspace(rows, K, m):
+    """The coefficient, factor and sum buffers of one mi_inner_mean
+    block of rows against K codebook entries on an m x m grid. Kept for
+    the last shape, a sweep has one, so a call allocates no large array:
+    at the default shape the factors exceed glibc's 128 KiB mmap
+    threshold, and fresh ones would fault in new pages on every call.
+    Per process and not thread-safe; secsm runs in parallel with
+    processes.
     """
-    rows = min(R, max(1, block_bytes // (8 * m * (2 * K + m))))
-    return rows, np.empty((2, rows, m, K)), np.empty((rows, m, m))
+    return (np.empty((2, rows, 2, K)), np.empty((2, rows, m, K)),
+            np.empty((rows, m, m)))
 
 
 def mi_inner_mean(diffs, x, w):
-    """Unclamped mutual-information estimate in bits: the mean over the
-    R rows i of diffs, and the weighted sum over the m x m grid of noise
-    nodes n = x_s + i x_q with weights w_s w_q, of
+    """Unclamped mutual-information estimates in bits, one per group of
+    R rows: for each leading index of the (..., R, K) differences, the
+    mean over its R rows i, and the weighted sum over the m x m grid of
+    noise nodes n = x_s + i x_q with weights w_s w_q, of
 
         -log2(S_isq / K),  S_isq = sum_j exp(-|d_ij|^2 - 2 Re(d_ij conj n)).
 
-    diffs is the R x K matrix of effective-symbol differences
-    d_ij = g_i - g_j in the whitened scalar channel, R representative
+    A group is the R x K matrix of effective-symbol differences
+    d_ij = g_i - g_j of one whitened scalar channel, R representative
     codebook entries against all K; x, w is one 1-D rule that both axes
     of every row share. With d = a + i b the exponent is
     -a(a + 2x) - b(b + 2y), so S_i = A_i B_i^T for the factors
     A_i[s, j] = exp(-a_ij (a_ij + 2 x_s)) and B_i[q, j] likewise in b:
-    2 K m exponentials per row, and the weights are applied once, to
-    the sum over rows of log2 S_i. Each factor is at most exp(x_s^2),
-    and a row's own entry contributes exactly 1, so a channel without
-    signal gives exactly 0. The sums are scaled by 1/K as a product,
-    which equals the quotient bit for bit for a power-of-two K (every
-    codebook size) only. Rows run in blocks whose factors and sums, at
-    most MI_BLOCK_BYTES, live in _mi_workspace.
+    2 K m exponentials per row, and the weights are applied once per
+    group, to the sum over its rows of log2 S_i. Each factor is at most
+    exp(x_s^2), and a row's own entry contributes exactly 1, so a
+    channel without signal gives exactly +0.0. The sums are scaled by
+    1/K as a product, which equals the quotient bit for bit for a
+    power-of-two K (every codebook size) only.
+
+    Rows run in blocks whose factors and sums, at most MI_BLOCK_BYTES,
+    and coefficients live in _mi_workspace. A block holds whole groups,
+    or, when one group exceeds the budget, part of one group, whose
+    blocks add up in turn; either way a group's estimate does not
+    depend on the groups around it, and equals a call on that group
+    alone bit for bit. A 2-D diffs, one group, gives a float.
     """
     diffs = np.asarray(diffs, dtype=np.complex128)
-    if diffs.ndim != 2 or x.ndim != 1 or x.shape != w.shape:
+    if diffs.ndim < 2 or x.ndim != 1 or x.shape != w.shape:
         raise ValueError(f"shape mismatch: diffs {diffs.shape}, "
                          f"x {x.shape}, w {w.shape}")
-    R, K = diffs.shape
-    rows, factors, sums = _mi_workspace(R, K, len(x), MI_BLOCK_BYTES)
-    # the exponent's coefficients [-2 d, -d^2] of the nodes [x, 1], per
-    # part d (Re [0], Im [1]) of every difference: 2 x R x 2 x K
-    parts = np.moveaxis(np.ascontiguousarray(diffs).view(np.float64)
-                        .reshape(R, K, 2), -1, 0)
-    coef = np.stack((-2.0 * parts, -parts * parts), axis=2)
+    *lead, R, K = diffs.shape
+    m = len(x)
+    G = math.prod(lead)
+    fit = max(1, MI_BLOCK_BYTES // (8 * m * (2 * K + m)))
+    rows = min(G, fit // R) * R or fit
+    coef, factors, sums = _mi_workspace(rows, K, m)
+    # the real and imaginary part of every difference, as rows of (K, 2)
+    parts = np.ascontiguousarray(diffs).view(np.float64).reshape(-1, K, 2)
+    if rows >= R:
+        blocks = [(a, min(rows, G * R - a)) for a in range(0, G * R, rows)]
+    else:
+        blocks = [(g * R + a, min(rows, R - a))
+                  for g in range(G) for a in range(0, R, rows)]
     nodes = np.stack((x, np.ones_like(x)), axis=-1)
-    total = 0.0
-    for start in range(0, R, rows):
-        c = coef[:, start:start + rows]
-        f, s = factors[:, :c.shape[1]], sums[:c.shape[1]]
+    totals = np.zeros(G)
+    for start, n in blocks:
+        # the exponent's coefficients [-2 d, -d^2] of the nodes [x, 1],
+        # per part d (Re [0], Im [1]): 2 x n x 2 x K
+        c, f, s = coef[:, :n], factors[:, :n], sums[:n]
+        part = np.moveaxis(parts[start:start + n], -1, 0)
+        np.multiply(part, -2.0, out=c[:, :, 0])
+        np.multiply(part, part, out=c[:, :, 1])
+        np.negative(c[:, :, 1], out=c[:, :, 1])
         np.exp(np.matmul(nodes, c, out=f), out=f)
         np.matmul(f[0], f[1].transpose(0, 2, 1), out=s)
         s *= 1.0 / K
         np.log2(s, out=s)
-        total -= float(w @ s.sum(axis=0) @ w)
-    return total / R
+        # the sum of each group's (or the one partial group's) grids
+        grids = s.reshape(-1, min(n, R), m, m).sum(axis=1)
+        for g, row in enumerate(w @ grids, start // R):
+            totals[g] -= float(row @ w)
+    bits = totals / R
+    return float(bits[0]) if not lead else bits.reshape(lead)
 
 
-def mutual_info_mc(u, side, chset, cfg, n_noise, rng=None):
-    """Mutual information of the scalar channel of u, in bits.
+def mutual_info(r, power, mod_order, n_noise):
+    """Mutual information in bits of the scalar channels (r, power) of
+    scalar_channel: codebook outputs r along the last axis and one noise
+    power per channel, any number of leading axes.
 
-    The channel is whitened by its noise power. Entry (a, k), antenna a
+    Each channel is whitened by its noise power. Entry (a, k), antenna a
     and PSK symbol s_k, has the differences of entry (a, 0) rotated by
     s_k and permuted, and circular noise makes the noise expectation
     rotation-invariant, so the mod_order entries of one antenna share
     it. It is computed once per antenna, on the row of its symbol-1
-    entry (build_codebook orders entries a * mod_order + k), by
-    mi_inner_mean on the m x m Gauss-Hermite product rule for CN(0, 1)
-    noise, m the smallest order >= 2 with m^2 >= mod_order * n_noise:
-    n_noise nodes per codebook entry, pooled per antenna. The result is
-    clamped to [0, log2(size)] bits.
+    entry (build_codebook orders entries a * mod_order + k), on the
+    m x m Gauss-Hermite product rule for CN(0, 1) noise, m the smallest
+    order >= 2 with m^2 >= mod_order * n_noise: n_noise nodes per
+    codebook entry, pooled per antenna. Every channel goes through one
+    mi_inner_mean call, and each estimate, clamped to [0, log2(size)]
+    bits, equals a call on its channel alone bit for bit. A 1-D r gives
+    a float.
+    """
+    if n_noise < 1:
+        raise ValueError("n_noise must be at least 1")
+    g = r / np.sqrt(_positive(power))[..., None]
+    rule = _gauss_hermite(max(2, math.isqrt(mod_order * n_noise - 1) + 1))
+    # one antenna's row at a time: a broadcast over the whole stack would
+    # take two ufunc buffers of up to 128 KiB each, heap that stays
+    K = r.shape[-1]
+    diffs = np.empty(r.shape[:-1] + (K // mod_order, K), dtype=np.complex128)
+    for a in range(K // mod_order):
+        np.subtract(g[..., a * mod_order, None], g, out=diffs[..., a, :])
+    bits = mi_inner_mean(diffs, *rule)
+    bits = np.minimum(np.maximum(bits, 0.0), math.log2(K))
+    return float(bits) if r.ndim == 1 else bits
+
+
+def mutual_info_mc(u, side, chset, cfg, n_noise, rng=None):
+    """Mutual information of the scalar channel of u, in bits:
+    mutual_info of scalar_channel.
 
     u is one combiner (a float is returned) or an m x n_rx stack of
     combiners (an array of m estimates is returned), and a row's
@@ -241,36 +294,25 @@ def mutual_info_mc(u, side, chset, cfg, n_noise, rng=None):
     passes it positionally, until the benchmark change that renames
     n_noise removes it.
     """
-    if n_noise < 1:
-        raise ValueError("n_noise must be at least 1")
-    r, power = scalar_channel(u, side, chset, cfg)
-    g = r / np.sqrt(_positive(power))[..., None]
-    K = r.shape[-1]
-    M = cfg.mod_order
-    diffs = (g[..., ::M, None] - g[..., None, :]).reshape(-1, K // M, K)
-    rule = _gauss_hermite(max(2, math.isqrt(M * n_noise - 1) + 1))
-    top = math.log2(K)
-    bits = np.array([min(max(mi_inner_mean(d, *rule), 0.0), top)
-                     for d in diffs]).reshape(r.shape[:-1])
-    return float(bits) if r.ndim == 1 else bits
+    return mutual_info(*scalar_channel(u, side, chset, cfg), cfg.mod_order,
+                       n_noise)
 
 
-def _ber_counts(u, chset, cfg, codebook, n_trials, rng):
-    """Bit-error tally of the combiner u over n_trials random codebook
-    transmissions.
+def _ber_counts(refs, power, codebook, n_trials, rng):
+    """Bit-error tally over n_trials random codebook transmissions
+    through Bob's scalar channel (refs, power) of scalar_channel.
 
     Returns (bit_errors, squared_error_sum); the squared sum of per-use
     bit errors supports an empirical variance estimate. For a stack of
-    combiners both sums are arrays over its leading axes.
+    channels, refs with leading axes, both sums are arrays over them.
 
-    The trials run in Bob's scalar_channel, z = r_idx + sqrt(power) n.
-    Per block of BER_BLOCK_TRIALS the draws are the codebook indices,
-    then one unit complex normal n per trial, shared by a stack's rows,
-    which are detected one at a time: a row's tally equals a single call
-    on an identically seeded rng. ML detection is one argmin over a
+    A trial receives z = refs[idx] + sqrt(power) n. Per block of
+    BER_BLOCK_TRIALS the draws are the codebook indices, then one unit
+    complex normal n per trial, shared by a stack's rows, which are
+    detected one at a time: a row's tally equals a single call on an
+    identically seeded rng. ML detection is one argmin over a
     (trials x K) distance array, ties to the lowest index.
     """
-    refs, power = scalar_channel(u, "bob", chset, cfg)
     shape = refs.shape[:-1]
     refs = refs.reshape(-1, codebook.size)
     sigma = np.sqrt(np.reshape(power, -1))

@@ -239,7 +239,9 @@ def realization_reference(cfg, spec, r, ber_trials):
                 out["sr"][cell] = max(0.0, i_bob - i_eve)
                 out["sjnr"][cell] = metrics.sjnr(u, chset, point)
                 out["bit_errors"][cell], out["squared_errors"][cell] = \
-                    metrics._ber_counts(u, chset, point, codebook, ber_trials,
+                    metrics._ber_counts(*scalar_channel(u, "bob", chset,
+                                                        point),
+                                        codebook, ber_trials,
                                         derive_rng(cfg.seed,
                                                    harness._STREAM_BER,
                                                    r, si, pi))

@@ -400,3 +400,35 @@ def test_criterion_11_low_snr_gain(sr_sweep):
     report(11, ok, f"gain over rp and zfc at -5/0 dB, paired z > "
                    f"{threshold:g}, falling over -5/0/5 dB "
                    f"({'; '.join(notes)})")
+
+
+def test_criterion_12_zero_forcing_crossover():
+    # Where the ordering max_rp <= max_rp_zfc holds. Zero-forcing spends
+    # one of Bob's receive dimensions on the jamming stream, which at a
+    # low jamming-to-noise ratio is worth more than the jamming it
+    # removes: at P_M 1 W max_rp_zfc trails max_rp at -14 dB and leads
+    # it at -8 dB, the crossover lying in between. At P_M 10 W it still
+    # leads at -14 dB. Judged on the paired z of the per-realization
+    # differences, max_rp_zfc minus max_rp.
+    spec = SweepSpec(snr_grid_db=(-14.0, -8.0), p_m_list=(1.0, 10.0),
+                     methods=(Method.MAX_RP, Method.MAX_RP_ZFC),
+                     n_realizations=400, n_noise=500, n_ber_trials=400)
+    started = time.perf_counter()
+    records = run_sweep(SystemConfig(), spec, threads=THREADS)
+    elapsed = time.perf_counter() - started
+    table = {(r.snr_db, r.p_m, r.method): r for r in records}
+    threshold = 4.0
+    # (SNR, P_M, sign of the gain)
+    sides = ((-14.0, 1.0, -1.0), (-8.0, 1.0, 1.0), (-14.0, 10.0, 1.0))
+    ok = True
+    notes = []
+    for snr, p_m, sign in sides:
+        gain = np.subtract(table[snr, p_m, Method.MAX_RP_ZFC].sr_samples,
+                           table[snr, p_m, Method.MAX_RP].sr_samples)
+        z = paired_z(gain)
+        ok &= sign * z > threshold
+        notes.append(f"{snr:+.0f}dB@{p_m:g}W {np.mean(gain):+.4f} "
+                     f"z {z:+.1f}")
+    report(12, ok, f"zfc-rp crossover between -14 and -8 dB at 1 W, "
+                   f"above -14 dB at 10 W, paired |z| > {threshold:g} "
+                   f"({'; '.join(notes)}; {elapsed:.1f}s)")

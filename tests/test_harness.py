@@ -597,10 +597,10 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "compute_beamformer", counting(
             lambda method, *args: Method(method), harness.compute_beamformer))
-        for name in ("mutual_info_mc", "derive_rng"):
+        for name in ("scalar_channel", "derive_rng"):
             monkeypatch.setattr(harness, name, counting(
                 name, getattr(harness, name)))
-        for name in ("sjnr", "_ber_counts"):
+        for name in ("mi_inner_mean", "channel_sjnr", "_ber_counts"):
             monkeypatch.setattr(metrics, name, counting(
                 name, getattr(metrics, name)))
         for name in ("svd", "eigh"):
@@ -630,14 +630,17 @@ class TestRunSweep:
         assert grid["svd"] == point_free["svd"] + 2
         assert three["svd"] == one["svd"] == grid["svd"] - 1
         assert three["eigh"] == one["eigh"]
-        # Bob's MI, SJNR and BER per point, one generator for the BER
-        # trials only; the attacker's MI per SNR
+        # one scalar channel of Bob's method stack per point, read by its
+        # BER tally, and one generator for the BER trials only; the
+        # attacker's scalar channel per SNR; one SJNR and one MI kernel
+        # call for them all
         points, n_snr = 6, 3
-        assert {k: grid[k] for k in ("mutual_info_mc", "derive_rng", "sjnr",
-                                     "_ber_counts")} == {
-            "mutual_info_mc": points + n_snr,
-            "derive_rng": points,
-            "sjnr": points, "_ber_counts": points}
+        assert {k: grid[k] for k in ("scalar_channel", "derive_rng",
+                                     "_ber_counts", "channel_sjnr",
+                                     "mi_inner_mean")} == {
+            "scalar_channel": points + n_snr, "derive_rng": points,
+            "_ber_counts": points, "channel_sjnr": 1, "mi_inner_mean": 1}
+        assert one["mi_inner_mean"] == point_free["mi_inner_mean"] == 1
 
     @pytest.mark.parametrize("snr_db,p_m", [(140.0, 1.0), (60.0, 1e6),
                                              (20.0, 1e12)])

@@ -128,17 +128,8 @@ def test_blocks_match_reference(K, T, scale, step, monkeypatch):
     m = len(rule[0])
     monkeypatch.setattr(metrics, "MI_BLOCK_BYTES", 3 * 8 * m * (2 * K + m))
     # the workspace the blocked call runs in, not one cached before
-    rows = []
-    workspace = metrics._mi_workspace
-
-    def spy(*args):
-        result = workspace(*args)
-        rows.append(result[0])
-        return result
-
-    monkeypatch.setattr(metrics, "_mi_workspace", spy)
-    blocked = mi_inner_mean(diffs, *rule)
-    assert rows == [3]
+    blocked, rows = call_with_workspace(monkeypatch, diffs, rule)
+    assert rows == 3
     assert blocked == pytest.approx(whole, rel=1e-13)
     assert blocked == pytest.approx(dense_value(diffs, rule), rel=1e-12)
 
@@ -157,15 +148,27 @@ def workspace_inputs(k):
     return random_diffs(rng, K, scale, step), rule_for(n_noise)
 
 
-def workspace_of(diffs, rule):
-    """The workspace a call on diffs and rule runs in."""
-    return metrics._mi_workspace(*diffs.shape, len(rule[0]),
-                                 metrics.MI_BLOCK_BYTES)
+def call_with_workspace(monkeypatch, diffs, rule):
+    """(mi_inner_mean(diffs, *rule), the rows of the workspace it ran
+    in), read by a spy on metrics._mi_workspace."""
+    shapes = []
+    workspace = metrics._mi_workspace
+
+    def spy(*args):
+        shapes.append(args)
+        return workspace(*args)
+
+    monkeypatch.setattr(metrics, "_mi_workspace", spy)
+    value = mi_inner_mean(diffs, *rule)
+    monkeypatch.setattr(metrics, "_mi_workspace", workspace)
+    [(rows, K, m)] = shapes
+    assert (K, m) == (diffs.shape[-1], len(rule[0]))
+    return value, rows
 
 
-def test_partial_last_block_under_default_budget():
+def test_partial_last_block_under_default_budget(monkeypatch):
     diffs, rule = workspace_inputs(2)
-    rows = workspace_of(diffs, rule)[0]
+    _, rows = call_with_workspace(monkeypatch, diffs, rule)
     assert 1 < rows < len(diffs) and len(diffs) % rows
 
 
@@ -184,27 +187,82 @@ def test_workspace_independent_of_call_history():
         assert value == pytest.approx(dense_value(diffs, rule), rel=1e-12)
 
 
-def test_workspace_cells_written_before_read():
+def test_workspace_cells_written_before_read(monkeypatch):
     # every buffer filled with NaN between calls: a cell read before it
-    # is written turns the estimate NaN
-    diffs, rule = workspace_inputs(2)
-    first = mi_inner_mean(diffs, *rule)
-    for buf in workspace_of(diffs, rule)[1:]:
-        buf[...] = np.nan
-    assert mi_inner_mean(diffs, *rule) == first
+    # is written turns the estimate NaN. One group in blocks of 27 rows,
+    # then 5 groups of 8 rows in blocks of 2 groups, the last holding one
+    cases = [workspace_inputs(2), (stack_inputs(5, 32, 20, 4), rule_for(20))]
+    for k, (diffs, rule) in enumerate(cases):
+        if k:
+            set_block_rows(monkeypatch, diffs, rule, 16)
+        first, rows = call_with_workspace(monkeypatch, diffs, rule)
+        for buf in metrics._mi_workspace(rows, diffs.shape[-1],
+                                         len(rule[0])):
+            buf[...] = np.nan
+        again = mi_inner_mean(diffs, *rule)
+        assert np.array_equal(again, first) and not np.isnan(first).any()
+
+
+def stack_inputs(G, K, n_noise, step):
+    """G groups of random_diffs, each its own whitened channel."""
+    rng = np.random.default_rng(G * K + n_noise)
+    return np.array([random_diffs(rng, K, scale, step)
+                     for scale in np.linspace(0.3, 2.0, G)])
+
+
+def set_block_rows(monkeypatch, diffs, rule, rows):
+    """A block budget of the given rows for diffs' K and the rule."""
+    K, m = diffs.shape[-1], len(rule[0])
+    monkeypatch.setattr(metrics, "MI_BLOCK_BYTES", rows * 8 * m * (2 * K + m))
+
+
+# (G, K, n_noise, step, budget rows or None for MI_BLOCK_BYTES, rows of
+# the block the stack runs in): 2 groups a block with a shorter last
+# block; 3 groups a block, not a multiple of the budget's 7 rows; one
+# block of all groups; groups larger than a block, in blocks of 3 rows
+# and of 1; and 27 default-budget groups of 8 rows at the 9 x 9 rule of
+# 80 nodes (QPSK at n_noise 20), 12 a block
+STACK_CASES = [(5, 32, 20, 4, 16, 16), (4, 8, 12, 4, 7, 6),
+               (3, 8, 50, 2, None, 12), (3, 32, 50, 4, 3, 3),
+               (2, 7, 2, 1, 1, 1), (27, 32, 80, 4, None, 96)]
+
+
+@pytest.mark.parametrize("G, K, n_noise, step, budget, rows", STACK_CASES)
+def test_stack_equals_single_calls(G, K, n_noise, step, budget, rows,
+                                   monkeypatch):
+    diffs, rule = stack_inputs(G, K, n_noise, step), rule_for(n_noise)
+    if budget:
+        set_block_rows(monkeypatch, diffs, rule, budget)
+    stacked, got = call_with_workspace(monkeypatch, diffs, rule)
+    assert got == rows
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (G,)
+    singles = [mi_inner_mean(d, *rule) for d in diffs]
+    assert all(type(v) is float for v in singles)
+    assert stacked.tolist() == singles
+    # two leading axes: the same estimates in their shape
+    if G % 2 == 0:
+        pairs = mi_inner_mean(diffs.reshape(2, G // 2, *diffs.shape[1:]),
+                              *rule)
+        assert pairs.shape == (2, G // 2)
+        assert pairs.ravel().tolist() == singles
 
 
 def test_zero_diffs_gives_zero():
     # all hypotheses identical: every inner sum is exactly K, and the
-    # estimate exactly +0.0
+    # estimate exactly +0.0, of one group or of each in a stack
     bits = mi_inner_mean(np.zeros((8, 8)), *rule_for(50))
     assert bits == 0.0 and math.copysign(1.0, bits) == 1.0
+    stacked = mi_inner_mean(np.zeros((3, 8, 8)), *rule_for(50))
+    assert stacked.tolist() == [0.0] * 3
+    assert not np.signbit(stacked).any()
 
 
 def test_shape_validation():
     x, w = np.zeros(2), np.zeros(2)
-    # 3 rows against 4 entries is legal; the rule is one 1-D x and w
+    # 3 rows against 4 entries is legal, alone or as 2 groups; the rule
+    # is one 1-D x and w
     assert mi_inner_mean(np.zeros((3, 4)), x, w) == 0.0
+    assert mi_inner_mean(np.zeros((2, 3, 4)), x, w).tolist() == [0.0, 0.0]
     with pytest.raises(ValueError):
         mi_inner_mean(np.zeros(3), x, w)
     with pytest.raises(ValueError):

@@ -14,14 +14,20 @@ from secsm.channel import (AN_MODES, ChannelSet, SystemConfig, crandn,
                            derive_rng, realize_channels)
 from secsm.metrics import (BER_BLOCK_TRIALS, SIDES, _ber_counts,
                            _gauss_hermite, _side_terms, flop_estimate,
-                           mi_inner_mean, mutual_info_mc, scalar_channel,
-                           sjnr)
+                           mi_inner_mean, mutual_info, mutual_info_mc,
+                           scalar_channel, sjnr)
 from secsm.modulation import build_codebook
 from secsm.numerics import gen_max_eigvec
 
 from helpers import (ber_counts_antenna_domain, bpsk_mi_quadrature,
                      covariance, gh_entry_means, mutual_info_iid,
                      noise_cov_bob)
+
+
+def bob_ber(u, ch, cfg, codebook, n_trials, rng):
+    """_ber_counts in the scalar channel of Bob's combiner or stack u."""
+    return _ber_counts(*scalar_channel(u, "bob", ch, cfg), codebook,
+                       n_trials, rng)
 
 
 def factored_cov(ch, cfg, side="bob"):
@@ -51,8 +57,8 @@ def ber_over(method, sets, cfg, trials_per_set, rng):
     """BER of one method over several realizations, trials_per_set
     _ber_counts trials on each, all drawn from the one rng in turn."""
     cb = build_codebook(cfg.n_active, cfg.mod_order)
-    errors = sum(_ber_counts(compute_beamformer(method, ch, cfg).u, ch,
-                             cfg, cb, trials_per_set, rng)[0] for ch in sets)
+    errors = sum(bob_ber(compute_beamformer(method, ch, cfg).u, ch,
+                          cfg, cb, trials_per_set, rng)[0] for ch in sets)
     return errors / (len(sets) * trials_per_set * cb.bits_per_use)
 
 
@@ -264,21 +270,28 @@ class TestMutualInfo:
         ch = realize_channels(cfg, 5)
         cb = build_codebook(cfg.n_active, cfg.mod_order)
         U = np.array([compute_beamformer(m, ch, cfg).u for m in Method])
+        singles = []
         for side, stack in (("bob", U), ("mallory", U[:, :2])):
             stacked = mutual_info_mc(stack, side, ch, cfg, 300)
             single = [mutual_info_mc(u, side, ch, cfg, 300) for u in stack]
             assert isinstance(stacked, np.ndarray)
             assert stacked.tolist() == single
+            singles.append(single)
+        # both sides' scalar channels as one 2 x 4 stack of mutual_info
+        channels = [scalar_channel(U, "bob", ch, cfg),
+                    scalar_channel(U[:, :2], "mallory", ch, cfg)]
+        r, power = (np.stack(parts) for parts in zip(*channels))
+        assert mutual_info(r, power, cfg.mod_order, 300).tolist() == singles
         ratios = sjnr(U, ch, cfg)
         assert isinstance(ratios, np.ndarray)
         assert type(sjnr(U[0], ch, cfg)) is float
         assert ratios.tolist() == [sjnr(u, ch, cfg) for u in U]
         # a full block and a partial one
         n = BER_BLOCK_TRIALS + 37
-        errors, squared = _ber_counts(U, ch, cfg, cb, n,
-                                      derive_rng(3, 9, 42))
+        errors, squared = bob_ber(U, ch, cfg, cb, n,
+                                   derive_rng(3, 9, 42))
         for k, u in enumerate(U):
-            assert (errors[k], squared[k]) == _ber_counts(
+            assert (errors[k], squared[k]) == bob_ber(
                 u, ch, cfg, cb, n, derive_rng(3, 9, 42))
         assert errors.sum() > 0  # the tallies have errors to compare
 
@@ -511,7 +524,7 @@ class TestMlDetect:
         cb = build_codebook(8, 4)
         u = compute_beamformer(Method.MAX_RP, ch, cfg).u
         # 1000 uniform draws miss one of the 32 entries with p < 1e-12
-        errors, _ = _ber_counts(u, ch, cfg, cb, 1000, derive_rng(3, 9, 15))
+        errors, _ = bob_ber(u, ch, cfg, cb, 1000, derive_rng(3, 9, 15))
         assert errors == 0
 
     def test_scale_invariant_decision(self):
@@ -527,8 +540,8 @@ class TestMlDetect:
             cb = build_codebook(cfg.n_active, cfg.mod_order)
             u = compute_beamformer(Method.MAX_RP, ch, cfg).u
             u9 = compute_beamformer(Method.MAX_RP, ch, big).u
-            a = _ber_counts(u, ch, cfg, cb, 50, derive_rng(3, 9, 16))
-            b = _ber_counts(u9, ch, big, cb, 50, derive_rng(3, 9, 16))
+            a = bob_ber(u, ch, cfg, cb, 50, derive_rng(3, 9, 16))
+            b = bob_ber(u9, ch, big, cb, 50, derive_rng(3, 9, 16))
             assert a == b
         assert a[0] > 0  # the realized case makes errors to compare
 
@@ -606,8 +619,8 @@ class TestBatchedBerCounts:
                 point = replace(cfg, noise_var_bob=nv, noise_var_eve=nv,
                                 **overrides)
                 u = compute_beamformer(method, ch, point).u
-                batched = _ber_counts(u, ch, point, cb, n,
-                                      derive_rng(3, 9, tag, k))
+                batched = bob_ber(u, ch, point, cb, n,
+                                   derive_rng(3, 9, tag, k))
                 looped = ber_counts_antenna_domain(
                     u, ch, point, cb, n, derive_rng(3, 9, ref_tag, k))
                 b, b_se = ber_and_se(batched, n, cb.bits_per_use)
@@ -629,8 +642,8 @@ class TestBatchedBerCounts:
         ch = realize_channels(cfg, 0)
         cb = build_codebook(cfg.n_active, cfg.mod_order)
         u = compute_beamformer(Method.MAX_SJNR, ch, cfg).u
-        errors, squared = _ber_counts(u, ch, cfg, cb, n_trials,
-                                      derive_rng(3, 9, 32))
+        errors, squared = bob_ber(u, ch, cfg, cb, n_trials,
+                                   derive_rng(3, 9, 32))
         assert 0 <= errors <= squared <= n_trials * cb.bits_per_use ** 2
         assert errors <= n_trials * cb.bits_per_use
 
@@ -642,8 +655,8 @@ class TestBatchedBerCounts:
         ch = realize_channels(cfg, 1)
         cb = build_codebook(8, 4)
         u = compute_beamformer(Method.MAX_RP, ch, cfg).u
-        errors, _ = _ber_counts(u, ch, cfg, cb, 100_000,
-                                derive_rng(3, 9, 17))
+        errors, _ = bob_ber(u, ch, cfg, cb, 100_000,
+                             derive_rng(3, 9, 17))
         assert errors / (100_000 * cb.bits_per_use) == \
             pytest.approx(0.5, abs=0.01)
 
@@ -657,10 +670,10 @@ class TestBatchedBerCounts:
         U = np.array([compute_beamformer(m, ch, cfg).u
                       for m in (Method.MAX_RP, Method.MAX_RP_ZFC)])
         for n_trials in (300, 0):
-            errors, squared = _ber_counts(U, ch, cfg, cb, n_trials,
-                                          derive_rng(3, 9, 44))
+            errors, squared = bob_ber(U, ch, cfg, cb, n_trials,
+                                       derive_rng(3, 9, 44))
             assert errors.tolist() == squared.tolist() == [0, 0]
-        single = _ber_counts(U[0], ch, cfg, cb, 0, derive_rng(3, 9, 44))
+        single = bob_ber(U[0], ch, cfg, cb, 0, derive_rng(3, 9, 44))
         assert single == (0, 0)
         assert all(type(x) is int for x in single)
 
@@ -669,7 +682,7 @@ class TestBatchedBerCounts:
         ch = realize_channels(cfg, 1)
         cb = build_codebook(cfg.n_active, cfg.mod_order)
         u = compute_beamformer(Method.MAX_WFRP, ch, cfg).u
-        runs = [_ber_counts(u, ch, cfg, cb, 1000, derive_rng(3, 9, 34))
+        runs = [bob_ber(u, ch, cfg, cb, 1000, derive_rng(3, 9, 34))
                 for _ in range(2)]
         assert runs[0] == runs[1]
         assert runs[0][0] > 0
