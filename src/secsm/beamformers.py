@@ -45,10 +45,6 @@ class Beamformer:
     u: np.ndarray
 
 
-def _signal_gram(chset):
-    return chset.HT @ chset.HT.conj().T
-
-
 def _bob_interference(chset, cfg, noise_vars):
     """(V, noise variances) of Bob's interference at cfg's jamming power:
     noise_vars, or cfg's own noise variance as a length-1 vector."""
@@ -59,8 +55,7 @@ def _bob_interference(chset, cfg, noise_vars):
 def max_rp(chset, cfg):
     """Maximum receive power: dominant eigenvector of H T T^H H^H,
     treating interference plus noise as white."""
-    v, _ = max_eigvec_hermitian(_signal_gram(chset))
-    return Beamformer(u=v)
+    return Beamformer(u=max_eigvec_hermitian(chset.HTHT))
 
 
 def max_wfrp(chset, cfg, noise_vars=None):
@@ -76,7 +71,7 @@ def max_wfrp(chset, cfg, noise_vars=None):
     W = whitening_matrix(V, nvs)
     W = W / np.abs(W).max(axis=(-2, -1), keepdims=True)
     HT_w = W @ chset.HT
-    w, _ = max_eigvec_hermitian(HT_w @ conj_transpose(HT_w))
+    w = max_eigvec_hermitian(HT_w @ conj_transpose(HT_w))
     u = canonical_phase(unit_rows((conj_transpose(W) @ w[..., None])
                                   [..., 0]))
     return Beamformer(u=u if noise_vars is not None else u[0])
@@ -96,9 +91,8 @@ def max_rp_zfc(chset, cfg):
         raise ValueError(
             f"ZFC infeasible: {jam.shape[1]} jamming streams fill the "
             f"{jam.shape[0]}-dimensional receive space")
-    eta, _ = max_eigvec_hermitian(U.conj().T @ _signal_gram(chset) @ U)
-    u = U @ eta
-    return Beamformer(u=canonical_phase(u / np.linalg.norm(u)))
+    eta = max_eigvec_hermitian(U.conj().T @ chset.HTHT @ U)
+    return Beamformer(u=canonical_phase(unit_rows(U @ eta)))
 
 
 def max_sjnr(chset, cfg, noise_vars=None):
@@ -106,7 +100,7 @@ def max_sjnr(chset, cfg, noise_vars=None):
     eigenvector of the signal Gram against the interference-plus-noise
     covariance. With noise_vars, one row per noise variance."""
     V, nvs = _bob_interference(chset, cfg, noise_vars)
-    v, _ = gen_max_eigvec(_signal_gram(chset), V, nvs)
+    v = gen_max_eigvec(chset.HTHT, V, nvs)
     return Beamformer(u=v if noise_vars is not None else v[0])
 
 

@@ -118,8 +118,10 @@ class ChannelSet:
             u_er^H M_self P_JM = 0
 
     The channel products every SNR and jamming-power point reuses are
-    computed on first use and kept, read-only: HT = H T, GT = G T,
-    HT_AN = HT P_AN, GT_AN = GT P_AN, F_JM = F P_JM, M_JM = M_self P_JM.
+    computed on first use and kept, read-only: HT = H T, HTHT = HT HT^H
+    (Bob's signal Gram, which every beamformer but max_wfrp maximizes),
+    GT = G T, HT_AN = HT P_AN, GT_AN = GT P_AN, F_JM = F P_JM,
+    M_JM = M_self P_JM.
     """
 
     H: np.ndarray
@@ -132,6 +134,8 @@ class ChannelSet:
     P_JM: np.ndarray
 
     HT = cached_property(lambda self: _read_only(self.H @ self.T))
+    HTHT = cached_property(
+        lambda self: _read_only(self.HT @ self.HT.conj().T))
     HT_AN = cached_property(lambda self: _read_only(self.HT @ self.P_AN))
     GT = cached_property(lambda self: _read_only(self.G @ self.T))
     GT_AN = cached_property(lambda self: _read_only(self.GT @ self.P_AN))
@@ -213,7 +217,7 @@ def build_mallory_chain(G, T, M_self):
     if n_mallory < 2:
         raise ValueError("the attacker needs at least 2 antennas to jam")
     GT = G @ T
-    u_er, _ = max_eigvec_hermitian(GT @ GT.conj().T)
+    u_er = max_eigvec_hermitian(GT @ GT.conj().T)
     back = (M_self.conj().T @ u_er).reshape(-1, 1)
     basis = null_space_basis(back)[:, :n_mallory - 1]
     return u_er, basis / math.sqrt(n_mallory - 1)

@@ -169,6 +169,18 @@ def _gauss_hermite(m):
     return x, w
 
 
+def _aligned_empty(shape, dtype=np.float64):
+    """An uninitialised array like np.empty(shape, dtype) whose data start
+    on a 64-byte (cache-line) boundary. The BER and MI loops run over
+    kept buffers, and the offset the heap happens to give them moved
+    the BER sweep's time by up to 6%."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
 @functools.lru_cache(maxsize=1)
 def _mi_workspace(rows, K, m):
     """The coefficient, factor and sum buffers of one mi_inner_mean
@@ -179,8 +191,8 @@ def _mi_workspace(rows, K, m):
     Per process and not thread-safe; secsm runs in parallel with
     processes.
     """
-    return (np.empty((2, rows, 2, K)), np.empty((2, rows, m, K)),
-            np.empty((rows, m, m)))
+    return (_aligned_empty((2, rows, 2, K)),
+            _aligned_empty((2, rows, m, K)), _aligned_empty((rows, m, m)))
 
 
 def mi_inner_mean(diffs, x, w):
@@ -317,18 +329,20 @@ def _ber_counts(refs, power, codebook, n_trials, rng):
     refs = refs.reshape(-1, codebook.size)
     sigma = np.sqrt(np.reshape(power, -1))
     tallies = np.zeros((len(refs), 2), dtype=np.int64)
-    # one buffer per call: a fresh 128 KiB one per block and row faults
-    diff = np.empty((min(BER_BLOCK_TRIALS, n_trials), codebook.size),
-                    dtype=np.complex128)
+    # one pair of buffers per call: a fresh 128 KiB one per block and
+    # row faults
+    block_shape = (min(BER_BLOCK_TRIALS, n_trials), codebook.size)
+    diff = _aligned_empty(block_shape, np.complex128)
+    dist = _aligned_empty(block_shape)
     for start in range(0, n_trials, BER_BLOCK_TRIALS):
         block = min(BER_BLOCK_TRIALS, n_trials - start)
         idx = rng.integers(codebook.size, size=block)
         noise = crandn(rng, block)
         for row, s, tally in zip(refs, sigma, tallies):
             z = row[idx] + s * noise
-            dist = np.abs(np.subtract(z[:, None], row[None, :],
-                                      out=diff[:block]))
-            e = codebook.bit_errors[idx, np.argmin(dist, axis=1)]
+            np.abs(np.subtract(z[:, None], row[None, :], out=diff[:block]),
+                   out=dist[:block])
+            e = codebook.bit_errors[idx, np.argmin(dist[:block], axis=1)]
             tally += (e.sum(), (e * e).sum())
     errors, squared = tallies.T.reshape((2,) + shape)
     if not shape:

@@ -75,17 +75,16 @@ def unit_rows(v):
 
 
 def max_eigvec_hermitian(A):
-    """Dominant eigenpair of a Hermitian matrix.
+    """Dominant eigenvector of a Hermitian matrix.
 
-    Returns (v, lam) with ||v|| = 1 and A v = lam v for the largest
-    eigenvalue lam: eigh's last eigenpair, the one gen_max_eigvec takes
-    too, with v in canonical phase. There is no tie rule: a repeated top
-    eigenvalue gives the vector eigh puts last. For an S x n x n stack,
-    one stacked eigh gives an S x n stack of vectors and S eigenvalues.
+    Returns v with ||v|| = 1 and A v = lam v for the largest eigenvalue
+    lam: eigh's last eigenvector, the one gen_max_eigvec takes too, in
+    canonical phase. There is no tie rule: a repeated top eigenvalue
+    gives the vector eigh puts last. For an S x n x n stack, one stacked
+    eigh gives an S x n stack of vectors.
     """
-    vals, vecs = np.linalg.eigh(_check_hermitian(A))
-    v = unit_rows(canonical_phase(vecs[..., -1]))
-    return v, (float(vals[-1]) if vals.ndim == 1 else vals[..., -1])
+    _, vecs = np.linalg.eigh(_check_hermitian(A))
+    return unit_rows(canonical_phase(vecs[..., -1]))
 
 
 def null_space_basis(B):
@@ -161,15 +160,15 @@ def gen_max_eigvec(num, V, noise_var):
     """Unit vector maximizing the generalized Rayleigh quotient.
 
     Maximizes (v^H num v) / (v^H R v) for Hermitian PSD num and
-    R = noise_var I + V V^H; returns (v, ratio) with ||v|| = 1, canonical
-    phase, and ratio the achieved maximum. With R = L L^H for the factor
-    L = Q diag(t) of _interference_factor, v is L^{-H} w for the dominant
+    R = noise_var I + V V^H; returns v with ||v|| = 1 and canonical
+    phase. With R = L L^H for the factor L = Q diag(t) of
+    _interference_factor, v is L^{-H} w for the dominant
     eigenvector w of L^{-1} num L^{-H}, reduced with the scale-free
     min(t) L^{-1} = diag(min(t) / t) Q^H. num is PSD when its smallest
     eigenvalue is at least -1e-10 times its largest in magnitude.
 
-    A vector of S noise variances gives an S x n stack of vectors and S
-    ratios from one SVD, one check of num and one stacked eigh.
+    A vector of S noise variances gives an S x n stack of vectors from
+    one SVD, one check of num and one stacked eigh.
     """
     num = _check_hermitian(num, "numerator")
     Q, t = _interference_factor(V, noise_var)
@@ -185,9 +184,4 @@ def gen_max_eigvec(num, V, noise_var):
     GH = conj_transpose(G)
     C = G @ num @ GH
     _, vecs = np.linalg.eigh(0.5 * (C + conj_transpose(C)))
-    v = unit_rows(canonical_phase((GH @ vecs[..., -1:])[..., 0]))
-    VH = np.asarray(V).conj().T
-    ratios = [float(np.real(x.conj() @ num @ x)
-                    / (nv + np.linalg.norm(VH @ x) ** 2))
-              for x, nv in zip(np.atleast_2d(v), np.atleast_1d(noise_var))]
-    return (v, ratios[0]) if v.ndim == 1 else (v, np.array(ratios))
+    return unit_rows(canonical_phase((GH @ vecs[..., -1:])[..., 0]))

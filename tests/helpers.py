@@ -48,6 +48,11 @@ def quotient(num, den, v):
     return float(np.real(v.conj() @ num @ v) / np.real(v.conj() @ den @ v))
 
 
+def rayleigh(A, v):
+    """v^H A v: the eigenvalue of a unit eigenvector v of A."""
+    return float(np.real(v.conj() @ A @ v))
+
+
 def gen_max_eigvec_eig(num, den):
     """Dominant generalized eigenpair by the unsymmetrized pencil: the
     eigenvector of den^{-1} num with the largest real eigenvalue.

@@ -3,19 +3,22 @@ results.csv value is committed in tests/golden.json with the package
 version that produced it.
 
 An intended change of the outputs regenerates the file and bumps
-secsm.__version__ in the same change:
+secsm.__version__, and pyproject.toml's version with it, in the same
+change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
 import math
+import re
 from pathlib import Path
 
 from secsm import __version__
 from secsm.harness import parse_config, run_sweep, write_outputs
 
 GOLDEN = Path(__file__).with_name("golden.json")
+PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 
 # every method at 2 SNRs and 2 jamming powers, over 3 realizations
 DOCUMENT = """\
@@ -63,6 +66,16 @@ def test_golden_version():
         "outputs pinned by another version: regenerate tests/golden.json "
         "with the version bump that changed them")
     assert golden["document"] == DOCUMENT
+
+
+def test_pyproject_version():
+    # the project table's version line, read without tomllib (Python
+    # 3.11+): a version bump changes both files or fails here
+    found = re.findall(r'^version = "([^"]+)"$', PYPROJECT.read_text(),
+                       flags=re.M)
+    assert found == [__version__], (
+        f"pyproject.toml version {found} differs from secsm.__version__ "
+        f"{__version__!r}")
 
 
 def test_golden_results(tmp_path):

@@ -203,6 +203,27 @@ def test_workspace_cells_written_before_read(monkeypatch):
         assert np.array_equal(again, first) and not np.isnan(first).any()
 
 
+@pytest.mark.parametrize("shape, dtype", [
+    ((1,), np.float64), ((7,), np.uint8), ((4, 1), np.float32),
+    ((3, 5), np.complex128), ((2, 3, 3), np.int64),
+    ((2, 7, 2, 32), np.float64), ((256, 32), np.complex128)])
+def test_aligned_empty_starts_on_cache_line(shape, dtype):
+    # whatever offset the heap gives: small arrays of every size in
+    # between shift it, and are kept alive so they do
+    held = []
+    for size in range(1, 130, 8):
+        held.append(np.empty(size, dtype=np.uint8))
+        a = metrics._aligned_empty(shape, dtype)
+        assert a.ctypes.data % 64 == 0
+        assert a.shape == shape and a.dtype == dtype
+        assert a.flags.c_contiguous and a.flags.writeable
+
+
+def test_workspace_starts_on_cache_line():
+    for buf in metrics._mi_workspace(3, 32, 45):
+        assert buf.ctypes.data % 64 == 0
+
+
 def stack_inputs(G, K, n_noise, step):
     """G groups of random_diffs, each its own whitened channel."""
     rng = np.random.default_rng(G * K + n_noise)

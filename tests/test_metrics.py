@@ -21,7 +21,7 @@ from secsm.numerics import gen_max_eigvec
 
 from helpers import (ber_counts_antenna_domain, bpsk_mi_quadrature,
                      covariance, gh_entry_means, mutual_info_iid,
-                     noise_cov_bob)
+                     noise_cov_bob, quotient)
 
 
 def bob_ber(u, ch, cfg, codebook, n_trials, rng):
@@ -201,7 +201,8 @@ class TestSjnr:
         HT = ch.H @ ch.T
         num = cfg.beta * cfg.power / cfg.n_active * (HT @ HT.conj().T)
         _, V, noise_var = _side_terms(ch, cfg, "bob")
-        _, ratio = gen_max_eigvec(num, V, noise_var)
+        v = gen_max_eigvec(num, V, noise_var)
+        ratio = quotient(num, noise_cov_bob(ch, cfg), v)
         u = max_sjnr(ch, cfg).u
         assert sjnr(u, ch, cfg) == pytest.approx(ratio, rel=1e-10)
 

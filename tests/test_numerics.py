@@ -9,7 +9,7 @@ from secsm.numerics import (NotHermitianError, NotPositiveDefiniteError,
                             null_space_basis, whitening_matrix)
 
 from helpers import (covariance, crandn_t, gen_max_eigvec_eig, quotient,
-                     random_factor, random_search_max_ratio)
+                     random_factor, random_search_max_ratio, rayleigh)
 
 
 def hermitian(rng, n, ridge=0.0):
@@ -24,37 +24,42 @@ def no_factor(n):
 
 class TestMaxEigvec:
     def test_identity_tie(self):
-        v, lam = max_eigvec_hermitian(np.eye(3))
-        assert lam == pytest.approx(1.0, abs=1e-12)
+        v = max_eigvec_hermitian(np.eye(3))
+        assert rayleigh(np.eye(3), v) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-        v2, _ = max_eigvec_hermitian(np.eye(3))
+        v2 = max_eigvec_hermitian(np.eye(3))
         np.testing.assert_array_equal(v, v2)
 
     def test_diagonal(self):
-        v, lam = max_eigvec_hermitian(np.diag([1.0, 5.0, 2.0]))
-        assert lam == pytest.approx(5.0, abs=1e-12)
+        A = np.diag([1.0, 5.0, 2.0])
+        v = max_eigvec_hermitian(A)
+        assert rayleigh(A, v) == pytest.approx(5.0, abs=1e-12)
         np.testing.assert_allclose(v, [0, 1, 0], atol=1e-12)
 
     def test_rank_one(self):
         rng = np.random.default_rng(7)
         x = crandn_t(rng, 4)
         x /= np.linalg.norm(x)
-        v, lam = max_eigvec_hermitian(np.outer(x, x.conj()))
-        assert lam == pytest.approx(1.0, abs=1e-10)
+        A = np.outer(x, x.conj())
+        v = max_eigvec_hermitian(A)
+        assert rayleigh(A, v) == pytest.approx(1.0, abs=1e-10)
         assert abs(v.conj() @ x) == pytest.approx(1.0, abs=1e-10)
 
     def test_residual_and_norm(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             A = hermitian(rng, int(rng.integers(2, 9)))
-            v, lam = max_eigvec_hermitian(A)
+            v = max_eigvec_hermitian(A)
+            lam = rayleigh(A, v)
+            # the largest eigenvalue, not merely an eigenvalue
+            assert lam == pytest.approx(np.linalg.eigvalsh(A)[-1], rel=1e-12)
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
             assert np.linalg.norm(A @ v - lam * v) <= 1e-9 * np.linalg.norm(A)
 
     def test_canonical_phase(self):
         rng = np.random.default_rng(11)
         A = hermitian(rng, 5)
-        v, _ = max_eigvec_hermitian(A)
+        v = max_eigvec_hermitian(A)
         j = np.argmax(np.abs(v))
         assert v[j].imag == pytest.approx(0.0, abs=1e-14)
         assert v[j].real > 0
@@ -166,21 +171,24 @@ class TestWhitening:
 
 class TestGenMaxEigvec:
     def test_diag_num(self):
-        v, ratio = gen_max_eigvec(np.diag([2.0, 1.0]), no_factor(2), 1.0)
-        assert ratio == pytest.approx(2.0, abs=1e-12)
+        num = np.diag([2.0, 1.0])
+        v = gen_max_eigvec(num, no_factor(2), 1.0)
+        assert quotient(num, np.eye(2), v) == pytest.approx(2.0, abs=1e-12)
         np.testing.assert_allclose(np.abs(v), [1, 0], atol=1e-10)
 
     def test_diag_den(self):
         V = np.array([[0.0], [np.sqrt(3.0)]])  # R = diag(1, 4)
-        v, ratio = gen_max_eigvec(np.eye(2), V, 1.0)
-        assert ratio == pytest.approx(1.0, abs=1e-12)
+        v = gen_max_eigvec(np.eye(2), V, 1.0)
+        assert (quotient(np.eye(2), covariance(V, 1.0), v)
+                == pytest.approx(1.0, abs=1e-12))
         np.testing.assert_allclose(np.abs(v), [1, 0], atol=1e-10)
 
     def test_random_vs_search_oracle(self):
         rng = np.random.default_rng(31)
         num = hermitian(rng, 4)
         V = crandn_t(rng, 4, 4)
-        v, ratio = gen_max_eigvec(num, V, 0.5)
+        v = gen_max_eigvec(num, V, 0.5)
+        ratio = quotient(num, covariance(V, 0.5), v)
         best = random_search_max_ratio(num, covariance(V, 0.5), rng,
                                        n_samples=100_000)
         assert ratio == pytest.approx(best, rel=1e-6)
@@ -189,9 +197,11 @@ class TestGenMaxEigvec:
         rng = np.random.default_rng(37)
         # the zero matrix too: both return eigh's last vector, e_5
         for A in [np.zeros((5, 5))] + [hermitian(rng, 5) for _ in range(20)]:
-            v1, lam1 = max_eigvec_hermitian(A)
-            v2, lam2 = gen_max_eigvec(A, no_factor(5), 1.0)
-            assert lam2 == pytest.approx(lam1, abs=1e-10 * max(1, lam1))
+            v1 = max_eigvec_hermitian(A)
+            v2 = gen_max_eigvec(A, no_factor(5), 1.0)
+            lam1 = rayleigh(A, v1)
+            assert (rayleigh(A, v2)
+                    == pytest.approx(lam1, abs=1e-10 * max(1, lam1)))
             assert abs(v1.conj() @ v2) >= 1.0 - 1e-9
 
     def test_stationary_at_maximum(self):
@@ -199,7 +209,8 @@ class TestGenMaxEigvec:
         num = hermitian(rng, 4)
         V = crandn_t(rng, 4, 4)
         den = covariance(V, 0.3)
-        v, ratio = gen_max_eigvec(num, V, 0.3)
+        v = gen_max_eigvec(num, V, 0.3)
+        ratio = quotient(num, den, v)
         for _ in range(50):
             w = crandn_t(rng, 4)
             w = w - (v.conj() @ w) * v
@@ -215,7 +226,8 @@ class TestGenMaxEigvec:
         # R = diag(1, 1e-11, 1, 1)
         V = np.diag([1.0, 0.0, 1.0, 1.0])[:, [0, 2, 3]] * np.sqrt(1 - 1e-11)
         den = covariance(V, 1e-11)
-        v, ratio = gen_max_eigvec(num, V, 1e-11)
+        v = gen_max_eigvec(num, V, 1e-11)
+        ratio = quotient(num, den, v)
         assert np.isfinite(ratio) and ratio > 0
         best = random_search_max_ratio(num, den, rng, n_samples=50_000)
         assert ratio >= best - 1e-6 * abs(best)
@@ -235,7 +247,7 @@ class TestGenMaxEigvec:
                 V = Q * np.sqrt(spread - 1.0)
                 den = covariance(V, 1.0)
                 num = hermitian(rng, n)
-                v, _ = gen_max_eigvec(num, V, 1.0)
+                v = gen_max_eigvec(num, V, 1.0)
                 v_ref, _ = gen_max_eigvec_eig(num, den)
                 worst = max(worst, 1.0 - abs(v.conj() @ v_ref))
         assert worst <= 1e-12
@@ -243,9 +255,11 @@ class TestGenMaxEigvec:
     def test_no_floor_at_extreme_interference(self):
         # jamming 1e300 above the noise along e_0: the maximizer nulls it
         V = np.array([[1e150], [0.0]])
-        v, ratio = gen_max_eigvec(np.ones((2, 2)), V, 1.0)
+        num = np.ones((2, 2))
+        v = gen_max_eigvec(num, V, 1.0)
         assert abs(v[1]) == pytest.approx(1.0, abs=1e-12)
-        assert ratio == pytest.approx(1.0, rel=1e-12)
+        assert (quotient(num, covariance(V, 1.0), v)
+                == pytest.approx(1.0, rel=1e-12))
 
     def test_errors(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -263,23 +277,26 @@ def test_common_scale_invariance():
     # 1e30 scales the eigenvalue by c and leaves every vector as it is
     rng = np.random.default_rng(59)
     A, num, V = hermitian(rng, 5), hermitian(rng, 5), crandn_t(rng, 5, 3)
-    v_ref, lam_ref = max_eigvec_hermitian(A)
-    g_ref, ratio_ref = gen_max_eigvec(num, V, 0.5)
+    v_ref = max_eigvec_hermitian(A)
+    g_ref = gen_max_eigvec(num, V, 0.5)
+    lam_ref = rayleigh(A, v_ref)
+    ratio_ref = quotient(num, covariance(V, 0.5), g_ref)
     for c in 10.0 ** np.arange(-30, 31, 5):
-        v, lam = max_eigvec_hermitian(c * A)
+        v = max_eigvec_hermitian(c * A)
         np.testing.assert_allclose(v, v_ref, rtol=0.0, atol=1e-12)
-        assert lam == pytest.approx(c * lam_ref, rel=1e-12)
-        g, ratio = gen_max_eigvec(c * c * num, c * V, c * c * 0.5)
+        assert rayleigh(c * A, v) == pytest.approx(c * lam_ref, rel=1e-12)
+        g = gen_max_eigvec(c * c * num, c * V, c * c * 0.5)
         np.testing.assert_allclose(g, g_ref, rtol=0.0, atol=1e-12)
-        assert ratio == pytest.approx(ratio_ref, rel=1e-12)
+        assert (quotient(c * c * num, covariance(c * V, c * c * 0.5), g)
+                == pytest.approx(ratio_ref, rel=1e-12))
 
 
 def test_unit_norm_everywhere():
     rng = np.random.default_rng(47)
     for _ in range(30):
         n = int(rng.integers(2, 8))
-        v1, _ = max_eigvec_hermitian(hermitian(rng, n))
-        v2, _ = gen_max_eigvec(hermitian(rng, n), crandn_t(rng, n, n), 0.4)
+        v1 = max_eigvec_hermitian(hermitian(rng, n))
+        v2 = gen_max_eigvec(hermitian(rng, n), crandn_t(rng, n, n), 0.4)
         assert abs(np.linalg.norm(v1) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(v2) - 1.0) <= 1e-12
 
@@ -296,22 +313,21 @@ class TestNoiseVarianceAxis:
             num = hermitian(rng, n)
             noise_vars = 10.0 ** rng.uniform(-12, 6, int(rng.integers(1, 5)))
             W = whitening_matrix(V, noise_vars)
-            vs, ratios = gen_max_eigvec(num, V, noise_vars)
+            vs = gen_max_eigvec(num, V, noise_vars)
             assert W.shape == (len(noise_vars), n, n)
             assert vs.shape == (len(noise_vars), n)
             for k, nv in enumerate(noise_vars):
                 assert W[k].tobytes() == whitening_matrix(V, nv).tobytes()
-                v, ratio = gen_max_eigvec(num, V, nv)
-                assert vs[k].tobytes() == v.tobytes()
-                assert ratios[k] == ratio
+                assert (vs[k].tobytes()
+                        == gen_max_eigvec(num, V, nv).tobytes())
 
     def test_stacked_eigvecs_equal_single_calls(self):
         rng = np.random.default_rng(67)
         A = np.array([hermitian(rng, 5) for _ in range(4)])
-        vs, lams = max_eigvec_hermitian(A)
-        for a, v, lam in zip(A, vs, lams):
-            v1, lam1 = max_eigvec_hermitian(a)
-            assert v.tobytes() == v1.tobytes() and lam == lam1
+        vs = max_eigvec_hermitian(A)
+        assert vs.shape == (4, 5)
+        for a, v in zip(A, vs):
+            assert v.tobytes() == max_eigvec_hermitian(a).tobytes()
 
     def test_each_variance_checked(self):
         V = crandn_t(np.random.default_rng(71), 3, 2)
