@@ -23,13 +23,12 @@ SIDES = ("bob", "mallory")
 # 1024-trial blocks ended ~0.5 MiB higher in peak RSS.
 BER_BLOCK_TRIALS = 256
 
-# Float64 temporaries of one mi_inner_mean block of rows: their Re- and
-# Im-axis factors and their grid of inner sums (the exponent
-# coefficients, 4 K per row, come on top). A block takes as many whole
-# channels of rows as fit. One channel's default 8 antenna rows against
-# 32 entries on the 45 x 45 grid of n_noise 500 take ~310 KiB, so a
-# block holds one; at n_noise 2 (a 3 x 3 grid) it holds up to 40.
-MI_BLOCK_BYTES = 512 * 1024
+# The workspace of one mi_inner_mean block: per row, 4 K exponent
+# coefficients, 2 m K Re- and Im-axis factors and an m x m grid of inner
+# sums, 8 (4 K + 2 m K + m^2) bytes in all. The default 8 antenna rows
+# against 32 entries on the 45 x 45 grid of n_noise 500 take ~315 KiB,
+# one block; at n_noise 2 (a 3 x 3 grid) a block holds up to 124 rows.
+MI_BLOCK_BYTES = 320 * 1024
 
 # The Gauss-Hermite rule of mutual_info_mc keeps its nodes with
 # |x| <= NODE_LIMIT. Beyond it the weights are below 1e-140 and change no
@@ -209,19 +208,17 @@ def mi_inner_mean(diffs, x, w):
     of every row share. With d = a + i b the exponent is
     -a(a + 2x) - b(b + 2y), so S_i = A_i B_i^T for the factors
     A_i[s, j] = exp(-a_ij (a_ij + 2 x_s)) and B_i[q, j] likewise in b:
-    2 K m exponentials per row, and the weights are applied once per
-    group, to the sum over its rows of log2 S_i. Each factor is at most
-    exp(x_s^2), and a row's own entry contributes exactly 1, so a
-    channel without signal gives exactly +0.0. The sums are scaled by
-    1/K as a product, which equals the quotient bit for bit for a
-    power-of-two K (every codebook size) only.
+    2 K m exponentials per row. Each factor is at most exp(x_s^2), and a
+    row's own entry contributes exactly 1, so a channel without signal
+    gives exactly +0.0. The sums are scaled by 1/K as a product, which
+    equals the quotient bit for bit for a power-of-two K (every codebook
+    size) only.
 
-    Rows run in blocks whose factors and sums, at most MI_BLOCK_BYTES,
-    and coefficients live in _mi_workspace. A block holds whole groups,
-    or, when one group exceeds the budget, part of one group, whose
-    blocks add up in turn; either way a group's estimate does not
-    depend on the groups around it, and equals a call on that group
-    alone bit for bit. A 2-D diffs, one group, gives a float.
+    Rows run in equal blocks, as many rows as fit in MI_BLOCK_BYTES of
+    workspace (_mi_workspace) and at least one, and each row's grid is
+    weighted on its own, so a row's value, and a group's mean of them,
+    does not depend on the block: a group's estimate equals a call on
+    that group alone bit for bit. A 2-D diffs, one group, gives a float.
     """
     diffs = np.asarray(diffs, dtype=np.complex128)
     if diffs.ndim < 2 or x.ndim != 1 or x.shape != w.shape:
@@ -229,20 +226,15 @@ def mi_inner_mean(diffs, x, w):
                          f"x {x.shape}, w {w.shape}")
     *lead, R, K = diffs.shape
     m = len(x)
-    G = math.prod(lead)
-    fit = max(1, MI_BLOCK_BYTES // (8 * m * (2 * K + m)))
-    rows = min(G, fit // R) * R or fit
+    N = math.prod(lead) * R
+    rows = max(1, min(N, MI_BLOCK_BYTES // (8 * (4 * K + 2 * m * K + m * m))))
     coef, factors, sums = _mi_workspace(rows, K, m)
     # the real and imaginary part of every difference, as rows of (K, 2)
     parts = np.ascontiguousarray(diffs).view(np.float64).reshape(-1, K, 2)
-    if rows >= R:
-        blocks = [(a, min(rows, G * R - a)) for a in range(0, G * R, rows)]
-    else:
-        blocks = [(g * R + a, min(rows, R - a))
-                  for g in range(G) for a in range(0, R, rows)]
     nodes = np.stack((x, np.ones_like(x)), axis=-1)
-    totals = np.zeros(G)
-    for start, n in blocks:
+    row_bits = np.empty(N)
+    for start in range(0, N, rows):
+        n = min(rows, N - start)
         # the exponent's coefficients [-2 d, -d^2] of the nodes [x, 1],
         # per part d (Re [0], Im [1]): 2 x n x 2 x K
         c, f, s = coef[:, :n], factors[:, :n], sums[:n]
@@ -254,11 +246,10 @@ def mi_inner_mean(diffs, x, w):
         np.matmul(f[0], f[1].transpose(0, 2, 1), out=s)
         s *= 1.0 / K
         np.log2(s, out=s)
-        # the sum of each group's (or the one partial group's) grids
-        grids = s.reshape(-1, min(n, R), m, m).sum(axis=1)
-        for g, row in enumerate(w @ grids, start // R):
-            totals[g] -= float(row @ w)
-    bits = totals / R
+        # w^T log2 S_i w one row at a time: a single matrix-vector
+        # product over the block would round with the block's size
+        row_bits[start:start + n] = ((w @ s)[:, None, :] @ w[:, None])[:, 0, 0]
+    bits = 0.0 - row_bits.reshape(-1, R).sum(axis=1) / R
     return float(bits[0]) if not lead else bits.reshape(lead)
 
 
@@ -277,8 +268,8 @@ def mutual_info(r, power, mod_order, n_noise):
     order >= 2 with m^2 >= mod_order * n_noise: n_noise nodes per
     codebook entry, pooled per antenna. Every channel goes through one
     mi_inner_mean call, and each estimate, clamped to [0, log2(size)]
-    bits, equals a call on its channel alone bit for bit. A 1-D r gives
-    a float.
+    bits, equals a call on its channel alone bit for bit, however the
+    kernel's blocks split the stack. A 1-D r gives a float.
     """
     if n_noise < 1:
         raise ValueError("n_noise must be at least 1")

@@ -125,8 +125,7 @@ def test_blocks_match_reference(K, T, scale, step, monkeypatch):
     diffs = random_diffs(rng, K, scale, step)
     rule = rule_for(T)
     whole = mi_inner_mean(diffs, *rule)
-    m = len(rule[0])
-    monkeypatch.setattr(metrics, "MI_BLOCK_BYTES", 3 * 8 * m * (2 * K + m))
+    set_block_rows(monkeypatch, diffs, rule, 3)
     # the workspace the blocked call runs in, not one cached before
     blocked, rows = call_with_workspace(monkeypatch, diffs, rule)
     assert rows == 3
@@ -134,9 +133,9 @@ def test_blocks_match_reference(K, T, scale, step, monkeypatch):
     assert blocked == pytest.approx(dense_value(diffs, rule), rel=1e-12)
 
 
-# (K, n_noise, scale, step); K = 40 at n_noise 500 runs in blocks of 29
-# and 11 rows under the default MI_BLOCK_BYTES, and the last case has
-# mutual_info_mc's default 8 x 32 shape
+# (K, n_noise, scale, step); K = 40 at n_noise 500 runs in blocks of 7
+# rows, the last of 5, under the default MI_BLOCK_BYTES, and the last
+# case has mutual_info_mc's default 8 x 32 shape
 WORKSPACE_CASES = [(32, 500, 0.5, 1), (8, 12, 1.0, 1), (40, 500, 1.0, 1),
                    (32, 500, 2.0, 1), (7, 2, 3.0, 1), (8, 12, 1.0, 1),
                    (32, 2000, 1.0, 4)]
@@ -189,8 +188,8 @@ def test_workspace_independent_of_call_history():
 
 def test_workspace_cells_written_before_read(monkeypatch):
     # every buffer filled with NaN between calls: a cell read before it
-    # is written turns the estimate NaN. One group in blocks of 27 rows,
-    # then 5 groups of 8 rows in blocks of 2 groups, the last holding one
+    # is written turns the estimate NaN. One group of 40 rows in blocks
+    # of 7, then 5 groups of 8 rows in blocks of 16, the last holding 8
     cases = [workspace_inputs(2), (stack_inputs(5, 32, 20, 4), rule_for(20))]
     for k, (diffs, rule) in enumerate(cases):
         if k:
@@ -232,20 +231,23 @@ def stack_inputs(G, K, n_noise, step):
 
 
 def set_block_rows(monkeypatch, diffs, rule, rows):
-    """A block budget of the given rows for diffs' K and the rule."""
+    """A block budget of the given rows for diffs' K and the rule: the
+    coefficients, factors and sums of a row take 8 (4 K + 2 m K + m^2)
+    bytes."""
     K, m = diffs.shape[-1], len(rule[0])
-    monkeypatch.setattr(metrics, "MI_BLOCK_BYTES", rows * 8 * m * (2 * K + m))
+    monkeypatch.setattr(metrics, "MI_BLOCK_BYTES",
+                        rows * 8 * (4 * K + 2 * m * K + m * m))
 
 
 # (G, K, n_noise, step, budget rows or None for MI_BLOCK_BYTES, rows of
 # the block the stack runs in): 2 groups a block with a shorter last
-# block; 3 groups a block, not a multiple of the budget's 7 rows; one
-# block of all groups; groups larger than a block, in blocks of 3 rows
-# and of 1; and 27 default-budget groups of 8 rows at the 9 x 9 rule of
-# 80 nodes (QPSK at n_noise 20), 12 a block
-STACK_CASES = [(5, 32, 20, 4, 16, 16), (4, 8, 12, 4, 7, 6),
+# block; blocks of 7 rows across groups of 2; one block of all groups;
+# groups larger than a block, in blocks of 3 rows and of 1; and 27
+# default-budget groups of 8 rows at the 9 x 9 rule of 80 nodes (QPSK at
+# n_noise 20), 52 a block, so blocks straddle groups
+STACK_CASES = [(5, 32, 20, 4, 16, 16), (4, 8, 12, 4, 7, 7),
                (3, 8, 50, 2, None, 12), (3, 32, 50, 4, 3, 3),
-               (2, 7, 2, 1, 1, 1), (27, 32, 80, 4, None, 96)]
+               (2, 7, 2, 1, 1, 1), (27, 32, 80, 4, None, 52)]
 
 
 @pytest.mark.parametrize("G, K, n_noise, step, budget, rows", STACK_CASES)
@@ -266,6 +268,43 @@ def test_stack_equals_single_calls(G, K, n_noise, step, budget, rows,
                               *rule)
         assert pairs.shape == (2, G // 2)
         assert pairs.ravel().tolist() == singles
+
+
+def test_estimates_independent_of_block_split(monkeypatch):
+    # one stack of 5 groups of 8 rows under budgets of 1 row, 3 rows
+    # (a group split over blocks), 12 rows (blocks straddling two
+    # groups) and the default (one block): bit-identical estimates
+    diffs, rule = stack_inputs(5, 32, 20, 4), rule_for(20)
+    default = metrics.MI_BLOCK_BYTES
+    results = []
+    for budget, want in [(1, 1), (3, 3), (12, 12), (None, 40)]:
+        if budget:
+            set_block_rows(monkeypatch, diffs, rule, budget)
+        else:
+            monkeypatch.setattr(metrics, "MI_BLOCK_BYTES", default)
+        bits, rows = call_with_workspace(monkeypatch, diffs, rule)
+        assert rows == want
+        results.append(bits.tolist())
+    assert all(r == results[0] for r in results)
+
+
+@pytest.mark.parametrize("K, m", [(32, 45), (32, 3), (40, 45), (8, 9),
+                                  (64, 127), (2, 2)])
+def test_workspace_within_block_budget(K, m, monkeypatch):
+    # all three workspace arrays count: a block of more than one row fits
+    # in MI_BLOCK_BYTES, and takes as many rows as fit
+    rule = _gauss_hermite(m)
+    _, rows = call_with_workspace(monkeypatch, np.zeros((130, K)), rule)
+    used = sum(buf.nbytes for buf in metrics._mi_workspace(rows, K, m))
+    assert used // rows == 8 * (4 * K + 2 * m * K + m * m)
+    assert rows == 1 or used <= metrics.MI_BLOCK_BYTES
+    assert rows == 130 or used + used // rows > metrics.MI_BLOCK_BYTES
+
+
+def test_empty_stack_gives_empty_array():
+    for lead in [(0,), (2, 0)]:
+        bits = mi_inner_mean(np.zeros(lead + (8, 32)), *rule_for(20))
+        assert isinstance(bits, np.ndarray) and bits.shape == lead
 
 
 def test_zero_diffs_gives_zero():
