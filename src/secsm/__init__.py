@@ -21,10 +21,7 @@ from .numerics import (NotHermitianError, NotPositiveDefiniteError,
                        canonical_phase, gen_max_eigvec, max_eigvec_hermitian,
                        null_space_basis, whitening_matrix)
 
-__version__ = "0.4.1"
+__version__ = "0.4.2"
 # Recorded in run manifests and in perfbench/run.py's report, the one
-# reason it stays. The MI kernel, metrics.mi_inner_mean, is numpy: one
-# call per realization on every channel's antenna rows, in blocks of
-# whole channels, each a batched matmul of separable Re- and Im-axis
-# exponential factors over a cached Gauss-Hermite product rule.
+# reason it stays: the MI kernel, metrics.mi_inner_mean, is numpy.
 kernel_backend = "numpy"

@@ -36,10 +36,6 @@ def crandn(rng, *shape):
                              + 1j * rng.standard_normal(shape))
 
 
-def _is_pow2(x):
-    return x >= 1 and (x & (x - 1)) == 0
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Scenario parameters for one simulated link.
@@ -82,7 +78,7 @@ class SystemConfig:
         if self.n_mallory < 2:
             raise ValueError("n_mallory must be at least 2: the attacker "
                              "jams on n_mallory - 1 streams")
-        if self.mod_order < 2 or not _is_pow2(self.mod_order):
+        if self.mod_order < 2 or self.mod_order & (self.mod_order - 1):
             raise ValueError("mod_order must be a power of 2, at least 2")
         for name in ("power", "power_mallory", "noise_var_bob",
                      "noise_var_eve"):

@@ -17,10 +17,7 @@ from .modulation import build_codebook
 
 SIDES = ("bob", "mallory")
 
-# BER trials drawn and detected together. A block's (trials x codebook)
-# differences dominate its memory: one call peaks at ~390 KiB at 256
-# trials and 32 entries (tracemalloc); over 50 default BER sweeps,
-# 1024-trial blocks ended ~0.5 MiB higher in peak RSS.
+# BER trials drawn and detected together: ~520 KiB peak on 4 x 32 refs.
 BER_BLOCK_TRIALS = 256
 
 # The workspace of one mi_inner_mean block: per row, 4 K exponent
@@ -301,6 +298,14 @@ def mutual_info_mc(u, side, chset, cfg, n_noise, rng=None):
                        n_noise)
 
 
+@functools.lru_cache(maxsize=1)
+def _ber_workspace(rows, block, K):
+    """_ber_counts' points [Re z, Im z, 1] and metrics, like _mi_workspace."""
+    points = _aligned_empty((rows, block, 3))
+    points[..., 2] = 1.0
+    return points, _aligned_empty((rows, block, K))
+
+
 def _ber_counts(refs, power, codebook, n_trials, rng):
     """Bit-error tally over n_trials random codebook transmissions
     through Bob's scalar channel (refs, power) of scalar_channel.
@@ -311,34 +316,36 @@ def _ber_counts(refs, power, codebook, n_trials, rng):
 
     A trial receives z = refs[idx] + sqrt(power) n. Per block of
     BER_BLOCK_TRIALS the draws are the codebook indices, then one unit
-    complex normal n per trial, shared by a stack's rows, which are
-    detected one at a time: a row's tally equals a single call on an
-    identically seeded rng. ML detection is one argmin over a
-    (trials x K) distance array, ties to the lowest index.
+    complex normal n per trial, shared by a stack's rows: a row's tally
+    equals a single call on an identically seeded rng. ML detection,
+    argmin_k |z - r_k| = argmin_k |r_k|^2 - 2 Re(conj(r_k) z) with ties
+    to the lowest index, is one real product [Re z, Im z, 1] [-2 Re r;
+    -2 Im r; |r|^2] and one argmin per block for the whole stack. Rows
+    are scaled by the power of two that puts max(|r_k|, sqrt(power)) in
+    [1/2, 1): exact in the normal range; no square overflows or underflows.
     """
-    shape = refs.shape[:-1]
-    refs = refs.reshape(-1, codebook.size)
-    sigma = np.sqrt(np.reshape(power, -1))
-    tallies = np.zeros((len(refs), 2), dtype=np.int64)
-    # one pair of buffers per call: a fresh 128 KiB one per block and
-    # row faults
-    block_shape = (min(BER_BLOCK_TRIALS, n_trials), codebook.size)
-    diff = _aligned_empty(block_shape, np.complex128)
-    dist = _aligned_empty(block_shape)
+    shape, K = refs.shape[:-1], codebook.size
+    refs, sigma = refs.reshape(-1, K), np.sqrt(np.reshape(power, -1))
+    top = np.hypot(refs.real, refs.imag).max(axis=1, initial=0.0)
+    scale = np.ldexp(1.0, -np.frexp(np.maximum(top, sigma))[1])
+    refs, sigma = refs * scale[:, None], (sigma * scale)[:, None]
+    coef = np.stack((-2.0 * refs.real, -2.0 * refs.imag,
+                     refs.real ** 2 + refs.imag ** 2), axis=1)
+    errors, squared = np.zeros((2, len(refs)), dtype=np.int64)
+    points, metric = _ber_workspace(len(refs), min(BER_BLOCK_TRIALS,
+                                                   n_trials), K)
     for start in range(0, n_trials, BER_BLOCK_TRIALS):
         block = min(BER_BLOCK_TRIALS, n_trials - start)
-        idx = rng.integers(codebook.size, size=block)
-        noise = crandn(rng, block)
-        for row, s, tally in zip(refs, sigma, tallies):
-            z = row[idx] + s * noise
-            np.abs(np.subtract(z[:, None], row[None, :], out=diff[:block]),
-                   out=dist[:block])
-            e = codebook.bit_errors[idx, np.argmin(dist[:block], axis=1)]
-            tally += (e.sum(), (e * e).sum())
-    errors, squared = tallies.T.reshape((2,) + shape)
-    if not shape:
-        return int(errors), int(squared)
-    return errors, squared
+        idx, noise = rng.integers(K, size=block), crandn(rng, block)
+        p = points[:, :block]
+        np.add(refs[:, idx], sigma * noise,
+               out=p[..., :2].view(np.complex128)[..., 0])
+        d = np.matmul(p, coef, out=metric[:, :block])
+        e = codebook.bit_errors[idx, np.argmin(d, axis=2)]
+        errors += e.sum(axis=1)
+        squared += (e * e).sum(axis=1)
+    errors, squared = errors.reshape(shape), squared.reshape(shape)
+    return (int(errors), int(squared)) if not shape else (errors, squared)
 
 
 _FLOP_COEFFS = {

@@ -8,7 +8,7 @@ import numpy as np
 
 from secsm import harness, metrics
 from secsm.beamformers import compute_beamformer
-from secsm.channel import derive_rng, realize_channels
+from secsm.channel import crandn, derive_rng, realize_channels
 from secsm.metrics import mutual_info_mc, scalar_channel
 from secsm.modulation import build_codebook
 
@@ -216,6 +216,28 @@ def ber_counts_antenna_domain(u, chset, cfg, codebook, n_trials, rng):
     errs = np.unpackbits(diff.view(np.uint8).reshape(n_trials, 8),
                          axis=1).sum(axis=1).astype(np.int64)
     return int(errs.sum()), int((errs * errs).sum())
+
+
+def ber_counts_hypot(refs, power, codebook, n_trials, rng):
+    """metrics._ber_counts with the same draws, detected one row at a
+    time by argmin_k |z - r_k| over complex differences (ties to the
+    lowest index): the exact-decision oracle of its real-product rule.
+    """
+    shape = refs.shape[:-1]
+    refs = refs.reshape(-1, codebook.size)
+    sigma = np.sqrt(np.reshape(power, -1))
+    tallies = np.zeros((len(refs), 2), dtype=np.int64)
+    for start in range(0, n_trials, metrics.BER_BLOCK_TRIALS):
+        block = min(metrics.BER_BLOCK_TRIALS, n_trials - start)
+        idx = rng.integers(codebook.size, size=block)
+        noise = crandn(rng, block)
+        for row, s, tally in zip(refs, sigma, tallies):
+            z = row[idx] + s * noise
+            dist = np.abs(z[:, None] - row[None, :])
+            e = codebook.bit_errors[idx, np.argmin(dist, axis=1)]
+            tally += (e.sum(), (e * e).sum())
+    errors, squared = tallies.T.reshape((2,) + shape)
+    return (int(errors), int(squared)) if not shape else (errors, squared)
 
 
 def realization_reference(cfg, spec, r, ber_trials):

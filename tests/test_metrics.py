@@ -19,9 +19,9 @@ from secsm.metrics import (BER_BLOCK_TRIALS, SIDES, _ber_counts,
 from secsm.modulation import build_codebook
 from secsm.numerics import gen_max_eigvec
 
-from helpers import (ber_counts_antenna_domain, bpsk_mi_quadrature,
-                     covariance, gh_entry_means, mutual_info_iid,
-                     noise_cov_bob, quotient)
+from helpers import (ber_counts_antenna_domain, ber_counts_hypot,
+                     bpsk_mi_quadrature, covariance, gh_entry_means,
+                     mutual_info_iid, noise_cov_bob, quotient)
 
 
 def bob_ber(u, ch, cfg, codebook, n_trials, rng):
@@ -687,6 +687,77 @@ class TestBatchedBerCounts:
                 for _ in range(2)]
         assert runs[0] == runs[1]
         assert runs[0][0] > 0
+
+
+def method_stack(r, snr_db):
+    """Bob's scalar channels (refs, power) of every method's combiner on
+    realization r at one SNR, a 4-row stack."""
+    nv = 10.0 ** (-snr_db / 10.0)
+    cfg = SystemConfig(noise_var_bob=nv, noise_var_eve=nv)
+    ch = realize_channels(cfg, r)
+    U = np.array([compute_beamformer(m, ch, cfg).u for m in Method])
+    return scalar_channel(U, "bob", ch, cfg)
+
+
+def assert_same_tallies(a, b):
+    assert all(np.array_equal(x, y) for x, y in zip(a, b)), (a, b)
+    assert [type(x) for x in a] == [type(x) for x in b]
+
+
+class TestBerOracle:
+    """_ber_counts' real-product ML rule against the per-row complex
+    distances argmin |z - r_k| of helpers.ber_counts_hypot, on the same
+    draws: every decision, so every tally, is the same."""
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("n_trials", [1, BER_BLOCK_TRIALS + 1,
+                                          3 * BER_BLOCK_TRIALS - 37])
+    def test_matches_hypot_oracle(self, rows, n_trials):
+        cb = build_codebook(8, 4)
+        for r in range(3):
+            for k, snr_db in enumerate((-30.0, -10.0, 0.0, 10.0, 30.0,
+                                        60.0)):
+                refs, power = method_stack(r, snr_db)
+                if rows == 1:
+                    refs, power = refs[0], float(power[0])
+                args = refs, power, cb, n_trials
+                assert_same_tallies(
+                    _ber_counts(*args, derive_rng(3, 9, 50, r, k)),
+                    ber_counts_hypot(*args, derive_rng(3, 9, 50, r, k)))
+
+    @pytest.mark.parametrize("magnitude, power", [
+        (7e149, 1e300), (7e149, 1.7e308), (1e-150, 1e-300),
+        # |r|^2 ~ 1e-320 is subnormal: without the power-of-two scale
+        # the squares lose their digits and decisions move
+        (1e-160, 1e-320)])
+    def test_magnitude_extremes(self, magnitude, power):
+        cb = build_codebook(8, 4)
+        refs, _ = method_stack(1, 10.0)
+        refs = refs * (magnitude / np.abs(refs).max())
+        powers = np.full(len(refs), power)
+        n = 3 * BER_BLOCK_TRIALS - 37
+        with np.errstate(all="raise"):
+            got = _ber_counts(refs, powers, cb, n, derive_rng(3, 9, 51))
+        assert_same_tallies(got, ber_counts_hypot(refs, powers, cb, n,
+                                                  derive_rng(3, 9, 51)))
+        assert got[0].min() > 0
+
+    def test_absorbed_rows_keep_their_channels(self):
+        # sigma / |r| = 1e24, far past the 1e17 at which z - r_k rounds
+        # to z: the complex distances tie on every entry and decide entry
+        # 0 on every trial, the same tally for any channel; the real
+        # product keeps r_k
+        cb = build_codebook(8, 4)
+        refs, _ = method_stack(2, 10.0)
+        powers = (1e24 * np.abs(refs).max(axis=1)) ** 2
+        n = 2000
+        hypot = ber_counts_hypot(refs, powers, cb, n, derive_rng(3, 9, 52))
+        assert len(set(hypot[0].tolist())) == 1
+        errors, _ = _ber_counts(refs, powers, cb, n, derive_rng(3, 9, 52))
+        assert len(set(errors.tolist())) > 1
+        # a guess that ignores the truth: 2.5 of 5 bits wrong per use
+        ber = errors / (n * cb.bits_per_use)
+        assert np.all(np.abs(ber - 0.5) < 0.05), ber
 
 
 class TestFlops:
