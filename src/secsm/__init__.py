@@ -21,7 +21,7 @@ from .numerics import (NotHermitianError, NotPositiveDefiniteError,
                        canonical_phase, gen_max_eigvec, max_eigvec_hermitian,
                        null_space_basis, whitening_matrix)
 
-__version__ = "0.4.2"
+__version__ = "0.4.3"
 # Recorded in run manifests and in perfbench/run.py's report, the one
 # reason it stays: the MI kernel, metrics.mi_inner_mean, is numpy.
 kernel_backend = "numpy"

@@ -260,9 +260,10 @@ def _realization_task(cfg, spec, r):
     Returns {quantity: (SNR, P_M, method) array} for sr, sjnr and the BER
     tally bit_errors, squared_errors. POINT_FREE methods are built once,
     the others once per P_M across every SNR. Each (SNR, P_M) takes one
-    scalar channel of its method stack, which its BER tally reads at
-    once, the methods sharing one BER draw; the attacker takes one per
-    SNR. All of them then go through one SJNR and one MI call.
+    scalar channel of its method stack, and the attacker one per SNR.
+    All of them then go through one BER, one SJNR and one MI call: the
+    BER tally keeps a generator per (SNR, P_M), whose draws that point's
+    methods share.
     """
     chset = realize_channels(cfg, r, an_mode=spec.an_mode)
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
@@ -285,7 +286,6 @@ def _realization_task(cfg, spec, r):
                     m, chset, at_p_m, noise_vars).u
     shape = (len(spec.snr_grid_db), len(spec.p_m_list), len(spec.methods))
     n_snr, n_p_m, n_methods = shape
-    errors, squared = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
     # the scalar channels per SNR: Bob's per (P_M, method), then the
     # attacker's, the last row
     refs = np.empty((n_snr, n_p_m * n_methods + 1, codebook.size),
@@ -301,14 +301,16 @@ def _realization_task(cfg, spec, r):
             refs[si, bob], power[si, bob] = scalar_channel(
                 combiners[pi, si], "bob", chset,
                 _point_config(cfg, snr_db, p_m))
-            errors[si, pi], squared[si, pi] = metrics._ber_counts(
-                refs[si, bob], power[si, bob], codebook, ber_block,
-                derive_rng(cfg.seed, _STREAM_BER, r, si, pi))
+    errors, squared = metrics._ber_counts(
+        refs[:, :-1].reshape(n_snr * n_p_m, n_methods, -1),
+        power[:, :-1].reshape(n_snr * n_p_m, n_methods), codebook, ber_block,
+        [derive_rng(cfg.seed, _STREAM_BER, r, si, pi)
+         for si in range(n_snr) for pi in range(n_p_m)])
     bits = metrics.mutual_info(refs, power, cfg.mod_order, spec.n_noise)
     sr = np.maximum(0.0, bits[:, :-1] - bits[:, -1:]).reshape(shape)
     sjnr = metrics.channel_sjnr(refs[:, :-1], power[:, :-1]).reshape(shape)
-    return {"sr": sr, "sjnr": sjnr, "bit_errors": errors,
-            "squared_errors": squared}
+    return {"sr": sr, "sjnr": sjnr, "bit_errors": errors.reshape(shape),
+            "squared_errors": squared.reshape(shape)}
 
 
 def _partials(cfg, spec, workers):

@@ -17,22 +17,17 @@ from .modulation import build_codebook
 
 SIDES = ("bob", "mallory")
 
-# BER trials drawn and detected together: ~520 KiB peak on 4 x 32 refs.
+# BER trials drawn together, and the detector workspace of a chunk of
+# rows: 8 (K + 3) bytes a trial and row, so 4 rows of 32 entries a chunk.
 BER_BLOCK_TRIALS = 256
+BER_BLOCK_BYTES = 280 * 1024
 
 # The workspace of one mi_inner_mean block: per row, 4 K exponent
 # coefficients, 2 m K Re- and Im-axis factors and an m x m grid of inner
-# sums, 8 (4 K + 2 m K + m^2) bytes in all. The default 8 antenna rows
-# against 32 entries on the 45 x 45 grid of n_noise 500 take ~315 KiB,
-# one block; at n_noise 2 (a 3 x 3 grid) a block holds up to 124 rows.
-MI_BLOCK_BYTES = 320 * 1024
-
-# The Gauss-Hermite rule of mutual_info_mc keeps its nodes with
-# |x| <= NODE_LIMIT. Beyond it the weights are below 1e-140 and change no
-# sum, but the kernel's factors, at most exp(x^2) per axis, would
-# overflow at the grid's corners (x^2 + y^2 > 709). Orders up to 174
-# lose no node.
-NODE_LIMIT = 18.0
+# sums, 8 (4 K + 2 m K + m^2) bytes in all. Antenna rows against 32
+# entries on the 35 x 35 floored grid of n_noise 500 take ~28 KiB each,
+# 17 rows a block; at n_noise 2 (a 3 x 3 grid) a block holds up to 186.
+MI_BLOCK_BYTES = 480 * 1024
 
 
 @dataclass(frozen=True)
@@ -141,7 +136,7 @@ def _hermite_pair(x, n):
 def _gauss_hermite(m):
     """The m-point Gauss-Hermite rule for E f(x), x ~ N(0, 1/2): nodes x
     and weights w summing to 1, with sum_s w_s f(x_s) exact for every
-    polynomial f of degree up to 2m - 1, less the nodes past NODE_LIMIT.
+    polynomial f of degree up to 2m - 1.
 
     numpy's hermgauss without its numpy.polynomial import (0.7 MiB per
     process) and with weights that stay finite at any order: the nodes
@@ -158,7 +153,23 @@ def _gauss_hermite(m):
     w = np.exp2(log_w - log_w.max())
     # the density is even: symmetrize the rounding
     x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
-    keep = np.abs(x) <= NODE_LIMIT
+    w = w / w.sum()
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@functools.lru_cache(maxsize=8)
+def _mi_rule(m):
+    """_gauss_hermite(m) less the nodes of weight below 1e-16 of the
+    largest, renormalized: 35 of 45 nodes, 61 of 127, all up to order 24.
+    A grid node n holds |log2(S/K)| <= log2 K + |n|^2 / ln 2, which bounds
+    what the dropped pairs move; every kept |x| is below 6.1 at any
+    order, so the kernel's exp(x^2) factors stay finite."""
+    x, w = _gauss_hermite(m)
+    keep = w >= 1e-16 * w.max()
+    if keep.all():
+        return x, w
     x, w = x[keep], w[keep] / w[keep].sum()
     x.setflags(write=False)
     w.setflags(write=False)
@@ -261,17 +272,18 @@ def mutual_info(r, power, mod_order, n_noise):
     rotation-invariant, so the mod_order entries of one antenna share
     it. It is computed once per antenna, on the row of its symbol-1
     entry (build_codebook orders entries a * mod_order + k), on the
-    m x m Gauss-Hermite product rule for CN(0, 1) noise, m the smallest
-    order >= 2 with m^2 >= mod_order * n_noise: n_noise nodes per
-    codebook entry, pooled per antenna. Every channel goes through one
-    mi_inner_mean call, and each estimate, clamped to [0, log2(size)]
-    bits, equals a call on its channel alone bit for bit, however the
-    kernel's blocks split the stack. A 1-D r gives a float.
+    product grid of _mi_rule(m) for CN(0, 1) noise, m the smallest order
+    >= 2 with m^2 >= mod_order * n_noise: n_noise nodes per codebook
+    entry, pooled per antenna, less those of negligible weight. Every
+    channel goes through one mi_inner_mean call, and each estimate,
+    clamped to [0, log2(size)] bits, equals a call on its channel alone
+    bit for bit, however the kernel's blocks split the stack. A 1-D r
+    gives a float.
     """
     if n_noise < 1:
         raise ValueError("n_noise must be at least 1")
     g = r / np.sqrt(_positive(power))[..., None]
-    rule = _gauss_hermite(max(2, math.isqrt(mod_order * n_noise - 1) + 1))
+    rule = _mi_rule(max(2, math.isqrt(mod_order * n_noise - 1) + 1))
     # one antenna's row at a time: a broadcast over the whole stack would
     # take two ufunc buffers of up to 128 KiB each, heap that stays
     K = r.shape[-1]
@@ -308,22 +320,25 @@ def _ber_workspace(rows, block, K):
 
 def _ber_counts(refs, power, codebook, n_trials, rng):
     """Bit-error tally over n_trials random codebook transmissions
-    through Bob's scalar channel (refs, power) of scalar_channel.
+    through Bob's scalar channels (refs, power) of scalar_channel.
 
     Returns (bit_errors, squared_error_sum); the squared sum of per-use
     bit errors supports an empirical variance estimate. For a stack of
     channels, refs with leading axes, both sums are arrays over them.
 
-    A trial receives z = refs[idx] + sqrt(power) n. Per block of
-    BER_BLOCK_TRIALS the draws are the codebook indices, then one unit
-    complex normal n per trial, shared by a stack's rows: a row's tally
-    equals a single call on an identically seeded rng. ML detection,
-    argmin_k |z - r_k| = argmin_k |r_k|^2 - 2 Re(conj(r_k) z) with ties
-    to the lowest index, is one real product [Re z, Im z, 1] [-2 Re r;
-    -2 Im r; |r|^2] and one argmin per block for the whole stack. Rows
+    rng is one generator for all rows, or P generators, one per grid
+    point, for refs of shape (P, ..., K). A trial receives z = refs[idx]
+    + sqrt(power) n. Per block of BER_BLOCK_TRIALS each generator draws
+    the codebook indices, then one unit complex normal n per trial,
+    shared by its rows: a row's tally equals a single call on an
+    identically seeded rng. ML detection, argmin_k |z - r_k| = argmin_k
+    |r_k|^2 - 2 Re(conj(r_k) z) with ties to the lowest index, is one
+    real product [Re z, Im z, 1] [-2 Re r; -2 Im r; |r|^2] and one argmin
+    per block and chunk of as many rows as fit in BER_BLOCK_BYTES. Rows
     are scaled by the power of two that puts max(|r_k|, sqrt(power)) in
     [1/2, 1): exact in the normal range; no square overflows or underflows.
     """
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     shape, K = refs.shape[:-1], codebook.size
     refs, sigma = refs.reshape(-1, K), np.sqrt(np.reshape(power, -1))
     top = np.hypot(refs.real, refs.imag).max(axis=1, initial=0.0)
@@ -331,19 +346,27 @@ def _ber_counts(refs, power, codebook, n_trials, rng):
     refs, sigma = refs * scale[:, None], (sigma * scale)[:, None]
     coef = np.stack((-2.0 * refs.real, -2.0 * refs.imag,
                      refs.real ** 2 + refs.imag ** 2), axis=1)
-    errors, squared = np.zeros((2, len(refs)), dtype=np.int64)
-    points, metric = _ber_workspace(len(refs), min(BER_BLOCK_TRIALS,
-                                                   n_trials), K)
+    N, trials = len(refs), max(1, min(BER_BLOCK_TRIALS, n_trials))
+    errors, squared = np.zeros((2, N), dtype=np.int64)
+    point = np.repeat(np.arange(len(rngs)), N // len(rngs))  # per row
+    row_start = K * np.arange(N)[:, None]  # in refs.ravel()
+    rows = max(1, min(N, BER_BLOCK_BYTES // (8 * trials * (K + 3))))
+    points, metric = _ber_workspace(rows, trials, K)
+    z = points[..., :2].view(np.complex128)[..., 0]
     for start in range(0, n_trials, BER_BLOCK_TRIALS):
         block = min(BER_BLOCK_TRIALS, n_trials - start)
-        idx, noise = rng.integers(K, size=block), crandn(rng, block)
-        p = points[:, :block]
-        np.add(refs[:, idx], sigma * noise,
-               out=p[..., :2].view(np.complex128)[..., 0])
-        d = np.matmul(p, coef, out=metric[:, :block])
-        e = codebook.bit_errors[idx, np.argmin(d, axis=2)]
-        errors += e.sum(axis=1)
-        squared += (e * e).sum(axis=1)
+        draws = [(g.integers(K, size=block), crandn(g, block)) for g in rngs]
+        idx, noise = (np.array(d) for d in zip(*draws))
+        for a in range(0, N, rows):
+            at, pt = slice(a, a + rows), point[a:a + rows]
+            i, n = idx[pt], len(pt)
+            np.add(refs.take(row_start[at] + i), sigma[at] * noise[pt],
+                   out=z[:n, :block])
+            d = np.matmul(points[:n, :block], coef[at],
+                          out=metric[:n, :block])
+            e = codebook.bit_errors[i, np.argmin(d, axis=2)]
+            errors[at] += e.sum(axis=1)
+            squared[at] += (e * e).sum(axis=1)
     errors, squared = errors.reshape(shape), squared.reshape(shape)
     return (int(errors), int(squared)) if not shape else (errors, squared)
 

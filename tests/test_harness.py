@@ -603,14 +603,16 @@ class TestRunSweep:
         for name in ("mi_inner_mean", "channel_sjnr", "_ber_counts"):
             monkeypatch.setattr(metrics, name, counting(
                 name, getattr(metrics, name)))
-        for name in ("svd", "eigh"):
+        for name in ("svd", "eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting(
                 name, getattr(np.linalg, name)))
 
         def run(snr_grid_db, p_m_list, methods=tuple(Method)):
             calls.clear()
-            # the factor of the last V is kept across calls
+            # the factor of the last V and the last checked numerator
+            # are kept across calls
             numerics._svd.cache_clear()
+            numerics._psd_numerator.cache_clear()
             harness._realization_task(SystemConfig(seed=9), tiny_spec(
                 snr_grid_db=snr_grid_db, p_m_list=p_m_list,
                 methods=methods, n_realizations=2), 0)
@@ -630,16 +632,21 @@ class TestRunSweep:
         assert grid["svd"] == point_free["svd"] + 2
         assert three["svd"] == one["svd"] == grid["svd"] - 1
         assert three["eigh"] == one["eigh"]
-        # one scalar channel of Bob's method stack per point, read by its
-        # BER tally, and one generator for the BER trials only; the
-        # attacker's scalar channel per SNR; one SJNR and one MI kernel
+        # max_sjnr's numerator, Bob's signal Gram, is checked PSD once
+        # per realization, not once per P_M (the MI rule, which takes an
+        # eigvalsh too, is cached by the first run)
+        assert three["eigvalsh"] == grid["eigvalsh"] == 1
+        assert "eigvalsh" not in point_free
+        # one scalar channel of Bob's method stack per point and one
+        # generator per point for the BER trials only; the attacker's
+        # scalar channel per SNR; one BER, one SJNR and one MI kernel
         # call for them all
         points, n_snr = 6, 3
         assert {k: grid[k] for k in ("scalar_channel", "derive_rng",
                                      "_ber_counts", "channel_sjnr",
                                      "mi_inner_mean")} == {
             "scalar_channel": points + n_snr, "derive_rng": points,
-            "_ber_counts": points, "channel_sjnr": 1, "mi_inner_mean": 1}
+            "_ber_counts": 1, "channel_sjnr": 1, "mi_inner_mean": 1}
         assert one["mi_inner_mean"] == point_free["mi_inner_mean"] == 1
 
     @pytest.mark.parametrize("snr_db,p_m", [(140.0, 1.0), (60.0, 1e6),

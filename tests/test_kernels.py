@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from secsm import metrics
-from secsm.metrics import NODE_LIMIT, _gauss_hermite, mi_inner_mean
+from secsm.metrics import _gauss_hermite, _mi_rule, mi_inner_mean
 
 from helpers import crandn_t, dense_log2_sums
 
 EPS = np.finfo(float).eps
+# every node the MI rule keeps lies within this (6.088 at order 49)
+KEPT_NODE_BOUND = 6.1
 
 
 def reference_mean(diffs, noise, weights):
@@ -42,8 +44,8 @@ def random_diffs(rng, K, scale, step=1):
 
 def rule_for(n_nodes):
     """The rule of the smallest m x m grid with at least n_nodes nodes,
-    as mutual_info_mc sizes it."""
-    return _gauss_hermite(max(2, math.isqrt(n_nodes - 1) + 1))
+    as mutual_info_mc sizes and floors it."""
+    return _mi_rule(max(2, math.isqrt(n_nodes - 1) + 1))
 
 
 def expand(R, x, w):
@@ -94,8 +96,8 @@ def test_dense_helper_matches_reference():
 
 
 # (K, nodes, scale, step); the last case is mutual_info_mc's default:
-# 8 antenna rows of a 32-entry codebook on the 45 x 45 grid of n_noise
-# 500 per entry
+# 8 antenna rows of a 32-entry codebook on the 35 x 35 floored grid of
+# n_noise 500 per entry
 SEPARABLE_CASES = [(8, 12, 1.0, 1), (7, 2, 3.0, 1), (32, 500, 0.5, 1),
                    (2, 7, 2.0, 1), (32, 2000, 0.5, 4)]
 
@@ -133,8 +135,8 @@ def test_blocks_match_reference(K, T, scale, step, monkeypatch):
     assert blocked == pytest.approx(dense_value(diffs, rule), rel=1e-12)
 
 
-# (K, n_noise, scale, step); K = 40 at n_noise 500 runs in blocks of 7
-# rows, the last of 5, under the default MI_BLOCK_BYTES, and the last
+# (K, n_noise, scale, step); K = 40 at n_noise 500 runs in blocks of 24
+# rows, the last of 16, under the default MI_BLOCK_BYTES, and the last
 # case has mutual_info_mc's default 8 x 32 shape
 WORKSPACE_CASES = [(32, 500, 0.5, 1), (8, 12, 1.0, 1), (40, 500, 1.0, 1),
                    (32, 500, 2.0, 1), (7, 2, 3.0, 1), (8, 12, 1.0, 1),
@@ -189,7 +191,7 @@ def test_workspace_independent_of_call_history():
 def test_workspace_cells_written_before_read(monkeypatch):
     # every buffer filled with NaN between calls: a cell read before it
     # is written turns the estimate NaN. One group of 40 rows in blocks
-    # of 7, then 5 groups of 8 rows in blocks of 16, the last holding 8
+    # of 24, then 5 groups of 8 rows in blocks of 16, the last holding 8
     cases = [workspace_inputs(2), (stack_inputs(5, 32, 20, 4), rule_for(20))]
     for k, (diffs, rule) in enumerate(cases):
         if k:
@@ -244,10 +246,10 @@ def set_block_rows(monkeypatch, diffs, rule, rows):
 # block; blocks of 7 rows across groups of 2; one block of all groups;
 # groups larger than a block, in blocks of 3 rows and of 1; and 27
 # default-budget groups of 8 rows at the 9 x 9 rule of 80 nodes (QPSK at
-# n_noise 20), 52 a block, so blocks straddle groups
+# n_noise 20), 78 a block, so blocks straddle groups
 STACK_CASES = [(5, 32, 20, 4, 16, 16), (4, 8, 12, 4, 7, 7),
                (3, 8, 50, 2, None, 12), (3, 32, 50, 4, 3, 3),
-               (2, 7, 2, 1, 1, 1), (27, 32, 80, 4, None, 52)]
+               (2, 7, 2, 1, 1, 1), (27, 32, 80, 4, None, 78)]
 
 
 @pytest.mark.parametrize("G, K, n_noise, step, budget, rows", STACK_CASES)
@@ -371,13 +373,13 @@ class TestGridRule:
 
     def test_large_order_stays_finite(self):
         # numpy's hermgauss gives NaN weights at order 1000, where p_999
-        # overflows at the outer nodes; this rule rescales its recurrence
-        # and keeps the nodes within NODE_LIMIT
+        # overflows at the outer nodes; this rule rescales its recurrence,
+        # and the weight floor keeps the nodes within 6.1
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            x, w = _gauss_hermite(1000)
+            x, w = _mi_rule(1000)
         assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
-        assert np.all(w > 0.0) and np.max(np.abs(x)) <= NODE_LIMIT
+        assert np.all(w > 0.0) and np.max(np.abs(x)) <= KEPT_NODE_BOUND
         assert abs(w.sum() - 1.0) <= 4 * EPS
         for k in (2, 4, 6):
             assert float(w @ x ** k) == pytest.approx(self.moment(k),
@@ -386,9 +388,9 @@ class TestGridRule:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_corner_factors_stay_finite(self):
         # a difference at minus a corner node x + i y of the order-300
-        # grid makes a factor pair exp(x^2 + y^2); the nodes dropped
-        # past NODE_LIMIT keep it finite, so the estimate is finite too
-        x, w = _gauss_hermite(300)
+        # grid makes a factor pair exp(x^2 + y^2); the nodes the weight
+        # floor drops keep it finite, so the estimate is finite too
+        x, w = _mi_rule(300)
         d = -(x[-1] + 1j * x[-1])
         bits = mi_inner_mean(np.array([[0.0, d]]), x, w)
         assert 0.0 <= bits <= 1.0
@@ -397,3 +399,55 @@ class TestGridRule:
         x, w = _gauss_hermite(45)
         assert _gauss_hermite(45)[0] is x
         assert not x.flags.writeable and not w.flags.writeable
+
+
+def log_sum_exp_value(diffs, x, w):
+    """mi_inner_mean(diffs, x, w) for an R x K diffs, each grid node's
+    inner sum taken as a log-sum-exp: finite at any order and scale,
+    where the kernel's exp(x^2) factors of the full rule overflow."""
+    a, b = diffs.real[:, None, :], diffs.imag[:, None, :]
+    im_part = -b * (b + 2.0 * x[:, None])
+    per_row = np.zeros(len(diffs))
+    for x_s, w_s in zip(x, w):
+        e = -a * (a + 2.0 * x_s) + im_part
+        top = e.max(axis=-1, keepdims=True)
+        log2_sums = (top[..., 0] + np.log(np.exp(e - top).sum(axis=-1))
+                     ) / math.log(2.0)
+        per_row += w_s * ((math.log2(diffs.shape[1]) - log2_sums) @ w)
+    return float(per_row.mean())
+
+
+class TestMiRule:
+    """The weight-floored rule mutual_info reads, against the full
+    Gauss-Hermite rule of the same order."""
+
+    @pytest.mark.parametrize("K", [8, 32, 64])
+    @pytest.mark.parametrize("m", [2, 3, 24, 45, 64, 127, 200])
+    def test_dropped_nodes_within_bound(self, m, K):
+        # at a node n, |log2(S/K)| <= log2 K + |n|^2 / ln 2, so the
+        # dropped pairs move an estimate by at most the sum of their
+        # weights times that, and renormalizing the rest by at most the
+        # dropped weight D times log2 K + E|n|^2 / ln 2; on top, the
+        # rounding of two grid sums
+        x, w = _gauss_hermite(m)
+        kept_x, kept_w = _mi_rule(m)
+        assert np.max(np.abs(kept_x)) <= KEPT_NODE_BOUND
+        if m <= 24:
+            # every node kept: the full rule, bit for bit
+            assert kept_x.tobytes() == x.tobytes()
+            assert kept_w.tobytes() == w.tobytes()
+        keep = np.isin(x, kept_x)
+        assert keep.sum() == {45: 35, 64: 42, 127: 61, 200: 76}.get(m, m)
+        pair_w = np.outer(w, w)[~np.outer(keep, keep)]
+        pair_n2 = (x[:, None] ** 2 + x[None, :] ** 2)[~np.outer(keep, keep)]
+        dropped = pair_w.sum()
+        bound = (float(pair_w @ (math.log2(K) + pair_n2 / math.log(2.0)))
+                 + dropped / (1.0 - dropped)
+                 * (math.log2(K) + 1.0 / math.log(2.0)))
+        rounding = 16 * EPS * (math.log2(K) + 2.0)
+        rng = np.random.default_rng(1000 * K + m)
+        for scale in (0.05, 0.3, 1.0, 3.0, 10.0):
+            diffs = random_diffs(rng, K, scale, 4)
+            floored = mi_inner_mean(diffs, kept_x, kept_w)
+            assert abs(floored - log_sum_exp_value(diffs, x, w)) <= \
+                bound + rounding

@@ -13,9 +13,9 @@ from secsm.beamformers import Method, compute_beamformer, max_sjnr
 from secsm.channel import (AN_MODES, ChannelSet, SystemConfig, crandn,
                            derive_rng, realize_channels)
 from secsm.metrics import (BER_BLOCK_TRIALS, SIDES, _ber_counts,
-                           _gauss_hermite, _side_terms, flop_estimate,
-                           mi_inner_mean, mutual_info, mutual_info_mc,
-                           scalar_channel, sjnr)
+                           _gauss_hermite, _mi_rule, _side_terms,
+                           flop_estimate, mi_inner_mean, mutual_info,
+                           mutual_info_mc, scalar_channel, sjnr)
 from secsm.modulation import build_codebook
 from secsm.numerics import gen_max_eigvec
 
@@ -311,16 +311,16 @@ class TestMutualInfo:
 
 def rule_order(mod_order, n_noise):
     """The Gauss-Hermite order mutual_info_mc takes for one antenna's
-    mod_order * n_noise nodes, read by a spy on metrics._gauss_hermite."""
+    mod_order * n_noise nodes, read by a spy on metrics._mi_rule."""
     orders = []
 
     def spy(m):
         orders.append(m)
-        return _gauss_hermite(m)
+        return _mi_rule(m)
 
     cfg = replace(scalar_cfg(1.0), mod_order=mod_order)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(metrics, "_gauss_hermite", spy)
+        patch.setattr(metrics, "_mi_rule", spy)
         mutual_info_mc(np.array([1.0 + 0j]), "bob", scalar_channel_set(),
                        cfg, n_noise)
     return orders[0]
@@ -758,6 +758,50 @@ class TestBerOracle:
         # a guess that ignores the truth: 2.5 of 5 bits wrong per use
         ber = errors / (n * cb.bits_per_use)
         assert np.all(np.abs(ber - 0.5) < 0.05), ber
+
+
+class TestStackedBer:
+    """_ber_counts over a stack of grid points, one generator each, as
+    the harness calls it once per realization."""
+
+    @pytest.mark.parametrize("points", [1, 6])
+    @pytest.mark.parametrize("n_trials", [1, BER_BLOCK_TRIALS + 1,
+                                          3 * BER_BLOCK_TRIALS - 37])
+    @pytest.mark.parametrize("chunk", [None, 3, 1])
+    def test_points_equal_single_calls(self, points, n_trials, chunk,
+                                       monkeypatch):
+        # 4 method rows per point at several SNRs and realizations; a
+        # chunk of 3 rows straddles points, one of 1 row splits them
+        cb = build_codebook(8, 4)
+        stacks = [method_stack(p % 3, -10.0 + 8.0 * p)
+                  for p in range(points)]
+        refs = np.array([r for r, _ in stacks])
+        power = np.array([pw for _, pw in stacks])
+        # a row takes 8 (K + 3) bytes a trial of its block; by default
+        # 4 rows fit at full blocks, every row at one trial
+        block = min(BER_BLOCK_TRIALS, n_trials)
+        if chunk:
+            monkeypatch.setattr(metrics, "BER_BLOCK_BYTES",
+                                chunk * 8 * block * (cb.size + 3))
+        rows = []
+        workspace = metrics._ber_workspace
+
+        def spy(*args):
+            rows.append(args[0])
+            return workspace(*args)
+
+        monkeypatch.setattr(metrics, "_ber_workspace", spy)
+        got = _ber_counts(refs, power, cb, n_trials,
+                          [derive_rng(3, 9, 60, p) for p in range(points)])
+        assert rows == [chunk or (4 if block > 1 else 4 * points)]
+        monkeypatch.setattr(metrics, "_ber_workspace", workspace)
+        assert got[0].shape == got[1].shape == (points, 4)
+        for p in range(points):
+            assert_same_tallies(
+                (got[0][p], got[1][p]),
+                _ber_counts(refs[p], power[p], cb, n_trials,
+                            derive_rng(3, 9, 60, p)))
+        assert got[0].sum() > 0
 
 
 class TestFlops:
