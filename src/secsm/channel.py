@@ -167,8 +167,7 @@ def build_tas_matrix(H, n_active):
         raise ValueError(f"cannot select {n_active} of {n_tx} antennas")
     norms = np.sum(np.abs(H) ** 2, axis=0)
     order = np.argsort(-norms, kind="stable")[:n_active]
-    selected = np.sort(order)
-    return np.eye(n_tx)[:, selected]
+    return np.eye(n_tx)[:, np.sort(order)]
 
 
 def build_an_projection(H, T, mode="nullspace", rng=None):

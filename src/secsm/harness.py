@@ -110,15 +110,11 @@ class ConfigError(ValueError):
     """A configuration document failed to parse or validate."""
 
     def __init__(self, message, key=None, line=None):
-        parts = []
-        if key is not None:
-            parts.append(f"key {key!r}")
-        if line is not None:
-            parts.append(f"line {line}")
-        where = f" ({', '.join(parts)})" if parts else ""
-        super().__init__(f"{message}{where}")
-        self.key = key
-        self.line = line
+        parts = (f"key {key!r}" if key is not None else None,
+                 f"line {line}" if line is not None else None)
+        where = ", ".join(p for p in parts if p)
+        super().__init__(f"{message} ({where})" if where else message)
+        self.key, self.line = key, line
 
 
 def _parse_methods(text):
@@ -165,8 +161,7 @@ def parse_config(text):
     separated. Unknown, duplicate or missing keys and constraint
     violations raise ConfigError naming the key and line.
     """
-    values = {}
-    lines = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -175,8 +170,7 @@ def parse_config(text):
             raise ConfigError(f"expected 'key = value', got {line!r}",
                               line=lineno)
         key, _, rhs = line.partition("=")
-        key = key.strip()
-        rhs = rhs.strip()
+        key, rhs = key.strip(), rhs.strip()
         if key not in _SCHEMA:
             raise ConfigError("unknown key", key=key, line=lineno)
         if key in values:
@@ -210,9 +204,7 @@ def parse_config(text):
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def emit_config(cfg, spec):
@@ -260,10 +252,9 @@ def _realization_task(cfg, spec, r):
     Returns {quantity: (SNR, P_M, method) array} for sr, sjnr and the BER
     tally bit_errors, squared_errors. POINT_FREE methods are built once,
     the others once per P_M across every SNR. Each (SNR, P_M) takes one
-    scalar channel of its method stack, and the attacker one per SNR.
-    All of them then go through one BER, one SJNR and one MI call: the
-    BER tally keeps a generator per (SNR, P_M), whose draws that point's
-    methods share.
+    scalar channel of its method stack, and the attacker one per SNR; all
+    go through one BER, one SJNR and one MI call, the BER tally on one
+    generator per (SNR, P_M) whose draws that point's methods share.
     """
     chset = realize_channels(cfg, r, an_mode=spec.an_mode)
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
@@ -349,9 +340,8 @@ def _partials(cfg, spec, workers):
 
 def _cpus():
     """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def run_sweep(cfg, spec, threads=1):
@@ -428,8 +418,7 @@ def write_outputs(records, cfg, spec, out_dir):
         rows.append(",".join([
             rec.method.value, _fmt(rec.snr_db), _fmt(rec.p_m),
             _fmt(rec.avg_sr), _fmt(rec.ber), _fmt(rec.avg_sjnr_db),
-            str(counts["n_realizations"]),
-            str(counts["n_zfc_infeasible"]),
+            str(counts["n_realizations"]), str(counts["n_zfc_infeasible"]),
         ]))
     (out / "results.csv").write_text("\n".join(rows) + "\n",
                                      encoding="utf-8", newline="\n")

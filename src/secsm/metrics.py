@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import crandn
+from .channel import _read_only, crandn
 from .modulation import build_codebook
 
 SIDES = ("bob", "mallory")
@@ -22,11 +22,10 @@ SIDES = ("bob", "mallory")
 BER_BLOCK_TRIALS = 256
 BER_BLOCK_BYTES = 280 * 1024
 
-# The workspace of one mi_inner_mean block: per row, 4 K exponent
-# coefficients, 2 m K Re- and Im-axis factors and an m x m grid of inner
-# sums, 8 (4 K + 2 m K + m^2) bytes in all. Antenna rows against 32
-# entries on the 35 x 35 floored grid of n_noise 500 take ~28 KiB each,
-# 17 rows a block; at n_noise 2 (a 3 x 3 grid) a block holds up to 186.
+# The workspace of one mi_inner_mean block: per row, 4 K coefficients,
+# 2 m K axis factors and an m x m grid of sums, 8 (4 K + 2 m K + m^2)
+# bytes. 32 entries on the 35 x 35 floored grid of n_noise 500 take 28
+# KiB a row, 17 rows a block; a 3 x 3 grid (n_noise 2) up to 186 rows.
 MI_BLOCK_BYTES = 480 * 1024
 
 
@@ -153,27 +152,19 @@ def _gauss_hermite(m):
     w = np.exp2(log_w - log_w.max())
     # the density is even: symmetrize the rounding
     x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
-    w = w / w.sum()
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return _read_only(x), _read_only(w / w.sum())
 
 
 @functools.lru_cache(maxsize=8)
 def _mi_rule(m):
-    """_gauss_hermite(m) less the nodes of weight below 1e-16 of the
-    largest, renormalized: 35 of 45 nodes, 61 of 127, all up to order 24.
-    A grid node n holds |log2(S/K)| <= log2 K + |n|^2 / ln 2, which bounds
-    what the dropped pairs move; every kept |x| is below 6.1 at any
-    order, so the kernel's exp(x^2) factors stay finite."""
+    """_gauss_hermite(m) less its nodes of weight below 1e-16 of the
+    largest, renormalized: 35 of 45 nodes, 61 of 127, all up to order
+    24. Every kept |x| is below 6.1, so exp(x^2) factors stay finite."""
     x, w = _gauss_hermite(m)
     keep = w >= 1e-16 * w.max()
     if keep.all():
         return x, w
-    x, w = x[keep], w[keep] / w[keep].sum()
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return _read_only(x[keep]), _read_only(w[keep] / w[keep].sum())
 
 
 def _aligned_empty(shape, dtype=np.float64):
@@ -193,8 +184,7 @@ def _mi_workspace(rows, K, m):
     """The coefficient, factor and sum buffers of one mi_inner_mean
     block of rows against K codebook entries on an m x m grid. Kept for
     the last shape, a sweep has one, so a call allocates no large array:
-    at the default shape the factors exceed glibc's 128 KiB mmap
-    threshold, and fresh ones would fault in new pages on every call.
+    fresh factors past glibc's 128 KiB mmap threshold fault in new pages.
     Per process and not thread-safe; secsm runs in parallel with
     processes.
     """
@@ -222,11 +212,10 @@ def mi_inner_mean(diffs, x, w):
     equals the quotient bit for bit for a power-of-two K (every codebook
     size) only.
 
-    Rows run in equal blocks, as many rows as fit in MI_BLOCK_BYTES of
-    workspace (_mi_workspace) and at least one, and each row's grid is
-    weighted on its own, so a row's value, and a group's mean of them,
-    does not depend on the block: a group's estimate equals a call on
-    that group alone bit for bit. A 2-D diffs, one group, gives a float.
+    Rows run in blocks of as many as fit in MI_BLOCK_BYTES of workspace
+    (_mi_workspace), at least one, and each row's grid is weighted on its
+    own, so a group's estimate equals a call on that group alone bit for
+    bit, whatever the block. A 2-D diffs, one group, gives a float.
     """
     diffs = np.asarray(diffs, dtype=np.complex128)
     if diffs.ndim < 2 or x.ndim != 1 or x.shape != w.shape:
@@ -272,13 +261,11 @@ def mutual_info(r, power, mod_order, n_noise):
     rotation-invariant, so the mod_order entries of one antenna share
     it. It is computed once per antenna, on the row of its symbol-1
     entry (build_codebook orders entries a * mod_order + k), on the
-    product grid of _mi_rule(m) for CN(0, 1) noise, m the smallest order
-    >= 2 with m^2 >= mod_order * n_noise: n_noise nodes per codebook
-    entry, pooled per antenna, less those of negligible weight. Every
-    channel goes through one mi_inner_mean call, and each estimate,
-    clamped to [0, log2(size)] bits, equals a call on its channel alone
-    bit for bit, however the kernel's blocks split the stack. A 1-D r
-    gives a float.
+    product grid of _mi_rule(m), m the smallest order >= 2 with m^2 >=
+    mod_order * n_noise. Every channel goes through one mi_inner_mean
+    call, and each estimate, clamped to [0, log2(size)] bits, equals a
+    call on its channel alone bit for bit, however the kernel's blocks
+    split the stack. A 1-D r gives a float.
     """
     if n_noise < 1:
         raise ValueError("n_noise must be at least 1")
@@ -318,27 +305,26 @@ def _ber_workspace(rows, block, K):
     return points, _aligned_empty((rows, block, K))
 
 
-def _ber_counts(refs, power, codebook, n_trials, rng):
+def _ber_counts(refs, power, codebook, n_trials, rngs):
     """Bit-error tally over n_trials random codebook transmissions
     through Bob's scalar channels (refs, power) of scalar_channel.
 
-    Returns (bit_errors, squared_error_sum); the squared sum of per-use
-    bit errors supports an empirical variance estimate. For a stack of
-    channels, refs with leading axes, both sums are arrays over them.
+    Returns (bit_errors, squared_error_sum), the squared sum of per-use
+    bit errors for a variance estimate; arrays over refs' leading axes.
 
-    rng is one generator for all rows, or P generators, one per grid
-    point, for refs of shape (P, ..., K). A trial receives z = refs[idx]
-    + sqrt(power) n. Per block of BER_BLOCK_TRIALS each generator draws
-    the codebook indices, then one unit complex normal n per trial,
-    shared by its rows: a row's tally equals a single call on an
-    identically seeded rng. ML detection, argmin_k |z - r_k| = argmin_k
-    |r_k|^2 - 2 Re(conj(r_k) z) with ties to the lowest index, is one
-    real product [Re z, Im z, 1] [-2 Re r; -2 Im r; |r|^2] and one argmin
-    per block and chunk of as many rows as fit in BER_BLOCK_BYTES. Rows
-    are scaled by the power of two that puts max(|r_k|, sqrt(power)) in
-    [1/2, 1): exact in the normal range; no square overflows or underflows.
+    rngs holds one generator, or one per leading index of refs. A trial
+    receives z = refs[idx] + sqrt(power) n. Per block of BER_BLOCK_TRIALS
+    each generator draws the codebook indices, then one unit complex
+    normal n per trial, shared by its rows: a row's tally equals a single
+    call on an identically seeded generator. ML detection, argmin_k
+    |z - r_k| = argmin_k |r_k|^2 - 2 Re(conj(r_k) z) with ties to the
+    lowest index, is one real product [Re z, Im z, 1] [-2 Re r; -2 Im r;
+    |r|^2] and one argmin per block and chunk of rows in BER_BLOCK_BYTES.
+    Rows are scaled by the power of two that puts max(|r_k|, sqrt(power))
+    in [1/2, 1): exact in the normal range; no square overflows.
     """
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    if len(rngs) not in {1, refs.shape[0] if refs.ndim > 1 else 1}:
+        raise ValueError(f"{len(rngs)} generators for refs {refs.shape}")
     shape, K = refs.shape[:-1], codebook.size
     refs, sigma = refs.reshape(-1, K), np.sqrt(np.reshape(power, -1))
     top = np.hypot(refs.real, refs.imag).max(axis=1, initial=0.0)

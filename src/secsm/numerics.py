@@ -156,22 +156,6 @@ def whitening_matrix(V, noise_var):
     return 0.5 * (W + conj_transpose(W))
 
 
-@functools.lru_cache(maxsize=1)
-def _psd_numerator(shape, data):
-    """The complex128 matrix with this shape and these bytes, through
-    _check_hermitian and checked PSD: its smallest eigenvalue at least
-    -1e-10 times its largest in magnitude. The last one is kept, read-only:
-    max_sjnr's numerator is one Gram at every P_M of a realization."""
-    num = _check_hermitian(np.frombuffer(data, np.complex128)
-                           .reshape(shape), "numerator")
-    nvals = np.linalg.eigvalsh(num)
-    if nvals[0] < -1e-10 * abs(nvals[-1]):
-        raise ValueError(
-            f"numerator is not PSD: min eigenvalue {nvals[0]:.3e}")
-    num.setflags(write=False)
-    return num
-
-
 def gen_max_eigvec(num, V, noise_var):
     """Unit vector maximizing the generalized Rayleigh quotient.
 
@@ -180,18 +164,22 @@ def gen_max_eigvec(num, V, noise_var):
     phase. With R = L L^H for the factor L = Q diag(t) of
     _interference_factor, v is L^{-H} w for the dominant
     eigenvector w of L^{-1} num L^{-H}, reduced with the scale-free
-    min(t) L^{-1} = diag(min(t) / t) Q^H. num is checked Hermitian and
-    PSD (_psd_numerator) before anything else.
+    min(t) L^{-1} = diag(min(t) / t) Q^H. num is PSD when its smallest
+    eigenvalue is at least -1e-10 times its largest in magnitude.
 
     A vector of S noise variances gives an S x n stack of vectors from
     one SVD, one check of num and one stacked eigh.
     """
-    num = np.asarray(num, dtype=np.complex128)
-    num = _psd_numerator(num.shape, num.tobytes())
+    num = _check_hermitian(num, "numerator")
     Q, t = _interference_factor(V, noise_var)
     if num.shape != Q.shape:
         raise ValueError(f"dimension mismatch: numerator {num.shape}, "
                          f"factor {np.shape(V)}")
+    nvals = np.linalg.eigvalsh(num)
+    if nvals[0] < -1e-10 * abs(nvals[-1]):
+        raise ValueError(
+            f"numerator is not PSD: min eigenvalue {nvals[0]:.3e}")
+
     G = (t.min(axis=-1, keepdims=True) / t)[..., :, None] * Q.conj().T
     GH = conj_transpose(G)
     C = G @ num @ GH

@@ -269,7 +269,7 @@ def realization_reference(cfg, spec, r, ber_trials):
                     metrics._ber_counts(*scalar_channel(u, "bob", chset,
                                                         point),
                                         codebook, ber_trials,
-                                        derive_rng(cfg.seed,
-                                                   harness._STREAM_BER,
-                                                   r, si, pi))
+                                        [derive_rng(cfg.seed,
+                                                    harness._STREAM_BER,
+                                                    r, si, pi)])
     return out

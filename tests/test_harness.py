@@ -609,10 +609,8 @@ class TestRunSweep:
 
         def run(snr_grid_db, p_m_list, methods=tuple(Method)):
             calls.clear()
-            # the factor of the last V and the last checked numerator
-            # are kept across calls
+            # the factor of the last V is kept across calls
             numerics._svd.cache_clear()
-            numerics._psd_numerator.cache_clear()
             harness._realization_task(SystemConfig(seed=9), tiny_spec(
                 snr_grid_db=snr_grid_db, p_m_list=p_m_list,
                 methods=methods, n_realizations=2), 0)
@@ -632,10 +630,10 @@ class TestRunSweep:
         assert grid["svd"] == point_free["svd"] + 2
         assert three["svd"] == one["svd"] == grid["svd"] - 1
         assert three["eigh"] == one["eigh"]
-        # max_sjnr's numerator, Bob's signal Gram, is checked PSD once
-        # per realization, not once per P_M (the MI rule, which takes an
-        # eigvalsh too, is cached by the first run)
-        assert three["eigvalsh"] == grid["eigvalsh"] == 1
+        # max_sjnr checks its numerator, Bob's signal Gram, PSD once per
+        # P_M (the MI rule, which takes an eigvalsh too, is cached by the
+        # first run)
+        assert three["eigvalsh"] == 1 and grid["eigvalsh"] == 2
         assert "eigvalsh" not in point_free
         # one scalar channel of Bob's method stack per point and one
         # generator per point for the BER trials only; the attacker's

@@ -25,9 +25,10 @@ from helpers import (ber_counts_antenna_domain, ber_counts_hypot,
 
 
 def bob_ber(u, ch, cfg, codebook, n_trials, rng):
-    """_ber_counts in the scalar channel of Bob's combiner or stack u."""
+    """_ber_counts in the scalar channel of Bob's combiner or stack u,
+    every row on the one generator rng."""
     return _ber_counts(*scalar_channel(u, "bob", ch, cfg), codebook,
-                       n_trials, rng)
+                       n_trials, [rng])
 
 
 def factored_cov(ch, cfg, side="bob"):
@@ -722,7 +723,7 @@ class TestBerOracle:
                     refs, power = refs[0], float(power[0])
                 args = refs, power, cb, n_trials
                 assert_same_tallies(
-                    _ber_counts(*args, derive_rng(3, 9, 50, r, k)),
+                    _ber_counts(*args, [derive_rng(3, 9, 50, r, k)]),
                     ber_counts_hypot(*args, derive_rng(3, 9, 50, r, k)))
 
     @pytest.mark.parametrize("magnitude, power", [
@@ -737,7 +738,7 @@ class TestBerOracle:
         powers = np.full(len(refs), power)
         n = 3 * BER_BLOCK_TRIALS - 37
         with np.errstate(all="raise"):
-            got = _ber_counts(refs, powers, cb, n, derive_rng(3, 9, 51))
+            got = _ber_counts(refs, powers, cb, n, [derive_rng(3, 9, 51)])
         assert_same_tallies(got, ber_counts_hypot(refs, powers, cb, n,
                                                   derive_rng(3, 9, 51)))
         assert got[0].min() > 0
@@ -753,7 +754,8 @@ class TestBerOracle:
         n = 2000
         hypot = ber_counts_hypot(refs, powers, cb, n, derive_rng(3, 9, 52))
         assert len(set(hypot[0].tolist())) == 1
-        errors, _ = _ber_counts(refs, powers, cb, n, derive_rng(3, 9, 52))
+        errors, _ = _ber_counts(refs, powers, cb, n,
+                                [derive_rng(3, 9, 52)])
         assert len(set(errors.tolist())) > 1
         # a guess that ignores the truth: 2.5 of 5 bits wrong per use
         ber = errors / (n * cb.bits_per_use)
@@ -800,8 +802,18 @@ class TestStackedBer:
             assert_same_tallies(
                 (got[0][p], got[1][p]),
                 _ber_counts(refs[p], power[p], cb, n_trials,
-                            derive_rng(3, 9, 60, p)))
+                            [derive_rng(3, 9, 60, p)]))
         assert got[0].sum() > 0
+
+    def test_generators_must_match_points(self):
+        # 2 generators for 4 rows would otherwise split them 2 and 2
+        cb = build_codebook(8, 4)
+        refs, power = method_stack(0, 0.0)
+        rngs = [derive_rng(3, 9, 61, p) for p in range(2)]
+        for r, pw in ((refs, power), (refs[None], power[None]),
+                      (refs[0], float(power[0]))):
+            with pytest.raises(ValueError, match="2 generators"):
+                _ber_counts(r, pw, cb, 10, rngs)
 
 
 class TestFlops:
