@@ -13,9 +13,9 @@ how much interference structure they use:
               the interference-plus-noise covariance
 
 Each returns a Beamformer whose `u` is the unit combining vector applied
-to the raw receive vector. max_wfrp and max_sjnr depend on Bob's noise
-variance and build a whole vector of them at once, from one factor of
-the interference.
+to the raw receive vector, for one realization or, bit for bit, for each
+of a stacked ChannelSet. max_wfrp and max_sjnr depend on Bob's noise
+variance and build a whole vector of them from one factor of V.
 """
 
 from dataclasses import dataclass
@@ -38,18 +38,10 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class Beamformer:
-    """A receive combining vector: unit norm, canonical phase, applied
-    to the raw receive vector. A build over a vector of noise variances
-    gives a stack of them, one row per variance."""
+    """A receive combining vector (unit norm, canonical phase) applied to
+    the raw receive vector, or a stack of them, one row per build."""
 
     u: np.ndarray
-
-
-def _bob_interference(chset, cfg, noise_vars):
-    """(V, noise variances) of Bob's interference at cfg's jamming power:
-    noise_vars, or cfg's own noise variance as a length-1 vector."""
-    _, V, noise_var = _side_terms(chset, cfg, "bob")
-    return V, np.atleast_1d(noise_var if noise_vars is None else noise_vars)
 
 
 def max_rp(chset, cfg):
@@ -58,7 +50,7 @@ def max_rp(chset, cfg):
     return Beamformer(u=max_eigvec_hermitian(chset.HTHT))
 
 
-def max_wfrp(chset, cfg, noise_vars=None):
+def max_wfrp(chset, cfg, noise_vars=None, p_m=None):
     """Whitening-filter receive-power maximization.
 
     Whitens the interference-plus-noise covariance with its Hermitian
@@ -67,14 +59,15 @@ def max_wfrp(chset, cfg, noise_vars=None):
     and returns the effective combining vector W^H w. With noise_vars,
     one row per noise variance, from one stacked eigh.
     """
-    V, nvs = _bob_interference(chset, cfg, noise_vars)
-    W = whitening_matrix(V, nvs)
+    _, V, nv = _side_terms(chset, cfg, "bob", p_m)
+    W = whitening_matrix(V, np.atleast_1d(nv if noise_vars is None
+                                          else noise_vars))
     W = W / np.abs(W).max(axis=(-2, -1), keepdims=True)
-    HT_w = W @ chset.HT
+    HT_w = W @ chset.HT[..., None, :, :]
     w = max_eigvec_hermitian(HT_w @ conj_transpose(HT_w))
     u = canonical_phase(unit_rows((conj_transpose(W) @ w[..., None])
                                   [..., 0]))
-    return Beamformer(u=u if noise_vars is not None else u[0])
+    return Beamformer(u=u if noise_vars is not None else u[..., 0, :])
 
 
 def max_rp_zfc(chset, cfg):
@@ -87,21 +80,23 @@ def max_rp_zfc(chset, cfg):
     """
     jam = chset.F_JM
     U = null_space_basis(jam)
-    if U.shape[1] == 0:
+    if U.shape[-1] == 0:
         raise ValueError(
-            f"ZFC infeasible: {jam.shape[1]} jamming streams fill the "
-            f"{jam.shape[0]}-dimensional receive space")
-    eta = max_eigvec_hermitian(U.conj().T @ chset.HTHT @ U)
-    return Beamformer(u=canonical_phase(unit_rows(U @ eta)))
+            f"ZFC infeasible: {jam.shape[-1]} jamming streams fill the "
+            f"{jam.shape[-2]}-dimensional receive space")
+    eta = max_eigvec_hermitian(conj_transpose(U) @ chset.HTHT @ U)
+    return Beamformer(u=canonical_phase(unit_rows((U @ eta[..., None])
+                                                  [..., 0])))
 
 
-def max_sjnr(chset, cfg, noise_vars=None):
+def max_sjnr(chset, cfg, noise_vars=None, p_m=None):
     """Maximum signal-to-jamming-plus-noise ratio: dominant generalized
     eigenvector of the signal Gram against the interference-plus-noise
     covariance. With noise_vars, one row per noise variance."""
-    V, nvs = _bob_interference(chset, cfg, noise_vars)
-    v = gen_max_eigvec(chset.HTHT, V, nvs)
-    return Beamformer(u=v if noise_vars is not None else v[0])
+    _, V, nv = _side_terms(chset, cfg, "bob", p_m)
+    v = gen_max_eigvec(chset.HTHT, V, np.atleast_1d(
+        nv if noise_vars is None else noise_vars))
+    return Beamformer(u=v if noise_vars is not None else v[..., 0, :])
 
 
 # methods that read nothing of the operating point (SNR, P_M)
@@ -114,13 +109,14 @@ _BUILDERS = {
 }
 
 
-def compute_beamformer(method, chset, cfg, noise_vars=None):
-    """Build the beamformer for `method` on one channel realization.
+def compute_beamformer(method, chset, cfg, noise_vars=None, p_m=None):
+    """Build the beamformer for `method` on a channel realization, or on
+    each of a stack of them (a ChannelSet with leading axes).
 
-    noise_vars, a sequence of Bob's noise variances, builds a method
-    outside POINT_FREE at each of them and cfg's jamming power: u is then
-    a stack with one row per variance, each equal bit for bit to a build
-    at that variance alone. A POINT_FREE method takes none.
+    Outside POINT_FREE, noise_vars (Bob's noise variances) gives u a last
+    axis before the vector's, one row per variance, and p_m (jamming
+    powers, cfg's by default) broadcasts against chset's leading axes;
+    each row equals a build at its point alone bit for bit.
     """
-    args = () if noise_vars is None else (noise_vars,)
+    args = () if noise_vars is None and p_m is None else (noise_vars, p_m)
     return _BUILDERS[Method(method)](chset, cfg, *args)

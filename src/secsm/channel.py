@@ -7,12 +7,12 @@ receive vector / self-interference-free jamming precoder pair.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .numerics import max_eigvec_hermitian, null_space_basis
+from .numerics import conj_transpose, max_eigvec_hermitian, null_space_basis
 
 # rng stream tag for channel sampling; the sweep harness draws its BER
 # trials on tag 3.
@@ -52,10 +52,9 @@ class SystemConfig:
     mod_order     PSK constellation size
     seed          base seed for all derived rng streams
 
-    A sweep sets power_mallory and both noise variances per grid point.
-    n_active, the number of active transmit antennas, is derived as
-    2^floor(log2 n_tx). an_var and jam_var, the AN and jamming entry
-    variances, are constants equal to 1: P_AN and P_JM have unit trace.
+    A sweep passes its grid of jamming powers and noise variances to the
+    builds instead. n_active, the active transmit antennas, is 2^floor(
+    log2 n_tx). an_var = jam_var = 1: P_AN and P_JM have unit trace.
     """
 
     n_tx: int = 8
@@ -117,7 +116,8 @@ class ChannelSet:
     computed on first use and kept, read-only: HT = H T, HTHT = HT HT^H
     (Bob's signal Gram, which every beamformer but max_wfrp maximizes),
     GT = G T, HT_AN = HT P_AN, GT_AN = GT P_AN, F_JM = F P_JM,
-    M_JM = M_self P_JM.
+    M_JM = M_self P_JM. Stacked realizations (stack_channels) take one
+    stacked matmul per product, each matrix its realization's bit for bit.
     """
 
     H: np.ndarray
@@ -131,12 +131,18 @@ class ChannelSet:
 
     HT = cached_property(lambda self: _read_only(self.H @ self.T))
     HTHT = cached_property(
-        lambda self: _read_only(self.HT @ self.HT.conj().T))
+        lambda self: _read_only(self.HT @ conj_transpose(self.HT)))
     HT_AN = cached_property(lambda self: _read_only(self.HT @ self.P_AN))
     GT = cached_property(lambda self: _read_only(self.G @ self.T))
     GT_AN = cached_property(lambda self: _read_only(self.GT @ self.P_AN))
     F_JM = cached_property(lambda self: _read_only(self.F @ self.P_JM))
     M_JM = cached_property(lambda self: _read_only(self.M_self @ self.P_JM))
+
+
+def stack_channels(chsets):
+    """The ChannelSets of realizations as one, each field stacked on axis 0."""
+    return ChannelSet(*(np.array([getattr(c, f.name) for c in chsets])
+                        for f in fields(ChannelSet)))
 
 
 def _read_only(a):

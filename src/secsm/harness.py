@@ -12,7 +12,7 @@ powers enter separately through the system configuration.
 import contextlib
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -20,8 +20,9 @@ import numpy as np
 
 from . import metrics
 from .beamformers import POINT_FREE, Method, compute_beamformer
-from .channel import AN_MODES, SystemConfig, derive_rng, realize_channels
-from .metrics import MetricsRecord, scalar_channel
+from .channel import (AN_MODES, SystemConfig, derive_rng, realize_channels,
+                      stack_channels)
+from .metrics import MetricsRecord
 # not called here: perfbench/tracing.py hooks this name, until the
 # benchmark change that retires the hook
 from .metrics import mutual_info_mc  # noqa: F401
@@ -29,6 +30,7 @@ from .modulation import build_codebook
 
 # rng stream tag of the BER trials (channel sampling owns tag 0).
 _STREAM_BER = 3
+RANGE_BYTES = 128 * 1024  # the scalar channels of one range (_ranges)
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,7 @@ def emit_config(cfg, spec):
 
     parse_config(emit_config(cfg, spec)) reproduces the document keys
     exactly; cfg's operating point (power_mallory and the noise
-    variances, which a sweep sets per grid point) is not in it.
+    variances, which a sweep takes from its grid) is not in it.
     """
     out = ["# secsm simulation configuration (all keys required)", ""]
     for title, obj in (("system", cfg), ("sweep", spec)):
@@ -240,81 +242,80 @@ def snr_to_noise_var(snr_db):
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _point_config(cfg, snr_db, p_m):
-    nv = snr_to_noise_var(snr_db)
-    return replace(cfg, noise_var_bob=nv, noise_var_eve=nv,
-                   power_mallory=p_m)
-
-
-def _realization_task(cfg, spec, r):
-    """All per-realization work for every grid point.
-
-    Returns {quantity: (SNR, P_M, method) array} for sr, sjnr and the BER
-    tally bit_errors, squared_errors. POINT_FREE methods are built once,
-    the others once per P_M across every SNR. Each (SNR, P_M) takes one
-    scalar channel of its method stack, and the attacker one per SNR; all
-    go through one BER, one SJNR and one MI call, the BER tally on one
-    generator per (SNR, P_M) whose draws that point's methods share.
-    """
-    chset = realize_channels(cfg, r, an_mode=spec.an_mode)
+def _realization_task(cfg, spec, rs):
+    """{quantity: (realization, SNR, P_M, method) array} of sr, sjnr and
+    the BER tally bit_errors, squared_errors for the range rs, each
+    realization's bit for bit its own range's. Each layer runs once over
+    the stacked realizations: one build per method (over every P_M and
+    SNR outside POINT_FREE), one scalar-channel broadcast for Bob and one
+    for the attacker (at P_M = 0, where its self-interference cancels
+    exactly), one SJNR and one MI call, and one BER call per trial count,
+    on one generator per (realization, SNR, P_M)."""
+    chs = stack_channels([realize_channels(cfg, r, an_mode=spec.an_mode)
+                          for r in rs])
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
-    base, extra = divmod(spec.n_ber_trials, spec.n_realizations)
-    ber_block = base + (1 if r < extra else 0)
-
-    noise_vars = [snr_to_noise_var(snr_db) for snr_db in spec.snr_grid_db]
-    # the combiners of every method at each (P_M, SNR)
-    combiners = np.empty((len(spec.p_m_list), len(noise_vars),
-                          len(spec.methods), cfg.n_rx), dtype=np.complex128)
+    nvs = np.array([snr_to_noise_var(snr_db) for snr_db in spec.snr_grid_db])
+    p_ms = np.array(spec.p_m_list)[:, None]  # before the realization axis
+    R, S, P, M = shape = (len(rs), len(nvs), len(p_ms), len(spec.methods))
+    u = np.empty(shape + (cfg.n_rx,), dtype=np.complex128)
     for mi, m in enumerate(spec.methods):
         if m in POINT_FREE:
-            combiners[:, :, mi] = compute_beamformer(m, chset, cfg).u
-    # P_M outermost: the builds at one P_M share one SVD of its factor
-    for pi, p_m in enumerate(spec.p_m_list):
-        at_p_m = replace(cfg, power_mallory=p_m)
-        for mi, m in enumerate(spec.methods):
-            if m not in POINT_FREE:
-                combiners[pi, :, mi] = compute_beamformer(
-                    m, chset, at_p_m, noise_vars).u
-    shape = (len(spec.snr_grid_db), len(spec.p_m_list), len(spec.methods))
-    n_snr, n_p_m, n_methods = shape
-    # the scalar channels per SNR: Bob's per (P_M, method), then the
-    # attacker's, the last row
-    refs = np.empty((n_snr, n_p_m * n_methods + 1, codebook.size),
-                    dtype=np.complex128)
-    power = np.empty(refs.shape[:-1])
-    for si, snr_db in enumerate(spec.snr_grid_db):
-        # P_JM cancels the attacker's self-interference at u_er, so I_E
-        # does not depend on P_M: P_M = 0 makes that cancellation exact
-        refs[si, -1], power[si, -1] = scalar_channel(
-            chset.u_er, "mallory", chset, _point_config(cfg, snr_db, 0.0))
-        for pi, p_m in enumerate(spec.p_m_list):
-            bob = slice(pi * n_methods, (pi + 1) * n_methods)
-            refs[si, bob], power[si, bob] = scalar_channel(
-                combiners[pi, si], "bob", chset,
-                _point_config(cfg, snr_db, p_m))
-    errors, squared = metrics._ber_counts(
-        refs[:, :-1].reshape(n_snr * n_p_m, n_methods, -1),
-        power[:, :-1].reshape(n_snr * n_p_m, n_methods), codebook, ber_block,
-        [derive_rng(cfg.seed, _STREAM_BER, r, si, pi)
-         for si in range(n_snr) for pi in range(n_p_m)])
-    bits = metrics.mutual_info(refs, power, cfg.mod_order, spec.n_noise)
-    sr = np.maximum(0.0, bits[:, :-1] - bits[:, -1:]).reshape(shape)
-    sjnr = metrics.channel_sjnr(refs[:, :-1], power[:, :-1]).reshape(shape)
-    return {"sr": sr, "sjnr": sjnr, "bit_errors": errors.reshape(shape),
-            "squared_errors": squared.reshape(shape)}
+            u[:, :, :, mi] = compute_beamformer(m, chs, cfg).u[:, None, None]
+        else:  # (P_M, realization, SNR) rows
+            u[:, :, :, mi] = compute_beamformer(
+                m, chs, cfg, nvs, p_ms).u.transpose(1, 2, 0, 3)
+    signal, V, _ = metrics._side_terms(chs, cfg, "bob", p_ms)
+    chans = metrics._scalar_channels(u, signal[:, None, None, None],
+                                     np.moveaxis(V, 0, 1)[:, None, :, None],
+                                     nvs[:, None, None], cfg)
+    errors, squared = np.empty((2,) + shape, dtype=np.int64)
+    # the realizations below `extra` take one trial more
+    base, extra = divmod(spec.n_ber_trials, spec.n_realizations)
+    for lo, hi, n in ((rs.start, min(rs.stop, extra), base + 1),
+                      (max(rs.start, extra), rs.stop, base)):
+        if lo < hi:
+            at = slice(lo - rs.start, hi - rs.start)
+            counts = metrics._ber_counts(
+                chans[0][at].reshape(-1, M, codebook.size),
+                chans[1][at].reshape(-1, M), codebook, n,
+                [derive_rng(cfg.seed, _STREAM_BER, k, si, pi)
+                 for k in range(lo, hi) for si in range(S) for pi in range(P)])
+            errors[at], squared[at] = (c.reshape(-1, S, P, M) for c in counts)
+    sjnr = metrics.channel_sjnr(*chans)
+    signal, V, _ = metrics._side_terms(chs, cfg, "mallory", 0.0)
+    eve = metrics._scalar_channels(np.broadcast_to(chs.u_er[:, None], (
+        R, S, cfg.n_mallory)), signal[:, None], V[:, None], nvs, cfg)
+    # per SNR, Bob's (P_M, method) channels, then the attacker's
+    chans = [np.concatenate((c.reshape(R, S, P * M, *c.shape[4:]),
+                             e[:, :, None]), axis=2)
+             for c, e in zip(chans, eve)]
+    bits = metrics.mutual_info(*chans, cfg.mod_order, spec.n_noise)
+    sr = np.maximum(0.0, bits[..., :-1] - bits[..., -1:]).reshape(shape)
+    return {"sr": sr, "sjnr": sjnr, "bit_errors": errors,
+            "squared_errors": squared}
+
+
+def _ranges(cfg, spec, workers):
+    """The realizations as contiguous ranges of equal size, a multiple of
+    `workers` of them, each within RANGE_BYTES of scalar channels (16 K
+    bytes a channel, S (P M + 1) channels a realization: 9 realizations of
+    the 3 SNR x 2 P_M x 4 method grid, 3 of the default 16-SNR one)."""
+    size = 16 * cfg.n_active * cfg.mod_order * len(spec.snr_grid_db) * (
+        len(spec.p_m_list) * len(spec.methods) + 1)
+    n = spec.n_realizations
+    k = min(n, workers * -(-n // (workers * max(1, RANGE_BYTES // size))))
+    return [range(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
 def _partials(cfg, spec, workers):
-    """Per-realization results in index order, from this process plus
-    workers - 1 pool processes, one realization per pool task.
+    """Per-range results in index order, from this process (ranges from
+    the head) and workers - 1 pool processes (from the tail).
 
-    This process runs realizations from the head (0, 1, ...) and the pool
-    from the tail (n-1, n-2, ...). At each step a failed pool task raises,
-    the pool gets the next tail realization if it holds fewer than two
-    per worker (one running, one queued), and else this process runs the
-    next head one. With one process that bound is 0 and no pool starts.
-    After a failure or an interrupt, leaving the pool waits for at most
-    the two realizations per worker that it holds.
+    At each step a failed pool task raises; the pool gets the next tail
+    range if it holds fewer than two per worker (one running, one queued)
+    and it is not the last range left, else this process runs the next
+    head one. One process starts no pool. After a failure or interrupt,
+    leaving the pool waits for the ranges it holds.
     """
     pool = contextlib.nullcontext()
     if workers > 1:
@@ -323,18 +324,20 @@ def _partials(cfg, spec, workers):
         # loaded once here, before the fork, not by every worker
         import numpy.random  # noqa: F401
         pool = ProcessPoolExecutor(max_workers=workers - 1)
-    n, own, pooled, done = spec.n_realizations, [], [], 0
+    ranges = _ranges(cfg, spec, workers)
+    own, pooled, done = [], [], 0
     with pool:
-        while len(own) + len(pooled) < n:
+        while len(own) + len(pooled) < len(ranges):
             # a failed pool task ends the sweep now, not at the end
             while done < len(pooled) and pooled[done].done():
                 pooled[done].result()
                 done += 1
-            if len(pooled) < done + 2 * (workers - 1):
+            if (len(own) + len(pooled) < len(ranges) - 1
+                    and len(pooled) < done + 2 * (workers - 1)):
                 pooled.append(pool.submit(_realization_task, cfg, spec,
-                                          n - 1 - len(pooled)))
+                                          ranges[-1 - len(pooled)]))
             else:
-                own.append(_realization_task(cfg, spec, len(own)))
+                own.append(_realization_task(cfg, spec, ranges[len(own)]))
     return own + [future.result() for future in reversed(pooled)]
 
 
@@ -350,18 +353,17 @@ def run_sweep(cfg, spec, threads=1):
     Realizations are independent work items reduced in index order, so
     the result is identical for any `threads` value. `threads` counts
     processes: this one plus threads - 1 pool workers, at most one
-    process per realization and one per CPU the process may run on. Every
-    realization, on any number of processes, passes through the one loop
-    of `_partials`; a run on one process never imports the pool.
-    Every count is one sum over the stacked realizations. An infeasible
-    (cfg, spec) pair raises ValueError before any realization starts.
+    process per realization and one per CPU the process may run on, all
+    through the one loop of `_partials`. Every count is one sum over the
+    stacked realizations. An infeasible (cfg, spec) pair raises
+    ValueError before any realization starts.
     """
     check_feasible(cfg, spec)
     workers = min(threads, spec.n_realizations, _cpus())
     partials = _partials(cfg, spec, workers)
     # (realization, SNR, P_M, method), the grid flattened in record order
-    cells = {k: np.stack([p[k] for p in partials]).reshape(len(partials), -1)
-             for k in partials[0]}
+    cells = {k: np.concatenate([p[k] for p in partials]).reshape(
+        spec.n_realizations, -1) for k in partials[0]}
     errors, squared = (cells[k].sum(axis=0).tolist()
                        for k in ("bit_errors", "squared_errors"))
 
@@ -385,10 +387,8 @@ def run_sweep(cfg, spec, threads=1):
 
 
 def _num_token(value):
-    """Compact filename token for a grid value: -5, 5, 2.5, 1e+240, ...
-
-    Whole values below 1e16 print as integers; larger ones keep the
-    exponent form, so the file name stays short."""
+    """Compact filename token for a grid value: -5, 5, 2.5, 1e+240, ...;
+    whole values below 1e16 print as integers, larger ones as exponents."""
     value = float(value)
     if abs(value) < 1e16 and value == int(value):
         return str(int(value))
@@ -410,9 +410,8 @@ def write_outputs(records, cfg, spec, out_dir):
     for stale in out.glob("sr_cdf_*.csv"):
         stale.unlink()
 
-    header = ("method,snr_db,p_m,avg_sr,ber,avg_sjnr_db,"
-              "n_realizations,n_zfc_infeasible")
-    rows = [header]
+    rows = ["method,snr_db,p_m,avg_sr,ber,avg_sjnr_db,n_realizations,"
+            "n_zfc_infeasible"]
     for rec in records:
         counts = rec.trial_counts
         rows.append(",".join([

@@ -43,7 +43,7 @@ class MetricsRecord:
     trial_counts: dict = field(default_factory=dict)
 
 
-def _side_terms(chset, cfg, side):
+def _side_terms(chset, cfg, side, p_m=None):
     """(signal, V, noise_var) of one receiver: its signal channel after
     antenna selection, and its interference-plus-noise covariance
     noise_var I + V V^H as a low-rank factor and a noise variance.
@@ -51,6 +51,8 @@ def _side_terms(chset, cfg, side):
     V = [sqrt((1-beta) P) S T P_AN, sqrt(P_M) J P_JM] with S = H, J = F
     at Bob and S = G, J = M_self at the attacker (unit-variance AN and
     jamming entries; P_AN and P_JM carry the unit-power normalisation).
+    P_M is p_m, cfg.power_mallory by default; an array of them broadcasts
+    against the leading axes of a stacked chset, and V takes the result.
     """
     if side not in SIDES:
         raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
@@ -58,9 +60,11 @@ def _side_terms(chset, cfg, side):
     signal, an, jam = ((chset.HT, chset.HT_AN, chset.F_JM) if bob else
                        (chset.GT, chset.GT_AN, chset.M_JM))
     noise_var = cfg.noise_var_bob if bob else cfg.noise_var_eve
-    V = np.hstack([math.sqrt((1.0 - cfg.beta) * cfg.power) * an,
-                   math.sqrt(cfg.power_mallory) * jam])
-    return signal, V, noise_var
+    p_m = cfg.power_mallory if p_m is None else p_m
+    jam = np.sqrt(p_m)[..., None, None] * jam  # holds every leading axis
+    an = np.broadcast_to(math.sqrt((1.0 - cfg.beta) * cfg.power) * an,
+                         jam.shape[:-1] + an.shape[-1:])
+    return signal, np.concatenate((an, jam), axis=-1), noise_var
 
 
 def scalar_channel(u, side, chset, cfg):
@@ -73,19 +77,25 @@ def scalar_channel(u, side, chset, cfg):
     output only through u, so they add one CN(0, power), with power =
     ||V^H u||^2 + noise_var ||u||^2 = u^H R_w u for the side's factor V
     (at the attacker the jamming term is its self-interference, zero by
-    the jamming precoder's construction). u may be a stack of combiners
-    along its last axis; r and power keep its leading axes, and each row
-    equals a single call bit for bit.
+    the jamming precoder's construction). A stack of combiners u gives
+    its leading axes to r and power, each row a single call's.
     """
-    signal, V, noise_var = _side_terms(chset, cfg, side)
     u = np.asarray(u)
+    r, power = _scalar_channels(u, *_side_terms(chset, cfg, side), cfg)
+    return r, (float(power) if u.ndim == 1 else power)
+
+
+def _scalar_channels(u, signal, V, noise_var, cfg):
+    """scalar_channel's (r, power) of combiners u (..., n) on a side's
+    signal channel (..., n, K), factor V (..., n, c) and noise variance,
+    all broadcast in one pass, each row a single call's bit for bit."""
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
     r = (math.sqrt(cfg.beta * cfg.power)
          * codebook.effective_scalars((u.conj()[..., None, :] @ signal)
                                       [..., 0, :]))
     col = u[..., :, None]
-    power = _energy(V.conj().T @ col) + noise_var * _energy(col)
-    return r, (float(power) if u.ndim == 1 else power)
+    return r, (_energy(np.swapaxes(V.conj(), -1, -2) @ col)
+               + noise_var * _energy(col))
 
 
 def _energy(col):
@@ -209,13 +219,12 @@ def mi_inner_mean(diffs, x, w):
     2 K m exponentials per row. Each factor is at most exp(x_s^2), and a
     row's own entry contributes exactly 1, so a channel without signal
     gives exactly +0.0. The sums are scaled by 1/K as a product, which
-    equals the quotient bit for bit for a power-of-two K (every codebook
-    size) only.
+    is the quotient bit for bit for a power-of-two K (every codebook).
 
     Rows run in blocks of as many as fit in MI_BLOCK_BYTES of workspace
-    (_mi_workspace), at least one, and each row's grid is weighted on its
-    own, so a group's estimate equals a call on that group alone bit for
-    bit, whatever the block. A 2-D diffs, one group, gives a float.
+    (_mi_workspace), at least one, each row's grid weighted on its own:
+    a group's estimate is a call on it alone's, whatever the block. A
+    2-D diffs, one group, gives a float.
     """
     diffs = np.asarray(diffs, dtype=np.complex128)
     if diffs.ndim < 2 or x.ndim != 1 or x.shape != w.shape:
@@ -258,41 +267,36 @@ def mutual_info(r, power, mod_order, n_noise):
     Each channel is whitened by its noise power. Entry (a, k), antenna a
     and PSK symbol s_k, has the differences of entry (a, 0) rotated by
     s_k and permuted, and circular noise makes the noise expectation
-    rotation-invariant, so the mod_order entries of one antenna share
-    it. It is computed once per antenna, on the row of its symbol-1
-    entry (build_codebook orders entries a * mod_order + k), on the
-    product grid of _mi_rule(m), m the smallest order >= 2 with m^2 >=
-    mod_order * n_noise. Every channel goes through one mi_inner_mean
-    call, and each estimate, clamped to [0, log2(size)] bits, equals a
-    call on its channel alone bit for bit, however the kernel's blocks
-    split the stack. A 1-D r gives a float.
+    rotation-invariant, so it is computed once per antenna, on its
+    symbol-1 entry (build_codebook orders entries a * mod_order + k), on
+    the product grid of _mi_rule(m), m the smallest order >= 2 with m^2
+    >= mod_order * n_noise. mi_inner_mean takes the channels in chunks;
+    each estimate, clamped to [0, log2(size)] bits, equals a call on its
+    channel alone bit for bit. A 1-D r gives a float.
     """
     if n_noise < 1:
         raise ValueError("n_noise must be at least 1")
-    g = r / np.sqrt(_positive(power))[..., None]
+    K, A = r.shape[-1], r.shape[-1] // mod_order
+    g = (r / np.sqrt(_positive(power))[..., None]).reshape(-1, K)
     rule = _mi_rule(max(2, math.isqrt(mod_order * n_noise - 1) + 1))
-    # one antenna's row at a time: a broadcast over the whole stack would
-    # take two ufunc buffers of up to 128 KiB each, heap that stays
-    K = r.shape[-1]
-    diffs = np.empty(r.shape[:-1] + (K // mod_order, K), dtype=np.complex128)
-    for a in range(K // mod_order):
-        np.subtract(g[..., a * mod_order, None], g, out=diffs[..., a, :])
-    bits = mi_inner_mean(diffs, *rule)
+    # equal chunks within half of MI_BLOCK_BYTES of differences: each holds
+    # a kernel block of rows, so the workspace keeps one shape
+    chunks = min(len(g), -(-len(g) * 32 * A * K // MI_BLOCK_BYTES))
+    diffs = np.empty((-(-len(g) // chunks), A, K), dtype=np.complex128)
+    bits, edges = np.empty(len(g)), len(g) * np.arange(chunks + 1) // chunks
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for a in range(A):
+            np.subtract(g[lo:hi, a * mod_order, None], g[lo:hi],
+                        out=diffs[:hi - lo, a])
+        bits[lo:hi] = mi_inner_mean(diffs[:hi - lo], *rule)
     bits = np.minimum(np.maximum(bits, 0.0), math.log2(K))
-    return float(bits) if r.ndim == 1 else bits
+    return float(bits[0]) if r.ndim == 1 else bits.reshape(r.shape[:-1])
 
 
 def mutual_info_mc(u, side, chset, cfg, n_noise, rng=None):
-    """Mutual information of the scalar channel of u, in bits:
-    mutual_info of scalar_channel.
-
-    u is one combiner (a float is returned) or an m x n_rx stack of
-    combiners (an array of m estimates is returned), and a row's
-    estimate equals a single call bit for bit. No draw is made and rng
-    is ignored: it stays only because perfbench/mi_reference.probe
-    passes it positionally, until the benchmark change that renames
-    n_noise removes it.
-    """
+    """mutual_info of scalar_channel(u, side, chset, cfg), in bits: a
+    float for one combiner, an array for a stack. rng is ignored; the
+    benchmark's MI probe still passes it."""
     return mutual_info(*scalar_channel(u, side, chset, cfg), cfg.mod_order,
                        n_noise)
 

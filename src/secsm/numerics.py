@@ -2,18 +2,15 @@
 
 Dominant Hermitian eigenvectors, null-space bases, noise-whitening filters
 and generalized Rayleigh-quotient maximizers, all on small dense matrices.
-A covariance noise_var I + V V^H is passed as its factor V and noise_var,
-which may be a vector of noise variances against the one V: the result
-then has one row (or matrix) per variance, each equal to a single call
-at that variance bit for bit.
-Every returned eigenvector is unit norm with a canonical phase (largest
-entry real positive) so downstream Monte-Carlo runs reproduce bit-for-bit.
-Every tolerance is relative to the input's own scale (its largest entry,
-eigenvalue or singular value), so results do not depend on a common
-scale of the inputs.
+A covariance noise_var I + V V^H is passed as its factor V and noise_var.
+A vector of noise variances against the one V gives one row (or matrix)
+per variance, and stacked inputs (leading axes) give one per matrix, each
+equal to a single call bit for bit. Every returned eigenvector is unit
+norm with a canonical phase (largest entry real positive) so downstream
+Monte-Carlo runs reproduce bit-for-bit. Every tolerance is relative to
+the input's own scale (its largest entry, eigenvalue or singular value),
+so results do not depend on a common scale of the inputs.
 """
-
-import functools
 
 import numpy as np
 
@@ -58,20 +55,25 @@ def _check_hermitian(A, name="matrix"):
 
 
 def canonical_phase(v):
-    """Rotate v so its largest-magnitude entry is real and positive; a
-    stack of vectors, its rows, is rotated row by row."""
-    if v.ndim > 1:
-        return np.array([canonical_phase(row) for row in v])
-    pivot = v[np.argmax(np.abs(v))]
-    return v if pivot == 0.0 else v * (np.conj(pivot) / abs(pivot))
+    """Rotate v so its largest-magnitude entry (the first of a tie) is
+    real and positive; each row of a stack as a call on it alone would."""
+    at = np.abs(v).argmax(axis=-1)
+    pivot = v.reshape(-1, v.shape[-1])[np.arange(at.size),
+                                       at.ravel()].reshape(at.shape + (1,))
+    # the scalar abs(pivot) is hypot; the array np.abs may round otherwise
+    mag = np.hypot(pivot.real, pivot.imag)
+    rot = np.conj(pivot) / np.where(mag > 0.0, mag, 1.0)
+    return np.where(mag > 0.0, v * rot, v)
 
 
 def unit_rows(v):
-    """v / ||v||, row by row for a stack of vectors: every row is scaled
-    by its own np.linalg.norm, as a single vector would be."""
-    if v.ndim > 1:
-        return np.array([unit_rows(row) for row in v])
-    return v / np.linalg.norm(v)
+    """v / ||v||, each row of a stack by its own norm, as np.linalg.norm
+    computes a vector's: sqrt(Re.Re + Im.Im) from two BLAS dot products."""
+    v = np.ascontiguousarray(v)
+    re, im = v.real, v.imag
+    norm = np.sqrt(re[..., None, :] @ re[..., :, None]
+                   + im[..., None, :] @ im[..., :, None])
+    return v / norm[..., 0]
 
 
 def max_eigvec_hermitian(A):
@@ -94,42 +96,31 @@ def null_space_basis(B):
     k = n - rank(B), the rank determined by singular values above
     RANK_RTOL * sigma_max. A zero (or empty) B yields the identity basis;
     a full-row-rank B yields an empty n x 0 basis, which callers must
-    treat as an infeasible constraint.
+    treat as an infeasible constraint. A stack of matrices of one rank
+    gives a stack of bases from one stacked SVD.
     """
     B = np.asarray(B, dtype=np.complex128)
     _check_finite(B, "null-space input")
-    if B.ndim != 2:
+    if B.ndim < 2:
         raise ValueError(f"expected a matrix, got ndim {B.ndim}")
-    n = B.shape[0]
+    n = B.shape[-2]
     if n < 1:
         raise ValueError("matrix must have at least one row")
-    if B.shape[1] == 0 or not np.any(B):
-        return np.eye(n, dtype=np.complex128)
+    if B.shape[-1] == 0 or not np.any(B):
+        return np.zeros(B.shape[:-2] + (1, 1)) + np.eye(n, dtype=complex)
     U, s, _ = np.linalg.svd(B, full_matrices=True)
-    rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
-    return np.ascontiguousarray(U[:, rank:])
-
-
-@functools.lru_cache(maxsize=1)
-def _svd(shape, data):
-    """(Q, s) of the full SVD of the complex128 matrix with this shape and
-    these bytes. The last one is kept: max_wfrp and max_sjnr at one
-    (realization, P_M) factor the same V, so the second build reuses the
-    first's SVD. Read-only, since every caller shares it."""
-    Q, s, _ = np.linalg.svd(np.frombuffer(data, np.complex128)
-                            .reshape(shape), full_matrices=True)
-    Q.setflags(write=False)
-    s.setflags(write=False)
-    return Q, s
+    rank = np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
+    if np.any(rank != rank.flat[0]):
+        raise ValueError(f"ranks {rank.min()} to {rank.max()} in one stack")
+    return np.ascontiguousarray(U[..., rank.flat[0]:])
 
 
 def _interference_factor(V, noise_var):
     """(Q, t) with noise_var I + V V^H = Q diag(t^2) Q^H: Q is the unitary
     of the full SVD of V and t = sqrt(noise_var + s^2), its singular
-    values s zero-padded to n entries. For a vector of noise variances t
-    has one row per variance, against the one SVD. The covariance is
-    positive definite exactly when noise_var > 0, the only condition
-    checked."""
+    values s zero-padded to n entries. A vector of noise variances gives
+    t a row per variance and Q a length-1 axis there. The covariance is
+    positive definite exactly when noise_var > 0, the only check."""
     V = np.asarray(V, dtype=np.complex128)
     _check_finite(V, "interference factor")
     nv = np.asarray(noise_var, dtype=np.float64)
@@ -137,9 +128,12 @@ def _interference_factor(V, noise_var):
         raise NotPositiveDefiniteError(
             f"noise variance must be positive and finite, got {noise_var!r}: "
             f"noise_var I + V V^H is singular")
-    Q, s = _svd(V.shape, V.tobytes())
-    return Q, np.hypot(np.sqrt(nv)[..., None],
-                       np.pad(s, (0, len(Q) - len(s))))
+    Q, s, _ = np.linalg.svd(V, full_matrices=True)
+    padded = np.zeros(Q.shape[:-1])
+    padded[..., :s.shape[-1]] = s
+    if nv.ndim:
+        Q, padded = Q[..., None, :, :], padded[..., None, :]
+    return Q, np.hypot(np.sqrt(nv)[..., None], padded)
 
 
 def whitening_matrix(V, noise_var):
@@ -152,7 +146,7 @@ def whitening_matrix(V, noise_var):
     of S noise variances gives an S x n x n stack of filters.
     """
     Q, t = _interference_factor(V, noise_var)
-    W = (Q / t[..., None, :]) @ Q.conj().T
+    W = (Q / t[..., None, :]) @ conj_transpose(Q)
     return 0.5 * (W + conj_transpose(W))
 
 
@@ -168,20 +162,21 @@ def gen_max_eigvec(num, V, noise_var):
     eigenvalue is at least -1e-10 times its largest in magnitude.
 
     A vector of S noise variances gives an S x n stack of vectors from
-    one SVD, one check of num and one stacked eigh.
+    one SVD, one check of num and one stacked eigh; stacks of num and V
+    broadcast, each num checked once.
     """
     num = _check_hermitian(num, "numerator")
     Q, t = _interference_factor(V, noise_var)
-    if num.shape != Q.shape:
+    if num.shape[-1] != Q.shape[-1]:
         raise ValueError(f"dimension mismatch: numerator {num.shape}, "
                          f"factor {np.shape(V)}")
     nvals = np.linalg.eigvalsh(num)
-    if nvals[0] < -1e-10 * abs(nvals[-1]):
-        raise ValueError(
-            f"numerator is not PSD: min eigenvalue {nvals[0]:.3e}")
+    if np.any(nvals[..., 0] < -1e-10 * abs(nvals[..., -1])):
+        raise ValueError(f"numerator is not PSD: min eigenvalue "
+                         f"{nvals[..., 0].min():.3e}")
 
-    G = (t.min(axis=-1, keepdims=True) / t)[..., :, None] * Q.conj().T
+    G = (t.min(axis=-1, keepdims=True) / t)[..., :, None] * conj_transpose(Q)
     GH = conj_transpose(G)
-    C = G @ num @ GH
+    C = G @ (num[..., None, :, :] if np.ndim(noise_var) else num) @ GH
     _, vecs = np.linalg.eigh(0.5 * (C + conj_transpose(C)))
     return unit_rows(canonical_phase((GH @ vecs[..., -1:])[..., 0]))

@@ -3,6 +3,7 @@ they validate (random search instead of eigensolvers, quadrature instead
 of Monte-Carlo)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -240,9 +241,16 @@ def ber_counts_hypot(refs, power, codebook, n_trials, rng):
     return (int(errors), int(squared)) if not shape else (errors, squared)
 
 
+def point_config(cfg, snr_db, p_m):
+    """cfg at one grid point: both noise variances from snr_db, and the
+    jamming power p_m."""
+    nv = harness.snr_to_noise_var(snr_db)
+    return replace(cfg, noise_var_bob=nv, noise_var_eve=nv, power_mallory=p_m)
+
+
 def realization_reference(cfg, spec, r, ber_trials):
     """harness._realization_task computed one grid point and one method
-    at a time: each combiner built alone at its _point_config point, and
+    at a time: each combiner built alone at its point (point_config), and
     each MI, SJNR and BER tally from a single call, the BER tally on the
     point's rng stream, with realization r's share ber_trials of
     spec.n_ber_trials given by the caller. Returns the task's
@@ -256,9 +264,9 @@ def realization_reference(cfg, spec, r, ber_trials):
     for si, snr_db in enumerate(spec.snr_grid_db):
         i_eve = mutual_info_mc(
             chset.u_er, "mallory", chset,
-            harness._point_config(cfg, snr_db, 0.0), spec.n_noise)
+            point_config(cfg, snr_db, 0.0), spec.n_noise)
         for pi, p_m in enumerate(spec.p_m_list):
-            point = harness._point_config(cfg, snr_db, p_m)
+            point = point_config(cfg, snr_db, p_m)
             for mi, method in enumerate(spec.methods):
                 cell = si, pi, mi
                 u = compute_beamformer(method, chset, point).u

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secsm.beamformers import (Method, compute_beamformer, max_rp,
-                               max_rp_zfc, max_sjnr, max_wfrp)
+from secsm.beamformers import (POINT_FREE, Method, compute_beamformer,
+                               max_rp, max_rp_zfc, max_sjnr, max_wfrp)
 from secsm.channel import (AN_MODES, ChannelSet, SystemConfig,
                            build_mallory_chain, crandn, derive_rng,
-                           realize_channels)
+                           realize_channels, stack_channels)
 from secsm.harness import SweepSpec, check_feasible
 from secsm.metrics import sjnr
 from secsm.numerics import null_space_basis
@@ -242,6 +242,32 @@ class TestCrossMethodProperties:
                     single = compute_beamformer(
                         method, ch, replace(cfg, noise_var_bob=nv)).u
                     assert u.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("an_mode", AN_MODES)
+    def test_stacked_realizations_equal_single_builds(self, an_mode):
+        # one ChannelSet stacked over five realizations: each method builds
+        # every realization, at every jamming power (one axis in front of
+        # the realizations') and noise variance, as a build on that
+        # realization and point alone would, bit for bit
+        cfg = SystemConfig(n_mallory=4)
+        chsets = [realize_channels(cfg, r, an_mode=an_mode) for r in range(5)]
+        stack = stack_channels(chsets)
+        nvs, p_ms = np.array([10.0, 1e-3, 0.3]), np.array([0.0, 2.0, 1e300])
+        for method in Method:
+            if method in POINT_FREE:
+                us = compute_beamformer(method, stack, cfg).u
+                assert us.shape == (5, cfg.n_rx)
+                for ch, u in zip(chsets, us):
+                    single = compute_beamformer(method, ch, cfg).u
+                    assert u.tobytes() == single.tobytes(), method
+                continue
+            us = compute_beamformer(method, stack, cfg, nvs, p_ms[:, None]).u
+            assert us.shape == (3, 5, 3, cfg.n_rx)
+            for pi, r, si in np.ndindex(us.shape[:-1]):
+                point = replace(cfg, noise_var_bob=nvs[si],
+                                power_mallory=p_ms[pi])
+                single = compute_beamformer(method, chsets[r], point).u
+                assert us[pi, r, si].tobytes() == single.tobytes(), method
 
     def test_scale_invariance(self):
         cfg = SystemConfig(n_mallory=4, power_mallory=2.0)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secsm import harness, metrics, numerics
+from secsm import harness, metrics
 from secsm.beamformers import POINT_FREE, Method
 from secsm.channel import AN_MODES, SystemConfig
 from secsm.cli import main
@@ -382,12 +382,53 @@ class TestRunSweep:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             PendingPool)
         monkeypatch.setattr(harness, "_cpus", lambda: 3)
+        # a budget below one realization: one realization per range
+        monkeypatch.setattr(harness, "RANGE_BYTES", 1)
         cfg, spec = SystemConfig(seed=4), tiny_spec(n_realizations=10)
         pooled = run_sweep(cfg, spec, threads=3)
         # two workers, each with one realization running and one queued;
         # this process runs the other six
-        assert submitted == [9, 8, 7, 6]
+        assert submitted == [range(9, 10), range(8, 9), range(7, 8),
+                             range(6, 7)]
         assert pooled == run_sweep(cfg, spec, threads=1)
+
+    @pytest.mark.parametrize("n, budget, workers, sizes", [
+        (6, 9 * 13_824, 1, [6]), (6, 9 * 13_824, 2, [3, 3]),
+        (6, 9 * 13_824, 3, [2, 2, 2]), (6, 3 * 13_824, 1, [3, 3]),
+        (6, 4 * 13_824, 2, [3, 3]), (6, 2 * 13_824, 2, [1, 2, 1, 2]),
+        (7, 9 * 13_824, 2, [3, 4]), (3, 1, 2, [1, 1, 1]),
+        (1, 9 * 13_824, 2, [1]), (10, 9 * 13_824 - 1, 1, [5, 5]),
+    ])
+    def test_ranges_fit_the_budget(self, monkeypatch, n, budget, workers,
+                                   sizes):
+        # the benchmark's 3 SNR x 2 P_M x 4 method grid: 27 channels of 32
+        # complex outputs, 13,824 bytes a realization
+        monkeypatch.setattr(harness, "RANGE_BYTES", budget)
+        spec = tiny_spec(snr_grid_db=(-5.0, 0.0, 5.0), p_m_list=(1.0, 10.0),
+                         methods=tuple(Method), n_realizations=n)
+        ranges = harness._ranges(SystemConfig(), spec, workers)
+        assert [len(r) for r in ranges] == sizes
+        assert [k for r in ranges for k in r] == list(range(n))
+
+    def test_processes_split_ranges_evenly(self, monkeypatch, serial_pool):
+        # the fake pool finishes each range at submit, so only the rule
+        # that this process runs the last range left keeps its share
+        submitted = []
+        real = harness._realization_task
+
+        def task(cfg, spec, rs):
+            submitted.append(rs)
+            return real(cfg, spec, rs)
+
+        monkeypatch.setattr(harness, "_realization_task", task)
+        monkeypatch.setattr(harness, "_cpus", lambda: 3)
+        spec = tiny_spec(n_realizations=6)
+        for threads, order in ((2, [range(3, 6), range(0, 3)]),
+                               (3, [range(4, 6), range(2, 4), range(0, 2)])):
+            submitted.clear()
+            run_sweep(SystemConfig(seed=4), spec, threads=threads)
+            # the pool takes the tail ranges, this process the head one
+            assert submitted == order
 
     def test_pool_capped_at_realizations(self, monkeypatch, serial_pool):
         monkeypatch.setattr(harness, "_cpus", lambda: 64)
@@ -442,8 +483,9 @@ class TestRunSweep:
     ], ids=["worker", "this-process", "interrupt"])
     def test_failure_ends_the_sweep(self, monkeypatch, tmp_path, failing,
                                     error):
-        # 40 realizations on 2 processes, 0.08 s each: the worker takes
-        # 39 downwards, this process 0 onwards
+        # 40 realizations on 2 processes, 0.08 s each and one a range:
+        # the worker takes 39 downwards, this process 0 onwards
+        monkeypatch.setattr(harness, "RANGE_BYTES", 1)
         parent = os.getpid()
         real = harness.realize_channels
 
@@ -545,12 +587,12 @@ class TestRunSweep:
         spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
                          methods=tuple(Method), n_realizations=3,
                          n_ber_trials=600)
-        out = harness._realization_task(cfg, spec, 2)
+        out = harness._realization_task(cfg, spec, range(2, 3))
         # 600 trials over 3 realizations: 200 each
         ref = realization_reference(cfg, spec, 2, 200)
         assert out.keys() == {"sr", "sjnr", "bit_errors", "squared_errors"}
         for key, values in out.items():
-            assert values.tobytes() == ref[key].tobytes(), key
+            assert values[0].tobytes() == ref[key].tobytes(), key
         # at every point some secrecy rate is above the hinge, so the
         # attacker's rate is checked; the tallies have errors to compare
         assert np.all(out["sr"].max(axis=-1) > 0.0)
@@ -578,15 +620,36 @@ class TestRunSweep:
             "no-max_sjnr"])
     def test_realization_task_matches_per_point_reference(self, cfg, spec,
                                                           ber_trials):
+        out = harness._realization_task(cfg, spec, range(2))
         for r in range(2):
-            out = harness._realization_task(cfg, spec, r)
             ref = realization_reference(cfg, spec, r, ber_trials[r])
             assert out.keys() == ref.keys()
             for key, values in out.items():
                 assert values.dtype == ref[key].dtype, key
-                assert values.tobytes() == ref[key].tobytes(), (key, r)
+                assert values[r].tobytes() == ref[key].tobytes(), (key, r)
 
-    def test_calls_per_realization(self, monkeypatch):
+    @pytest.mark.parametrize("an_mode", AN_MODES)
+    @pytest.mark.parametrize("p_m_list", [(1.0,), (1.0, 10.0)])
+    @pytest.mark.parametrize("methods", [tuple(Method), tuple(POINT_FREE)],
+                             ids=["all", "point-free"])
+    def test_range_equals_single_realizations(self, an_mode, p_m_list,
+                                              methods):
+        # 14 trials over 6 realizations: 3, 3, 2, 2, 2, 2, so the 4 + 2
+        # split puts both trial counts in its first range
+        cfg = SystemConfig(seed=12)
+        spec = tiny_spec(snr_grid_db=(-5.0, 0.0, 5.0), p_m_list=p_m_list,
+                         methods=methods, n_realizations=6, n_ber_trials=14,
+                         an_mode=an_mode)
+        whole = harness._realization_task(cfg, spec, range(6))
+        for split in ([range(0, 4), range(4, 6)],
+                      [range(k, k + 1) for k in range(6)]):
+            parts = [harness._realization_task(cfg, spec, rs) for rs in split]
+            for key, values in whole.items():
+                assert values.shape == (6, 3, len(p_m_list), len(methods))
+                joined = np.concatenate([p[key] for p in parts])
+                assert values.tobytes() == joined.tobytes(), (key, split)
+
+    def test_calls_per_range(self, monkeypatch):
         calls = Counter()
 
         def counting(key, fn):
@@ -597,55 +660,61 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "compute_beamformer", counting(
             lambda method, *args: Method(method), harness.compute_beamformer))
-        for name in ("scalar_channel", "derive_rng"):
+        for name in ("realize_channels", "derive_rng"):
             monkeypatch.setattr(harness, name, counting(
                 name, getattr(harness, name)))
-        for name in ("mi_inner_mean", "channel_sjnr", "_ber_counts"):
+        for name in ("mutual_info", "mi_inner_mean", "channel_sjnr",
+                     "_ber_counts", "_scalar_channels"):
             monkeypatch.setattr(metrics, name, counting(
                 name, getattr(metrics, name)))
         for name in ("svd", "eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting(
                 name, getattr(np.linalg, name)))
 
-        def run(snr_grid_db, p_m_list, methods=tuple(Method)):
+        def run(snr_grid_db, p_m_list, methods=tuple(Method), rs=range(3),
+                n_ber_trials=80, an_mode="nullspace"):
             calls.clear()
-            # the factor of the last V is kept across calls
-            numerics._svd.cache_clear()
             harness._realization_task(SystemConfig(seed=9), tiny_spec(
-                snr_grid_db=snr_grid_db, p_m_list=p_m_list,
-                methods=methods, n_realizations=2), 0)
+                snr_grid_db=snr_grid_db, p_m_list=p_m_list, methods=methods,
+                n_realizations=4, n_ber_trials=n_ber_trials,
+                an_mode=an_mode), rs)
             return dict(calls)
 
-        one = run((0.0,), (1.0,))
-        three = run((-5.0, 0.0, 5.0), (1.0,))
+        run((0.0,), (1.0,))  # caches the MI rule, which takes an eigvalsh
         grid = run((-5.0, 0.0, 5.0), (1.0, 4.0))
+        # one build per method and range, whatever the grid and the range
+        for counts in (run((0.0,), (1.0,)), run((0.0,), (1.0,), rs=range(1)),
+                       grid, run((-5.0, 0.0, 5.0), (1.0, 4.0), rs=range(1))):
+            assert {m: counts[m] for m in Method} == dict.fromkeys(Method, 1)
+            assert {k: counts[k] for k in (
+                "_scalar_channels", "channel_sjnr", "mutual_info",
+                "_ber_counts", "eigvalsh")} == {
+                "_scalar_channels": 2, "channel_sjnr": 1,
+                "mutual_info": 1, "_ber_counts": 1, "eigvalsh": 1}
+        # per realization: its draws (the AN null space and the jamming
+        # precoder take an SVD each, the attacker's receive vector an
+        # eigh) and one BER generator per (SNR, P_M); per range: the
+        # stacked builds, an SVD of max_rp_zfc's constraint and of each
+        # of the two interference factors, and an eigh per method
+        assert {k: grid[k] for k in ("realize_channels", "derive_rng",
+                                     "svd", "eigh")} == {
+            "realize_channels": 3, "derive_rng": 18, "svd": 2 * 3 + 3,
+            "eigh": 3 + 4}
         point_free = run((-5.0, 0.0, 5.0), (1.0, 4.0), tuple(POINT_FREE))
-        # POINT_FREE methods once, the others once per P_M at every SNR
-        for counts, n_p_m in ((one, 1), (three, 1), (grid, 2)):
-            assert {m: counts[m] for m in Method} == {
-                Method.MAX_RP: 1, Method.MAX_RP_ZFC: 1,
-                Method.MAX_WFRP: n_p_m, Method.MAX_SJNR: n_p_m}
-        # one interference SVD per P_M, shared by max_wfrp and max_sjnr;
-        # neither the SVDs nor the stacked eighs grow with the SNR grid
-        assert grid["svd"] == point_free["svd"] + 2
-        assert three["svd"] == one["svd"] == grid["svd"] - 1
-        assert three["eigh"] == one["eigh"]
-        # max_sjnr checks its numerator, Bob's signal Gram, PSD once per
-        # P_M (the MI rule, which takes an eigvalsh too, is cached by the
-        # first run)
-        assert three["eigvalsh"] == 1 and grid["eigvalsh"] == 2
+        assert point_free["svd"] == 2 * 3 + 1 and point_free["eigh"] == 3 + 2
         assert "eigvalsh" not in point_free
-        # one scalar channel of Bob's method stack per point and one
-        # generator per point for the BER trials only; the attacker's
-        # scalar channel per SNR; one BER, one SJNR and one MI kernel
-        # call for them all
-        points, n_snr = 6, 3
-        assert {k: grid[k] for k in ("scalar_channel", "derive_rng",
-                                     "_ber_counts", "channel_sjnr",
-                                     "mi_inner_mean")} == {
-            "scalar_channel": points + n_snr, "derive_rng": points,
-            "_ber_counts": 1, "channel_sjnr": 1, "mi_inner_mean": 1}
-        assert one["mi_inner_mean"] == point_free["mi_inner_mean"] == 1
+        # the MI kernel takes equal chunks of channels within half of
+        # MI_BLOCK_BYTES of differences, 4 KiB a channel: 3 realizations
+        # of 3 SNRs x 9 channels are 2 chunks, 3 of 1 x 5 channels are 1
+        assert grid["mi_inner_mean"] == 2
+        assert run((0.0,), (1.0,))["mi_inner_mean"] == 1
+        random_an = run((-5.0, 0.0, 5.0), (1.0, 4.0), an_mode="random")
+        assert random_an["svd"] == 3 + 3
+        # 82 trials over 4 realizations: 21, 21, 20, 20, so a range across
+        # the two counts takes one BER call for each
+        assert run((0.0,), (1.0,), n_ber_trials=82)["_ber_counts"] == 2
+        assert run((0.0,), (1.0,), rs=range(2),
+                   n_ber_trials=82)["_ber_counts"] == 1
 
     @pytest.mark.parametrize("snr_db,p_m", [(140.0, 1.0), (60.0, 1e6),
                                              (20.0, 1e12)])

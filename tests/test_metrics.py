@@ -265,6 +265,26 @@ class TestMutualInfo:
         half = mutual_info_mc(u, "bob", ch, point, 250)
         assert abs(full - half) < 0.03
 
+    def test_chunks_equal_single_calls(self, monkeypatch):
+        # 150 QPSK channels of 4 KiB of differences each go to the kernel
+        # in 3 equal chunks of 50 (within half of MI_BLOCK_BYTES), all on
+        # one workspace shape, and each estimate is a single call's
+        assert metrics.MI_BLOCK_BYTES == 480 * 1024
+        rng = np.random.default_rng(31)
+        r = 3.0 * crandn(rng, 3, 50, 32)
+        power = rng.uniform(0.5, 2.0, (3, 50))
+        shapes = []
+        kernel = metrics.mi_inner_mean
+        monkeypatch.setattr(metrics, "mi_inner_mean", lambda diffs, *rule: (
+            shapes.append(diffs.shape), kernel(diffs, *rule))[1])
+        metrics._mi_workspace.cache_clear()
+        bits = mutual_info(r, power, 4, 500)
+        assert shapes == [(50, 8, 32)] * 3
+        assert metrics._mi_workspace.cache_info().misses == 1
+        assert bits.shape == (3, 50)
+        for idx in np.ndindex(3, 50):
+            assert bits[idx] == mutual_info(r[idx], power[idx], 4, 500)
+
     def test_stacked_equals_single_calls(self):
         # MI, SJNR and the BER tally of a stack, row by row, against
         # single calls (each BER call on an identically seeded rng)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from secsm.numerics import (NotHermitianError, NotPositiveDefiniteError,
-                            gen_max_eigvec, max_eigvec_hermitian,
-                            null_space_basis, whitening_matrix)
+                            canonical_phase, gen_max_eigvec,
+                            max_eigvec_hermitian, null_space_basis,
+                            unit_rows, whitening_matrix)
 
 from helpers import (covariance, crandn_t, gen_max_eigvec_eig, quotient,
                      random_factor, random_search_max_ratio, rayleigh)
@@ -93,11 +94,30 @@ class TestNullSpace:
 
     @pytest.mark.parametrize("B, message", [
         (np.ones(3), "expected a matrix, got ndim 1"),
-        (np.ones((1, 2, 2)), "expected a matrix, got ndim 3"),
         (np.ones((0, 2)), "at least one row"),
-    ], ids=["vector", "stack", "zero-row"])
+    ], ids=["vector", "zero-row"])
     def test_rejects_non_matrix(self, B, message):
         with pytest.raises(ValueError, match=message):
+            null_space_basis(B)
+
+    def test_stack_equals_single_calls(self):
+        # one stacked SVD; each basis is the single call's bit for bit
+        rng = np.random.default_rng(23)
+        for n, m in ((6, 1), (6, 3), (4, 4), (5, 7)):
+            B = crandn_t(rng, 3, 2, n, m)
+            U = null_space_basis(B)
+            assert U.shape == (3, 2, n, n - min(n, m))
+            for idx in np.ndindex(3, 2):
+                assert U[idx].tobytes() == null_space_basis(B[idx]).tobytes()
+        zero = null_space_basis(np.zeros((2, 4, 2)))
+        np.testing.assert_array_equal(zero, np.broadcast_to(np.eye(4),
+                                                            (2, 4, 4)))
+
+    def test_stack_ranks_must_agree(self):
+        # a rank-1 matrix next to a rank-2 one: no common basis shape
+        B = crandn_t(np.random.default_rng(29), 2, 4, 2)
+        B[1, :, 1] = 2.0 * B[1, :, 0]
+        with pytest.raises(ValueError, match="ranks 1 to 2 in one stack"):
             null_space_basis(B)
 
     def test_zero_matrix_identity(self):
@@ -321,6 +341,34 @@ class TestNoiseVarianceAxis:
                 assert (vs[k].tobytes()
                         == gen_max_eigvec(num, V, nv).tobytes())
 
+    def test_stacked_factors_equal_single_calls(self):
+        # stacks of factors V (and of numerators, broadcast against them)
+        # behind the variance axis: every slice is a single call's
+        rng = np.random.default_rng(73)
+        for n, c in ((6, 3), (4, 1), (3, 5)):
+            V = crandn_t(rng, 2, 3, n, c)
+            num = np.array([hermitian(rng, n) for _ in range(3)])
+            noise_vars = np.array([1e-3, 1.0, 40.0])
+            W = whitening_matrix(V, noise_vars)
+            vs = gen_max_eigvec(num, V, noise_vars)
+            assert W.shape == (2, 3, 3, n, n) and vs.shape == (2, 3, 3, n)
+            for p, r, k in np.ndindex(2, 3, 3):
+                single = whitening_matrix(V[p, r], noise_vars[k])
+                assert W[p, r, k].tobytes() == single.tobytes()
+                single = gen_max_eigvec(num[r], V[p, r], noise_vars[k])
+                assert vs[p, r, k].tobytes() == single.tobytes()
+            # one variance: no variance axis
+            vs = gen_max_eigvec(num, V, 0.5)
+            assert vs.shape == (2, 3, n)
+            assert (vs[1, 2].tobytes()
+                    == gen_max_eigvec(num[2], V[1, 2], 0.5).tobytes())
+
+    def test_stacked_numerators_checked(self):
+        V = crandn_t(np.random.default_rng(79), 2, 3, 2)
+        num = np.array([np.eye(3), np.diag([1.0, -1.0, 1.0])])
+        with pytest.raises(ValueError, match="not PSD: min eigenvalue -1"):
+            gen_max_eigvec(num, V, np.array([1.0, 2.0]))
+
     def test_stacked_eigvecs_equal_single_calls(self):
         rng = np.random.default_rng(67)
         A = np.array([hermitian(rng, 5) for _ in range(4)])
@@ -344,3 +392,51 @@ class TestNoiseVarianceAxis:
                                                         [0.0, 1.0]])])
         with pytest.raises(NotHermitianError):
             max_eigvec_hermitian(A)
+
+
+def canonical_phase_row(v):
+    """The rotation of one vector, as canonical_phase computed it row by
+    row: its first largest-magnitude entry made real and positive."""
+    pivot = v[np.argmax(np.abs(v))]
+    return v if pivot == 0.0 else v * (np.conj(pivot) / abs(pivot))
+
+
+class TestRowsOfAStack:
+    """canonical_phase and unit_rows take one pass over any leading axes,
+    each row bit for bit a call on the row alone."""
+
+    @staticmethod
+    def stacks(rng):
+        for shape in ((6,), (4, 6), (2, 3, 5), (3, 1), (1, 1, 8)):
+            scale = 10.0 ** rng.uniform(-150, 150)
+            v = scale * crandn_t(rng, *shape)
+            yield v
+            # rows that are strided views, as eigh's last columns are
+            yield np.swapaxes(scale * crandn_t(rng, *shape, shape[-1]),
+                              -1, -2)[..., -1]
+
+    def test_rows_equal_row_by_row(self):
+        rng = np.random.default_rng(83)
+        for _ in range(40):
+            for v in self.stacks(rng):
+                rows = v.reshape(-1, v.shape[-1])
+                ref = np.array([canonical_phase_row(x) for x in rows])
+                assert (canonical_phase(v).tobytes()
+                        == ref.reshape(v.shape).tobytes())
+                ref = np.array([x / np.linalg.norm(x) for x in rows])
+                assert unit_rows(v).tobytes() == ref.reshape(v.shape).tobytes()
+
+    def test_pivot_rules(self):
+        v = np.array([[1.0 + 1.0j, -3.0, 2.0j],  # negative real largest
+                      [2.0, 2.0j, -2.0],          # three tied magnitudes
+                      [0.0, 0.0, 0.0],            # no pivot: unchanged
+                      [1.0j, 0.5, -0.5]])
+        out = canonical_phase(v)
+        for row, ref in zip(out, (canonical_phase_row(x) for x in v)):
+            assert row.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(out[0], [-1.0 - 1.0j, 3.0, -2.0j])
+        # a tie goes to the first entry, which is already real positive
+        np.testing.assert_array_equal(out[1], v[1])
+        np.testing.assert_array_equal(out[2], v[2])
+        np.testing.assert_array_equal(out[3], [1.0, -0.5j, 0.5j])
+        assert canonical_phase(v[0]).tobytes() == out[0].tobytes()
