@@ -14,8 +14,7 @@ from .channel import (ChannelSet, SystemConfig, build_an_projection,
                       derive_rng, realize_channels, sample_channels)
 from .harness import (ConfigError, SweepSpec, default_config_text,
                       emit_config, parse_config, run_sweep, write_outputs)
-from .metrics import (MetricsRecord, flop_estimate, mutual_info_mc,
-                      scalar_channel, sjnr)
+from .metrics import MetricsRecord, mutual_info_mc, scalar_channel, sjnr
 from .modulation import TxCodebook, build_codebook
 from .numerics import (NotHermitianError, NotPositiveDefiniteError,
                        canonical_phase, gen_max_eigvec, max_eigvec_hermitian,

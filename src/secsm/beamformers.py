@@ -12,10 +12,10 @@ how much interference structure they use:
   max_sjnr    dominant generalized eigenvector of the signal Gram against
               the interference-plus-noise covariance
 
-Each returns a Beamformer whose `u` is the unit combining vector applied
-to the raw receive vector, for one realization or, bit for bit, for each
-of a stacked ChannelSet. max_wfrp and max_sjnr depend on Bob's noise
-variance and build a whole vector of them from one factor of V.
+Each takes (chset, cfg, noise_var, p_m), an operating point that only
+max_wfrp and max_sjnr read, and returns a Beamformer whose `u` is the
+unit combining vector applied to the raw receive vector, for one
+realization or, bit for bit, for each of a stacked ChannelSet.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .metrics import _side_terms
+from .metrics import _cfg_point, _side_terms
 from .numerics import (canonical_phase, conj_transpose, gen_max_eigvec,
                        max_eigvec_hermitian, null_space_basis, unit_rows,
                        whitening_matrix)
@@ -44,33 +44,29 @@ class Beamformer:
     u: np.ndarray
 
 
-def max_rp(chset, cfg):
+def max_rp(chset, cfg, noise_var, p_m):
     """Maximum receive power: dominant eigenvector of H T T^H H^H,
     treating interference plus noise as white."""
     return Beamformer(u=max_eigvec_hermitian(chset.HTHT))
 
 
-def max_wfrp(chset, cfg, noise_vars=None, p_m=None):
+def max_wfrp(chset, cfg, noise_var, p_m):
     """Whitening-filter receive-power maximization.
 
     Whitens the interference-plus-noise covariance with its Hermitian
     inverse square root W (rescaled to unit largest entry, which keeps
     the products finite), maximizes receive power in the whitened domain,
-    and returns the effective combining vector W^H w. With noise_vars,
-    one row per noise variance, from one stacked eigh.
+    and returns the effective combining vector W^H w.
     """
-    _, V, nv = _side_terms(chset, cfg, "bob", p_m)
-    W = whitening_matrix(V, np.atleast_1d(nv if noise_vars is None
-                                          else noise_vars))
+    W = whitening_matrix(_side_terms(chset, cfg, "bob", p_m)[1], noise_var)
     W = W / np.abs(W).max(axis=(-2, -1), keepdims=True)
-    HT_w = W @ chset.HT[..., None, :, :]
+    HT_w = W @ chset.HT
     w = max_eigvec_hermitian(HT_w @ conj_transpose(HT_w))
-    u = canonical_phase(unit_rows((conj_transpose(W) @ w[..., None])
-                                  [..., 0]))
-    return Beamformer(u=u if noise_vars is not None else u[..., 0, :])
+    return Beamformer(u=canonical_phase(unit_rows(
+        (conj_transpose(W) @ w[..., None])[..., 0])))
 
 
-def max_rp_zfc(chset, cfg):
+def max_rp_zfc(chset, cfg, noise_var, p_m):
     """Receive-power maximization under a jamming zero-forcing constraint.
 
     Restricts the combiner to the null space of F P_JM, spanned by the
@@ -89,18 +85,14 @@ def max_rp_zfc(chset, cfg):
                                                   [..., 0])))
 
 
-def max_sjnr(chset, cfg, noise_vars=None, p_m=None):
+def max_sjnr(chset, cfg, noise_var, p_m):
     """Maximum signal-to-jamming-plus-noise ratio: dominant generalized
     eigenvector of the signal Gram against the interference-plus-noise
-    covariance. With noise_vars, one row per noise variance."""
-    _, V, nv = _side_terms(chset, cfg, "bob", p_m)
-    v = gen_max_eigvec(chset.HTHT, V, np.atleast_1d(
-        nv if noise_vars is None else noise_vars))
-    return Beamformer(u=v if noise_vars is not None else v[..., 0, :])
+    covariance."""
+    V = _side_terms(chset, cfg, "bob", p_m)[1]
+    return Beamformer(u=gen_max_eigvec(chset.HTHT, V, noise_var))
 
 
-# methods that read nothing of the operating point (SNR, P_M)
-POINT_FREE = frozenset({Method.MAX_RP, Method.MAX_RP_ZFC})
 _BUILDERS = {
     Method.MAX_RP: max_rp,
     Method.MAX_WFRP: max_wfrp,
@@ -109,14 +101,15 @@ _BUILDERS = {
 }
 
 
-def compute_beamformer(method, chset, cfg, noise_vars=None, p_m=None):
+def compute_beamformer(method, chset, cfg, point=None):
     """Build the beamformer for `method` on a channel realization, or on
     each of a stack of them (a ChannelSet with leading axes).
 
-    Outside POINT_FREE, noise_vars (Bob's noise variances) gives u a last
-    axis before the vector's, one row per variance, and p_m (jamming
-    powers, cfg's by default) broadcasts against chset's leading axes;
-    each row equals a build at its point alone bit for bit.
+    point is (noise_var, p_m), Bob's noise variance and the jamming
+    power, cfg's own by default. Arrays of them broadcast against
+    chset's leading axes, and u takes the result less any axis its
+    method does not read; each row equals a build at its point alone
+    bit for bit.
     """
-    args = () if noise_vars is None and p_m is None else (noise_vars, p_m)
-    return _BUILDERS[Method(method)](chset, cfg, *args)
+    noise_var, p_m = _cfg_point(cfg, "bob") if point is None else point
+    return _BUILDERS[Method(method)](chset, cfg, noise_var, p_m)

@@ -52,9 +52,10 @@ class SystemConfig:
     mod_order     PSK constellation size
     seed          base seed for all derived rng streams
 
-    A sweep passes its grid of jamming powers and noise variances to the
-    builds instead. n_active, the active transmit antennas, is 2^floor(
-    log2 n_tx). an_var = jam_var = 1: P_AN and P_JM have unit trace.
+    power_mallory and the noise variances are the single-point calls'
+    operating point (metrics._cfg_point); a sweep passes arrays instead.
+    n_active, the active transmit antennas, is 2^floor(log2 n_tx).
+    an_var = jam_var = 1: P_AN and P_JM have unit trace.
     """
 
     n_tx: int = 8

@@ -12,16 +12,16 @@ powers enter separately through the system configuration.
 import contextlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics
-from .beamformers import POINT_FREE, Method, compute_beamformer
-from .channel import (AN_MODES, SystemConfig, derive_rng, realize_channels,
-                      stack_channels)
+from .beamformers import Method, compute_beamformer
+from .channel import (AN_MODES, ChannelSet, SystemConfig, derive_rng,
+                      realize_channels, stack_channels)
 from .metrics import MetricsRecord
 # not called here: perfbench/tracing.py hooks this name, until the
 # benchmark change that retires the hook
@@ -245,29 +245,27 @@ def snr_to_noise_var(snr_db):
 def _realization_task(cfg, spec, rs):
     """{quantity: (realization, SNR, P_M, method) array} of sr, sjnr and
     the BER tally bit_errors, squared_errors for the range rs, each
-    realization's bit for bit its own range's. Each layer runs once over
-    the stacked realizations: one build per method (over every P_M and
-    SNR outside POINT_FREE), one scalar-channel broadcast for Bob and one
-    for the attacker (at P_M = 0, where its self-interference cancels
-    exactly), one SJNR and one MI call, and one BER call per trial count,
-    on one generator per (realization, SNR, P_M)."""
+    realization's bit for bit its own range's. The channels' leading
+    axes (realization, 1, 1) broadcast against the noise variances'
+    (SNR, 1) and the jamming powers' (P_M,). Each layer runs once: one
+    build per method, one scalar-channel broadcast for Bob and one for
+    the attacker (at P_M = 0, where its self-interference cancels
+    exactly), one SJNR and one MI call, and one BER call per trial
+    count, on one generator per (realization, SNR, P_M)."""
     chs = stack_channels([realize_channels(cfg, r, an_mode=spec.an_mode)
                           for r in rs])
+    chs = ChannelSet(*(getattr(chs, f.name)[:, None, None]
+                       for f in fields(ChannelSet)))
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
-    nvs = np.array([snr_to_noise_var(snr_db) for snr_db in spec.snr_grid_db])
-    p_ms = np.array(spec.p_m_list)[:, None]  # before the realization axis
+    nvs = np.array([snr_to_noise_var(s) for s in spec.snr_grid_db])[:, None]
+    p_ms = np.array(spec.p_m_list)
     R, S, P, M = shape = (len(rs), len(nvs), len(p_ms), len(spec.methods))
     u = np.empty(shape + (cfg.n_rx,), dtype=np.complex128)
     for mi, m in enumerate(spec.methods):
-        if m in POINT_FREE:
-            u[:, :, :, mi] = compute_beamformer(m, chs, cfg).u[:, None, None]
-        else:  # (P_M, realization, SNR) rows
-            u[:, :, :, mi] = compute_beamformer(
-                m, chs, cfg, nvs, p_ms).u.transpose(1, 2, 0, 3)
-    signal, V, _ = metrics._side_terms(chs, cfg, "bob", p_ms)
-    chans = metrics._scalar_channels(u, signal[:, None, None, None],
-                                     np.moveaxis(V, 0, 1)[:, None, :, None],
-                                     nvs[:, None, None], cfg)
+        u[:, :, :, mi] = compute_beamformer(m, chs, cfg, (nvs, p_ms)).u
+    signal, V = metrics._side_terms(chs, cfg, "bob", p_ms)
+    chans = metrics._scalar_channels(u, signal[..., None, :, :],
+                                     V[..., None, :, :], nvs[..., None], cfg)
     errors, squared = np.empty((2,) + shape, dtype=np.int64)
     # the realizations below `extra` take one trial more
     base, extra = divmod(spec.n_ber_trials, spec.n_realizations)
@@ -282,13 +280,12 @@ def _realization_task(cfg, spec, rs):
                  for k in range(lo, hi) for si in range(S) for pi in range(P)])
             errors[at], squared[at] = (c.reshape(-1, S, P, M) for c in counts)
     sjnr = metrics.channel_sjnr(*chans)
-    signal, V, _ = metrics._side_terms(chs, cfg, "mallory", 0.0)
-    eve = metrics._scalar_channels(np.broadcast_to(chs.u_er[:, None], (
-        R, S, cfg.n_mallory)), signal[:, None], V[:, None], nvs, cfg)
+    eve = metrics._scalar_channels(
+        chs.u_er, *metrics._side_terms(chs, cfg, "mallory", 0.0), nvs, cfg)
     # per SNR, Bob's (P_M, method) channels, then the attacker's
     chans = [np.concatenate((c.reshape(R, S, P * M, *c.shape[4:]),
-                             e[:, :, None]), axis=2)
-             for c, e in zip(chans, eve)]
+                             np.broadcast_to(e, (R, S, 1) + c.shape[4:])),
+                            axis=2) for c, e in zip(chans, eve)]
     bits = metrics.mutual_info(*chans, cfg.mod_order, spec.n_noise)
     sr = np.maximum(0.0, bits[..., :-1] - bits[..., -1:]).reshape(shape)
     return {"sr": sr, "sjnr": sjnr, "bit_errors": errors,

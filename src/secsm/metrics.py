@@ -1,6 +1,5 @@
 """Performance quantities: per-side interference factors, SJNR,
-Gauss-Hermite mutual information, the BER tally of ML detection, FLOP
-estimates.
+Gauss-Hermite mutual information and the BER tally of ML detection.
 
 SJNR, mutual information and BER all read one model of the
 post-beamforming channel, `scalar_channel`.
@@ -43,32 +42,37 @@ class MetricsRecord:
     trial_counts: dict = field(default_factory=dict)
 
 
-def _side_terms(chset, cfg, side, p_m=None):
-    """(signal, V, noise_var) of one receiver: its signal channel after
-    antenna selection, and its interference-plus-noise covariance
-    noise_var I + V V^H as a low-rank factor and a noise variance.
+def _cfg_point(cfg, side):
+    """(noise_var, p_m), cfg's own operating point at one receiver: the
+    point of every single-point call that is given none."""
+    return (cfg.noise_var_bob if side == "bob" else cfg.noise_var_eve,
+            cfg.power_mallory)
+
+
+def _side_terms(chset, cfg, side, p_m):
+    """(signal, V) of one receiver at jamming power p_m: its signal
+    channel after antenna selection, and the low-rank factor V of its
+    interference-plus-noise covariance noise_var I + V V^H.
 
     V = [sqrt((1-beta) P) S T P_AN, sqrt(P_M) J P_JM] with S = H, J = F
     at Bob and S = G, J = M_self at the attacker (unit-variance AN and
     jamming entries; P_AN and P_JM carry the unit-power normalisation).
-    P_M is p_m, cfg.power_mallory by default; an array of them broadcasts
-    against the leading axes of a stacked chset, and V takes the result.
+    An array p_m broadcasts against the leading axes of a stacked chset,
+    and V takes the result.
     """
     if side not in SIDES:
         raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
     bob = side == "bob"
     signal, an, jam = ((chset.HT, chset.HT_AN, chset.F_JM) if bob else
                        (chset.GT, chset.GT_AN, chset.M_JM))
-    noise_var = cfg.noise_var_bob if bob else cfg.noise_var_eve
-    p_m = cfg.power_mallory if p_m is None else p_m
     jam = np.sqrt(p_m)[..., None, None] * jam  # holds every leading axis
     an = np.broadcast_to(math.sqrt((1.0 - cfg.beta) * cfg.power) * an,
                          jam.shape[:-1] + an.shape[-1:])
-    return signal, np.concatenate((an, jam), axis=-1), noise_var
+    return signal, np.concatenate((an, jam), axis=-1)
 
 
 def scalar_channel(u, side, chset, cfg):
-    """The post-beamforming scalar channel of the combiner u on one side.
+    """The post-beamforming scalar channel of u on one side, at cfg's point.
 
     Returns (r, power). r[k] = sqrt(beta P) u^H S T e_a s is the
     noiseless combined output of codebook entry k, with a its antenna,
@@ -81,13 +85,15 @@ def scalar_channel(u, side, chset, cfg):
     its leading axes to r and power, each row a single call's.
     """
     u = np.asarray(u)
-    r, power = _scalar_channels(u, *_side_terms(chset, cfg, side), cfg)
+    noise_var, p_m = _cfg_point(cfg, side)
+    r, power = _scalar_channels(u, *_side_terms(chset, cfg, side, p_m),
+                                noise_var, cfg)
     return r, (float(power) if u.ndim == 1 else power)
 
 
 def _scalar_channels(u, signal, V, noise_var, cfg):
     """scalar_channel's (r, power) of combiners u (..., n) on a side's
-    signal channel (..., n, K), factor V (..., n, c) and noise variance,
+    signal channel (..., n, K), factor V (..., n, c) and noise variances,
     all broadcast in one pass, each row a single call's bit for bit."""
     codebook = build_codebook(cfg.n_active, cfg.mod_order)
     r = (math.sqrt(cfg.beta * cfg.power)
@@ -360,17 +366,3 @@ def _ber_counts(refs, power, codebook, n_trials, rngs):
     errors, squared = errors.reshape(shape), squared.reshape(shape)
     return (int(errors), int(squared)) if not shape else (errors, squared)
 
-
-_FLOP_COEFFS = {
-    "max_rp": (129.0, 0.0),
-    "max_wfrp": (266.0, 3.0),
-    "max_rp_zfc": (259.0, 0.0),
-    "max_sjnr": (268.0, 3.0),
-}
-
-
-def flop_estimate(method, n_rx):
-    """Approximate FLOP count of one beamformer construction at size n_rx."""
-    key = getattr(method, "value", method)
-    cubic, linear = _FLOP_COEFFS[key]
-    return cubic * n_rx ** 3 + linear * n_rx

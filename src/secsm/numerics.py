@@ -3,9 +3,9 @@
 Dominant Hermitian eigenvectors, null-space bases, noise-whitening filters
 and generalized Rayleigh-quotient maximizers, all on small dense matrices.
 A covariance noise_var I + V V^H is passed as its factor V and noise_var.
-A vector of noise variances against the one V gives one row (or matrix)
-per variance, and stacked inputs (leading axes) give one per matrix, each
-equal to a single call bit for bit. Every returned eigenvector is unit
+Stacked inputs broadcast by numpy's rule: the leading axes of every
+matrix argument and the axes of noise_var, each result equal to a single
+call on its own matrices bit for bit. Every returned eigenvector is unit
 norm with a canonical phase (largest entry real positive) so downstream
 Monte-Carlo runs reproduce bit-for-bit. Every tolerance is relative to
 the input's own scale (its largest entry, eigenvalue or singular value),
@@ -118,21 +118,19 @@ def null_space_basis(B):
 def _interference_factor(V, noise_var):
     """(Q, t) with noise_var I + V V^H = Q diag(t^2) Q^H: Q is the unitary
     of the full SVD of V and t = sqrt(noise_var + s^2), its singular
-    values s zero-padded to n entries. A vector of noise variances gives
-    t a row per variance and Q a length-1 axis there. The covariance is
-    positive definite exactly when noise_var > 0, the only check."""
+    values s zero-padded to n entries; noise_var broadcasts against V's
+    leading axes. The covariance is positive definite exactly when
+    noise_var > 0, the only check."""
     V = np.asarray(V, dtype=np.complex128)
     _check_finite(V, "interference factor")
     nv = np.asarray(noise_var, dtype=np.float64)
-    if nv.ndim > 1 or not np.all((0.0 < nv) & (nv < np.inf)):
+    if not np.all((0.0 < nv) & (nv < np.inf)):
         raise NotPositiveDefiniteError(
             f"noise variance must be positive and finite, got {noise_var!r}: "
             f"noise_var I + V V^H is singular")
     Q, s, _ = np.linalg.svd(V, full_matrices=True)
     padded = np.zeros(Q.shape[:-1])
     padded[..., :s.shape[-1]] = s
-    if nv.ndim:
-        Q, padded = Q[..., None, :, :], padded[..., None, :]
     return Q, np.hypot(np.sqrt(nv)[..., None], padded)
 
 
@@ -142,8 +140,7 @@ def whitening_matrix(V, noise_var):
     With V = Q S and sigma^2 = noise_var, W = sigma^{-1} (I - Q diag(1 -
     (1 + s^2 / sigma^2)^{-1/2}) Q^H) = Q diag(1 / t) Q^H, formed as the
     latter so that no eigenvalue is lost to cancellation. Exact at any
-    noise_var > 0; raises NotPositiveDefiniteError otherwise. A vector
-    of S noise variances gives an S x n x n stack of filters.
+    noise_var > 0; raises NotPositiveDefiniteError otherwise.
     """
     Q, t = _interference_factor(V, noise_var)
     W = (Q / t[..., None, :]) @ conj_transpose(Q)
@@ -160,10 +157,8 @@ def gen_max_eigvec(num, V, noise_var):
     eigenvector w of L^{-1} num L^{-H}, reduced with the scale-free
     min(t) L^{-1} = diag(min(t) / t) Q^H. num is PSD when its smallest
     eigenvalue is at least -1e-10 times its largest in magnitude.
-
-    A vector of S noise variances gives an S x n stack of vectors from
-    one SVD, one check of num and one stacked eigh; stacks of num and V
-    broadcast, each num checked once.
+    Stacks of num, V and noise_var broadcast: one SVD per V, one check
+    per num and one stacked eigh.
     """
     num = _check_hermitian(num, "numerator")
     Q, t = _interference_factor(V, noise_var)
@@ -177,6 +172,6 @@ def gen_max_eigvec(num, V, noise_var):
 
     G = (t.min(axis=-1, keepdims=True) / t)[..., :, None] * conj_transpose(Q)
     GH = conj_transpose(G)
-    C = G @ (num[..., None, :, :] if np.ndim(noise_var) else num) @ GH
+    C = G @ num @ GH
     _, vecs = np.linalg.eigh(0.5 * (C + conj_transpose(C)))
     return unit_rows(canonical_phase((GH @ vecs[..., -1:])[..., 0]))

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secsm.beamformers import (POINT_FREE, Method, compute_beamformer,
-                               max_rp, max_rp_zfc, max_sjnr, max_wfrp)
+from secsm.beamformers import (Method, compute_beamformer, max_rp,
+                               max_rp_zfc, max_sjnr, max_wfrp)
 from secsm.channel import (AN_MODES, ChannelSet, SystemConfig,
                            build_mallory_chain, crandn, derive_rng,
                            realize_channels, stack_channels)
@@ -40,6 +40,11 @@ def top_sjnr(ch, cfg):
     return gen_max_eigvec_eig(num, noise_cov_bob(ch, cfg))[1]
 
 
+def cfg_point(cfg):
+    """cfg's own operating point (noise_var, p_m) at Bob."""
+    return cfg.noise_var_bob, cfg.power_mallory
+
+
 def square_cfg(n, **kw):
     kw.setdefault("beta", 1.0)
     kw.setdefault("power_mallory", 0.0)
@@ -51,8 +56,8 @@ class TestMaxRp:
         rng = derive_rng(1, 8, 0)
         ch = square_channel_set(4, rng, H=np.eye(4, dtype=complex))
         cfg = square_cfg(4)
-        a = max_rp(ch, cfg)
-        b = max_rp(ch, cfg)
+        a = max_rp(ch, cfg, *cfg_point(cfg))
+        b = max_rp(ch, cfg, *cfg_point(cfg))
         np.testing.assert_array_equal(a.u, b.u)
         assert np.linalg.norm(a.u) == pytest.approx(1.0, abs=1e-12)
 
@@ -61,14 +66,15 @@ class TestMaxRp:
         a = crandn_t(np.random.default_rng(2), 4)
         b = crandn_t(np.random.default_rng(3), 4)
         ch = square_channel_set(4, rng, H=np.outer(a, b.conj()))
-        bf = max_rp(ch, square_cfg(4))
+        cfg = square_cfg(4)
+        bf = max_rp(ch, cfg, *cfg_point(cfg))
         assert abs(bf.u.conj() @ (a / np.linalg.norm(a))) \
             == pytest.approx(1.0, abs=1e-10)
 
     def test_beats_random_search(self):
         cfg = SystemConfig()
         ch = realize_channels(cfg, 4)
-        bf = max_rp(ch, cfg)
+        bf = max_rp(ch, cfg, *cfg_point(cfg))
         HT = ch.H @ ch.T
         S = HT @ HT.conj().T
         rng = np.random.default_rng(11)
@@ -86,15 +92,15 @@ class TestMaxWfrp:
         R = noise_cov_bob(ch, cfg)
         np.testing.assert_allclose(R, cfg.noise_var_bob * np.eye(6),
                                    atol=1e-12)
-        u1 = max_rp(ch, cfg).u
-        u2 = max_wfrp(ch, cfg).u
+        u1 = max_rp(ch, cfg, *cfg_point(cfg)).u
+        u2 = max_wfrp(ch, cfg, *cfg_point(cfg)).u
         assert abs(u1.conj() @ u2) >= 1.0 - 1e-10
 
     def test_reaches_top_generalized_eigenvalue(self):
         cfg = SystemConfig()
         for r in range(10):
             ch = realize_channels(cfg, r)
-            u = max_wfrp(ch, cfg).u
+            u = max_wfrp(ch, cfg, *cfg_point(cfg)).u
             assert sjnr(u, ch, cfg) == pytest.approx(top_sjnr(ch, cfg),
                                                      rel=1e-10)
 
@@ -102,15 +108,15 @@ class TestMaxWfrp:
         cfg = SystemConfig(power_mallory=5.0)
         for r in range(25):
             ch = realize_channels(cfg, r)
-            assert sjnr(max_wfrp(ch, cfg).u, ch, cfg) >= \
-                sjnr(max_rp(ch, cfg).u, ch, cfg) - 1e-12
+            assert sjnr(max_wfrp(ch, cfg, *cfg_point(cfg)).u, ch, cfg) >= \
+                sjnr(max_rp(ch, cfg, *cfg_point(cfg)).u, ch, cfg) - 1e-12
 
     def test_degenerate_covariance_error_propagates(self):
         from secsm.numerics import NotPositiveDefiniteError
         cfg = SystemConfig(power_mallory=0.0, noise_var_bob=0.0)
         ch = realize_channels(cfg, 0)  # R_w is exactly zero
         with pytest.raises(NotPositiveDefiniteError):
-            max_wfrp(ch, cfg)
+            max_wfrp(ch, cfg, *cfg_point(cfg))
 
 
 class TestMaxRpZfc:
@@ -118,15 +124,15 @@ class TestMaxRpZfc:
         rng = derive_rng(1, 8, 2)
         ch = square_channel_set(4, rng)  # F = 0
         cfg = square_cfg(4)
-        u1 = max_rp(ch, cfg).u
-        u2 = max_rp_zfc(ch, cfg).u
+        u1 = max_rp(ch, cfg, *cfg_point(cfg)).u
+        u2 = max_rp_zfc(ch, cfg, *cfg_point(cfg)).u
         np.testing.assert_allclose(u1, u2, atol=1e-10)
 
     def test_zero_forcing_residual(self):
         cfg = SystemConfig(n_mallory=4)
         for r in range(25):
             ch = realize_channels(cfg, r)
-            bf = max_rp_zfc(ch, cfg)
+            bf = max_rp_zfc(ch, cfg, *cfg_point(cfg))
             jam = ch.F @ ch.P_JM
             resid = np.abs(bf.u.conj() @ jam)
             assert resid.max() <= 1e-10 * np.linalg.norm(jam)
@@ -135,7 +141,7 @@ class TestMaxRpZfc:
     def test_beats_constrained_search(self):
         cfg = SystemConfig(n_mallory=4)
         ch = realize_channels(cfg, 6)
-        bf = max_rp_zfc(ch, cfg)
+        bf = max_rp_zfc(ch, cfg, *cfg_point(cfg))
         HT = ch.H @ ch.T
         S = HT @ HT.conj().T
         basis = null_space_basis(ch.F @ ch.P_JM)
@@ -150,7 +156,7 @@ class TestMaxRpZfc:
         cfg = SystemConfig(n_mallory=7)  # 6 jamming streams fill C^6
         ch = realize_channels(cfg, 0)
         with pytest.raises(ValueError, match="ZFC infeasible"):
-            max_rp_zfc(ch, cfg)
+            max_rp_zfc(ch, cfg, *cfg_point(cfg))
 
     def test_feasible_exactly_when_n_mallory_at_most_n_rx(self):
         # rank(F P_JM) = n_mallory - 1 almost surely, so the null space
@@ -166,10 +172,10 @@ class TestMaxRpZfc:
                     width = null_space_basis(ch.F_JM).shape[1]
                     assert width == max(0, n_rx - n_mallory + 1)
                     if feasible:
-                        max_rp_zfc(ch, cfg)
+                        max_rp_zfc(ch, cfg, *cfg_point(cfg))
                     else:
                         with pytest.raises(ValueError, match="ZFC"):
-                            max_rp_zfc(ch, cfg)
+                            max_rp_zfc(ch, cfg, *cfg_point(cfg))
                 if feasible:
                     check_feasible(cfg, zfc)
                 else:
@@ -181,15 +187,15 @@ class TestMaxSjnr:
     def test_white_noise_reduces_to_max_rp(self):
         cfg = SystemConfig(power_mallory=0.0)
         ch = realize_channels(cfg, 7)
-        u1 = max_rp(ch, cfg).u
-        u2 = max_sjnr(ch, cfg).u
+        u1 = max_rp(ch, cfg, *cfg_point(cfg)).u
+        u2 = max_sjnr(ch, cfg, *cfg_point(cfg)).u
         assert abs(u1.conj() @ u2) >= 1.0 - 1e-9
 
     def test_reaches_top_generalized_eigenvalue(self):
         cfg = SystemConfig()
         for r in range(10):
             ch = realize_channels(cfg, r)
-            u = max_sjnr(ch, cfg).u
+            u = max_sjnr(ch, cfg, *cfg_point(cfg)).u
             assert sjnr(u, ch, cfg) == pytest.approx(top_sjnr(ch, cfg),
                                                      rel=1e-10)
 
@@ -197,8 +203,8 @@ class TestMaxSjnr:
         cfg = SystemConfig(power_mallory=3.0)
         for r in range(25):
             ch = realize_channels(cfg, r)
-            a = sjnr(max_sjnr(ch, cfg).u, ch, cfg)
-            b = sjnr(max_wfrp(ch, cfg).u, ch, cfg)
+            a = sjnr(max_sjnr(ch, cfg, *cfg_point(cfg)).u, ch, cfg)
+            b = sjnr(max_wfrp(ch, cfg, *cfg_point(cfg)).u, ch, cfg)
             assert abs(a - b) <= 1e-9 * a
 
 
@@ -236,7 +242,8 @@ class TestCrossMethodProperties:
         for an_mode in AN_MODES:
             ch = realize_channels(cfg, 3, an_mode=an_mode)
             for method in (Method.MAX_WFRP, Method.MAX_SJNR):
-                stack = compute_beamformer(method, ch, cfg, noise_vars).u
+                stack = compute_beamformer(method, ch, cfg, (
+                    np.array(noise_vars), cfg.power_mallory)).u
                 assert stack.shape == (len(noise_vars), cfg.n_rx)
                 for nv, u in zip(noise_vars, stack):
                     single = compute_beamformer(
@@ -245,29 +252,26 @@ class TestCrossMethodProperties:
 
     @pytest.mark.parametrize("an_mode", AN_MODES)
     def test_stacked_realizations_equal_single_builds(self, an_mode):
-        # one ChannelSet stacked over five realizations: each method builds
-        # every realization, at every jamming power (one axis in front of
-        # the realizations') and noise variance, as a build on that
-        # realization and point alone would, bit for bit
+        # one ChannelSet stacked over five realizations, its axis behind
+        # the noise variances' and the jamming powers': each method
+        # builds every realization at every point, or once where it reads
+        # no point, as a build on that realization and point alone would,
+        # bit for bit
         cfg = SystemConfig(n_mallory=4)
         chsets = [realize_channels(cfg, r, an_mode=an_mode) for r in range(5)]
         stack = stack_channels(chsets)
-        nvs, p_ms = np.array([10.0, 1e-3, 0.3]), np.array([0.0, 2.0, 1e300])
+        nvs = np.array([10.0, 1e-3, 0.3])[:, None, None]
+        p_ms = np.array([0.0, 2.0, 1e300])[:, None]
         for method in Method:
-            if method in POINT_FREE:
-                us = compute_beamformer(method, stack, cfg).u
-                assert us.shape == (5, cfg.n_rx)
-                for ch, u in zip(chsets, us):
-                    single = compute_beamformer(method, ch, cfg).u
-                    assert u.tobytes() == single.tobytes(), method
-                continue
-            us = compute_beamformer(method, stack, cfg, nvs, p_ms[:, None]).u
-            assert us.shape == (3, 5, 3, cfg.n_rx)
-            for pi, r, si in np.ndindex(us.shape[:-1]):
-                point = replace(cfg, noise_var_bob=nvs[si],
-                                power_mallory=p_ms[pi])
+            us = compute_beamformer(method, stack, cfg, (nvs, p_ms)).u
+            reads = method in (Method.MAX_WFRP, Method.MAX_SJNR)
+            assert us.shape == ((3, 3, 5) if reads else (5,)) + (cfg.n_rx,)
+            us = np.broadcast_to(us, (3, 3, 5, cfg.n_rx))
+            for si, pi, r in np.ndindex(us.shape[:-1]):
+                point = replace(cfg, noise_var_bob=nvs.flat[si],
+                                power_mallory=p_ms.flat[pi])
                 single = compute_beamformer(method, chsets[r], point).u
-                assert us[pi, r, si].tobytes() == single.tobytes(), method
+                assert us[si, pi, r].tobytes() == single.tobytes(), method
 
     def test_scale_invariance(self):
         cfg = SystemConfig(n_mallory=4, power_mallory=2.0)

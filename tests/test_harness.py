@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secsm import harness, metrics
-from secsm.beamformers import POINT_FREE, Method
+from secsm.beamformers import Method
 from secsm.channel import AN_MODES, SystemConfig
 from secsm.cli import main
 from secsm.harness import (ConfigError, SweepSpec, default_config_text,
@@ -26,6 +26,9 @@ from secsm.harness import (ConfigError, SweepSpec, default_config_text,
                            snr_to_noise_var, write_outputs)
 
 from helpers import realization_reference
+
+# the methods that read nothing of the operating point (SNR, P_M)
+POINT_FREE = (Method.MAX_RP, Method.MAX_RP_ZFC)
 
 
 def line_of(text, key):
@@ -630,7 +633,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("an_mode", AN_MODES)
     @pytest.mark.parametrize("p_m_list", [(1.0,), (1.0, 10.0)])
-    @pytest.mark.parametrize("methods", [tuple(Method), tuple(POINT_FREE)],
+    @pytest.mark.parametrize("methods", [tuple(Method), POINT_FREE],
                              ids=["all", "point-free"])
     def test_range_equals_single_realizations(self, an_mode, p_m_list,
                                               methods):
@@ -700,7 +703,7 @@ class TestRunSweep:
                                      "svd", "eigh")} == {
             "realize_channels": 3, "derive_rng": 18, "svd": 2 * 3 + 3,
             "eigh": 3 + 4}
-        point_free = run((-5.0, 0.0, 5.0), (1.0, 4.0), tuple(POINT_FREE))
+        point_free = run((-5.0, 0.0, 5.0), (1.0, 4.0), POINT_FREE)
         assert point_free["svd"] == 2 * 3 + 1 and point_free["eigh"] == 3 + 2
         assert "eigvalsh" not in point_free
         # the MI kernel takes equal chunks of channels within half of
@@ -1079,6 +1082,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read config: ")
         assert "Traceback" not in err
+
+    def test_byte_order_mark_is_read_as_utf8(self, tmp_path, monkeypatch):
+        # Notepad and PowerShell 5's `Out-File -Encoding utf8` start a
+        # UTF-8 file with a byte-order mark, which is not part of line 1
+        parsed = []
+        monkeypatch.setattr("secsm.cli.run_sweep",
+                            lambda cfg, spec, threads: parsed.append(
+                                (cfg, spec)) or [])
+        path = tmp_path / "bom.cfg"
+        path.write_text(default_config_text(), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 0
+        assert parsed == [(SystemConfig(), SweepSpec())]
 
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.cfg")]) != 0

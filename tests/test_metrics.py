@@ -1,5 +1,5 @@
 """Covariances, SJNR, Monte-Carlo mutual information against quadrature,
-the BER tally against an antenna-domain reference, and the FLOP table."""
+and the BER tally against an antenna-domain reference."""
 
 import math
 import statistics
@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from secsm import metrics
-from secsm.beamformers import Method, compute_beamformer, max_sjnr
+from secsm.beamformers import Method, compute_beamformer
 from secsm.channel import (AN_MODES, ChannelSet, SystemConfig, crandn,
                            derive_rng, realize_channels)
-from secsm.metrics import (BER_BLOCK_TRIALS, SIDES, _ber_counts,
+from secsm.metrics import (BER_BLOCK_TRIALS, SIDES, _ber_counts, _cfg_point,
                            _gauss_hermite, _mi_rule, _side_terms,
-                           flop_estimate, mi_inner_mean, mutual_info,
-                           mutual_info_mc, scalar_channel, sjnr)
+                           mi_inner_mean, mutual_info, mutual_info_mc,
+                           scalar_channel, sjnr)
 from secsm.modulation import build_codebook
 from secsm.numerics import gen_max_eigvec
 
@@ -31,11 +31,22 @@ def bob_ber(u, ch, cfg, codebook, n_trials, rng):
                        n_trials, [rng])
 
 
+def side_factor(ch, cfg, side="bob"):
+    """(V, noise_var): the library's low-rank factor and noise variance
+    of one side's interference-plus-noise covariance at cfg's point."""
+    noise_var, p_m = _cfg_point(cfg, side)
+    return _side_terms(ch, cfg, side, p_m)[1], noise_var
+
+
 def factored_cov(ch, cfg, side="bob"):
     """The library's interference-plus-noise covariance of one side,
     formed densely from its low-rank factor."""
-    _, V, noise_var = _side_terms(ch, cfg, side)
-    return covariance(V, noise_var)
+    return covariance(*side_factor(ch, cfg, side))
+
+
+def sjnr_combiner(ch, cfg):
+    """Bob's max_sjnr combiner at cfg's point."""
+    return compute_beamformer(Method.MAX_SJNR, ch, cfg).u
 
 
 def scalar_channel_set():
@@ -151,8 +162,7 @@ class TestScalarChannel:
             nv = 10.0 ** (-snr_db / 10.0)
             point = replace(cfg, noise_var_bob=nv, noise_var_eve=nv,
                             power_mallory=p_m)
-            _, V, noise_var = _side_terms(ch, point, side)
-            R = covariance(V, noise_var)
+            R = factored_cov(ch, point, side)
             _, power = scalar_channel(stack, side, ch, point)
             for u, p in zip(stack, power):
                 assert p == pytest.approx(
@@ -201,10 +211,9 @@ class TestSjnr:
         ch = realize_channels(cfg, 2)
         HT = ch.H @ ch.T
         num = cfg.beta * cfg.power / cfg.n_active * (HT @ HT.conj().T)
-        _, V, noise_var = _side_terms(ch, cfg, "bob")
-        v = gen_max_eigvec(num, V, noise_var)
+        v = gen_max_eigvec(num, *side_factor(ch, cfg))
         ratio = quotient(num, noise_cov_bob(ch, cfg), v)
-        u = max_sjnr(ch, cfg).u
+        u = sjnr_combiner(ch, cfg)
         assert sjnr(u, ch, cfg) == pytest.approx(ratio, rel=1e-10)
 
 
@@ -405,7 +414,7 @@ class TestLatticeNoise:
         cfg = SystemConfig()
         point = replace(cfg, noise_var_bob=nv, noise_var_eve=nv)
         ch = realize_channels(cfg, 0)
-        u = max_sjnr(ch, point).u
+        u = sjnr_combiner(ch, point)
         exact = gh_mutual_info(u, "bob", ch, point)
         iid = np.array([mutual_info_iid(u, "bob", ch, point, 50,
                                         derive_rng(3, 9, 53, s))
@@ -426,7 +435,7 @@ class TestLatticeNoise:
                 for p_m in (1.0, 10.0):
                     point = replace(cfg, noise_var_bob=nv, noise_var_eve=nv,
                                     power_mallory=p_m)
-                    for side, u in (("bob", max_sjnr(ch, point).u),
+                    for side, u in (("bob", sjnr_combiner(ch, point)),
                                     ("mallory", ch.u_er)):
                         worst = max(worst, abs(
                             mutual_info_mc(u, side, ch, point, 500)
@@ -442,7 +451,7 @@ class TestLatticeNoise:
         cfg = SystemConfig()
         point = replace(cfg, noise_var_bob=nv, noise_var_eve=nv)
         ch = realize_channels(cfg, 0)
-        u = max_sjnr(ch, point).u
+        u = sjnr_combiner(ch, point)
         iid = np.array([mutual_info_iid(u, "bob", ch, point, 1000,
                                         derive_rng(3, 9, 54, s))
                         for s in range(40)])
@@ -459,7 +468,7 @@ def whitened_bob_diffs(mod_order, snr_db):
     cfg = SystemConfig(mod_order=mod_order, noise_var_bob=nv,
                        noise_var_eve=nv)
     ch = realize_channels(cfg, 0)
-    u = max_sjnr(ch, cfg).u
+    u = sjnr_combiner(ch, cfg)
     r, power = scalar_channel(u, "bob", ch, cfg)
     g = r / math.sqrt(power)
     return cfg, ch, u, g[:, None] - g[None, :]
@@ -835,18 +844,3 @@ class TestStackedBer:
             with pytest.raises(ValueError, match="2 generators"):
                 _ber_counts(r, pw, cb, 10, rngs)
 
-
-class TestFlops:
-    def test_flop_values(self):
-        assert flop_estimate(Method.MAX_RP, 6) == 27_864
-        assert flop_estimate(Method.MAX_SJNR, 6) == 57_906
-        assert flop_estimate(Method.MAX_WFRP, 6) == 266 * 216 + 18
-        assert flop_estimate(Method.MAX_RP_ZFC, 6) == 259 * 216
-
-    def test_flop_ordering(self):
-        for n in range(1, 65):
-            chain = [flop_estimate(m, n) for m in
-                     (Method.MAX_RP, Method.MAX_RP_ZFC,
-                      Method.MAX_WFRP, Method.MAX_SJNR)]
-            assert chain == sorted(chain)
-            assert len(set(chain)) == 4

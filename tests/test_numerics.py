@@ -322,8 +322,9 @@ def test_unit_norm_everywhere():
 
 
 class TestNoiseVarianceAxis:
-    """A vector of noise variances against one factor V: one row (or
-    matrix) per variance, each bit for bit a single call's."""
+    """Noise variances broadcast against the leading axes of V (and of
+    num) like any stacked axis: a vector against one factor gives one row
+    (or matrix) per variance, each bit for bit a single call's."""
 
     def test_rows_equal_single_calls(self):
         rng = np.random.default_rng(61)
@@ -342,22 +343,23 @@ class TestNoiseVarianceAxis:
                         == gen_max_eigvec(num, V, nv).tobytes())
 
     def test_stacked_factors_equal_single_calls(self):
-        # stacks of factors V (and of numerators, broadcast against them)
-        # behind the variance axis: every slice is a single call's
+        # stacks of factors V and of numerators, broadcast against each
+        # other and against a variance axis behind theirs: every slice is
+        # a single call's
         rng = np.random.default_rng(73)
         for n, c in ((6, 3), (4, 1), (3, 5)):
             V = crandn_t(rng, 2, 3, n, c)
             num = np.array([hermitian(rng, n) for _ in range(3)])
             noise_vars = np.array([1e-3, 1.0, 40.0])
-            W = whitening_matrix(V, noise_vars)
-            vs = gen_max_eigvec(num, V, noise_vars)
+            W = whitening_matrix(V[:, :, None], noise_vars)
+            vs = gen_max_eigvec(num[:, None], V[:, :, None], noise_vars)
             assert W.shape == (2, 3, 3, n, n) and vs.shape == (2, 3, 3, n)
             for p, r, k in np.ndindex(2, 3, 3):
                 single = whitening_matrix(V[p, r], noise_vars[k])
                 assert W[p, r, k].tobytes() == single.tobytes()
                 single = gen_max_eigvec(num[r], V[p, r], noise_vars[k])
                 assert vs[p, r, k].tobytes() == single.tobytes()
-            # one variance: no variance axis
+            # one variance adds no axis
             vs = gen_max_eigvec(num, V, 0.5)
             assert vs.shape == (2, 3, n)
             assert (vs[1, 2].tobytes()
@@ -379,7 +381,7 @@ class TestNoiseVarianceAxis:
 
     def test_each_variance_checked(self):
         V = crandn_t(np.random.default_rng(71), 3, 2)
-        for bad in ([1.0, 0.0], [np.inf, 1.0], [np.nan], [[1.0]]):
+        for bad in ([1.0, 0.0], [np.inf, 1.0], [np.nan], [[1.0, -1.0]]):
             with pytest.raises(NotPositiveDefiniteError):
                 whitening_matrix(V, np.array(bad))
             with pytest.raises(NotPositiveDefiniteError):
