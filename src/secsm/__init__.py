@@ -15,7 +15,7 @@ from .channel import (ChannelSet, SystemConfig, build_an_projection,
 from .harness import (ConfigError, SweepSpec, default_config_text,
                       emit_config, parse_config, run_sweep, write_outputs)
 from .metrics import MetricsRecord, mutual_info_mc, scalar_channel, sjnr
-from .modulation import TxCodebook, build_codebook
+from .modulation import build_codebook
 from .numerics import (NotHermitianError, NotPositiveDefiniteError,
                        canonical_phase, gen_max_eigvec, max_eigvec_hermitian,
                        null_space_basis, whitening_matrix)

@@ -208,18 +208,18 @@ def _mi_workspace(rows, K, m):
             _aligned_empty((2, rows, m, K)), _aligned_empty((rows, m, m)))
 
 
-def mi_inner_mean(diffs, x, w):
-    """Unclamped mutual-information estimates in bits, one per group of
-    R rows: for each leading index of the (..., R, K) differences, the
-    mean over its R rows i, and the weighted sum over the m x m grid of
-    noise nodes n = x_s + i x_q with weights w_s w_q, of
+def mi_inner_mean(g, mod_order, x, w):
+    """Unclamped mutual-information estimates in bits, one per whitened
+    scalar channel g[c] (a row of the N x K g): the mean over its
+    A = K / mod_order rows i, and the weighted sum over the m x m grid
+    of noise nodes n = x_s + i x_q with weights w_s w_q, of
 
         -log2(S_isq / K),  S_isq = sum_j exp(-|d_ij|^2 - 2 Re(d_ij conj n)).
 
-    A group is the R x K matrix of effective-symbol differences
-    d_ij = g_i - g_j of one whitened scalar channel, R representative
-    codebook entries against all K; x, w is one 1-D rule that both axes
-    of every row share. With d = a + i b the exponent is
+    Row i is channel i // A's antenna i % A on its symbol-1 entry
+    (build_codebook orders entries a * mod_order + k), d_ij = g_i - g_j
+    its differences, and x, w one 1-D rule for both grid axes of every
+    row. With d = a + i b the exponent is
     -a(a + 2x) - b(b + 2y), so S_i = A_i B_i^T for the factors
     A_i[s, j] = exp(-a_ij (a_ij + 2 x_s)) and B_i[q, j] likewise in b:
     2 K m exponentials per row. Each factor is at most exp(x_s^2), and a
@@ -228,32 +228,35 @@ def mi_inner_mean(diffs, x, w):
     is the quotient bit for bit for a power-of-two K (every codebook).
 
     Rows run in blocks of as many as fit in MI_BLOCK_BYTES of workspace
-    (_mi_workspace), at least one, each row's grid weighted on its own:
-    a group's estimate is a call on it alone's, whatever the block. A
-    2-D diffs, one group, gives a float.
+    (_mi_workspace), at least one, each writing its differences straight
+    into the workspace and weighting each row's grid on its own: a
+    channel's estimate is a call on it alone's, whatever the block.
     """
-    diffs = np.asarray(diffs, dtype=np.complex128)
-    if diffs.ndim < 2 or x.ndim != 1 or x.shape != w.shape:
-        raise ValueError(f"shape mismatch: diffs {diffs.shape}, "
-                         f"x {x.shape}, w {w.shape}")
-    *lead, R, K = diffs.shape
-    m = len(x)
-    N = math.prod(lead) * R
-    rows = max(1, min(N, MI_BLOCK_BYTES // (8 * (4 * K + 2 * m * K + m * m))))
+    g = np.ascontiguousarray(g, dtype=np.complex128)
+    if (g.ndim != 2 or mod_order < 1 or g.shape[1] % mod_order
+            or x.ndim != 1 or x.shape != w.shape):
+        raise ValueError(f"shape mismatch: g {g.shape}, mod_order "
+                         f"{mod_order}, x {x.shape}, w {w.shape}")
+    (N, K), m, A = g.shape, len(x), g.shape[1] // mod_order
+    rows = max(1, min(N * A,
+                      MI_BLOCK_BYTES // (8 * (4 * K + 2 * m * K + m * m))))
     coef, factors, sums = _mi_workspace(rows, K, m)
-    # the real and imaginary part of every difference, as rows of (K, 2)
-    parts = np.ascontiguousarray(diffs).view(np.float64).reshape(-1, K, 2)
+    # Re [0] and Im [1] of every entry (2 x N x K) and of each row's own
+    parts = np.moveaxis(g.view(np.float64).reshape(N, K, 2), -1, 0)
+    own = parts[:, :, ::mod_order].reshape(2, -1, 1)
     nodes = np.stack((x, np.ones_like(x)), axis=-1)
-    row_bits = np.empty(N)
-    for start in range(0, N, rows):
-        n = min(rows, N - start)
+    row_bits = np.empty(N * A)
+    for start in range(0, N * A, rows):
+        n = min(rows, N * A - start)
         # the exponent's coefficients [-2 d, -d^2] of the nodes [x, 1],
-        # per part d (Re [0], Im [1]): 2 x n x 2 x K
+        # per part d (Re, Im) of the rows' differences: 2 x n x 2 x K
         c, f, s = coef[:, :n], factors[:, :n], sums[:n]
-        part = np.moveaxis(parts[start:start + n], -1, 0)
-        np.multiply(part, -2.0, out=c[:, :, 0])
-        np.multiply(part, part, out=c[:, :, 1])
-        np.negative(c[:, :, 1], out=c[:, :, 1])
+        d = c[:, :, 1]
+        np.subtract(own[:, start:start + n],
+                    parts[:, np.arange(start, start + n) // A], out=d)
+        np.multiply(d, -2.0, out=c[:, :, 0])
+        np.multiply(d, d, out=d)
+        np.negative(d, out=d)
         np.exp(np.matmul(nodes, c, out=f), out=f)
         np.matmul(f[0], f[1].transpose(0, 2, 1), out=s)
         s *= 1.0 / K
@@ -261,8 +264,7 @@ def mi_inner_mean(diffs, x, w):
         # w^T log2 S_i w one row at a time: a single matrix-vector
         # product over the block would round with the block's size
         row_bits[start:start + n] = ((w @ s)[:, None, :] @ w[:, None])[:, 0, 0]
-    bits = 0.0 - row_bits.reshape(-1, R).sum(axis=1) / R
-    return float(bits[0]) if not lead else bits.reshape(lead)
+    return 0.0 - row_bits.reshape(N, A).sum(axis=1) / A
 
 
 def mutual_info(r, power, mod_order, n_noise):
@@ -274,28 +276,18 @@ def mutual_info(r, power, mod_order, n_noise):
     and PSK symbol s_k, has the differences of entry (a, 0) rotated by
     s_k and permuted, and circular noise makes the noise expectation
     rotation-invariant, so it is computed once per antenna, on its
-    symbol-1 entry (build_codebook orders entries a * mod_order + k), on
-    the product grid of _mi_rule(m), m the smallest order >= 2 with m^2
-    >= mod_order * n_noise. mi_inner_mean takes the channels in chunks;
-    each estimate, clamped to [0, log2(size)] bits, equals a call on its
-    channel alone bit for bit. A 1-D r gives a float.
+    symbol-1 entry, on the product grid of _mi_rule(m), m the smallest
+    order >= 2 with m^2 >= mod_order * n_noise, in one mi_inner_mean
+    call. Each estimate, clamped to [0, log2(size)] bits, equals a call
+    on its channel alone bit for bit. A 1-D r gives a float.
     """
     if n_noise < 1:
         raise ValueError("n_noise must be at least 1")
-    K, A = r.shape[-1], r.shape[-1] // mod_order
+    K = r.shape[-1]
     g = (r / np.sqrt(_positive(power))[..., None]).reshape(-1, K)
     rule = _mi_rule(max(2, math.isqrt(mod_order * n_noise - 1) + 1))
-    # equal chunks within half of MI_BLOCK_BYTES of differences: each holds
-    # a kernel block of rows, so the workspace keeps one shape
-    chunks = min(len(g), -(-len(g) * 32 * A * K // MI_BLOCK_BYTES))
-    diffs = np.empty((-(-len(g) // chunks), A, K), dtype=np.complex128)
-    bits, edges = np.empty(len(g)), len(g) * np.arange(chunks + 1) // chunks
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        for a in range(A):
-            np.subtract(g[lo:hi, a * mod_order, None], g[lo:hi],
-                        out=diffs[:hi - lo, a])
-        bits[lo:hi] = mi_inner_mean(diffs[:hi - lo], *rule)
-    bits = np.minimum(np.maximum(bits, 0.0), math.log2(K))
+    bits = np.minimum(np.maximum(mi_inner_mean(g, mod_order, *rule), 0.0),
+                      math.log2(K))
     return float(bits[0]) if r.ndim == 1 else bits.reshape(r.shape[:-1])
 
 

@@ -706,10 +706,8 @@ class TestRunSweep:
         point_free = run((-5.0, 0.0, 5.0), (1.0, 4.0), POINT_FREE)
         assert point_free["svd"] == 2 * 3 + 1 and point_free["eigh"] == 3 + 2
         assert "eigvalsh" not in point_free
-        # the MI kernel takes equal chunks of channels within half of
-        # MI_BLOCK_BYTES of differences, 4 KiB a channel: 3 realizations
-        # of 3 SNRs x 9 channels are 2 chunks, 3 of 1 x 5 channels are 1
-        assert grid["mi_inner_mean"] == 2
+        # the MI kernel takes every channel of a range in one call
+        assert grid["mi_inner_mean"] == 1
         assert run((0.0,), (1.0,))["mi_inner_mean"] == 1
         random_an = run((-5.0, 0.0, 5.0), (1.0, 4.0), an_mode="random")
         assert random_an["svd"] == 3 + 3

@@ -35,11 +35,24 @@ def reference_mean(diffs, noise, weights):
     return acc / R
 
 
-def random_diffs(rng, K, scale, step=1):
-    """Differences of K random hypotheses: every step-th one's row, so
-    step = mod_order gives mutual_info_mc's n_active x K class rows."""
-    g = scale * crandn_t(rng, K)
-    return g[::step, None] - g[None, :]
+def random_channel(rng, K, scale):
+    """A whitened channel of K random hypotheses, as the 1 x K g of
+    mi_inner_mean."""
+    return scale * crandn_t(rng, 1, K)
+
+
+def diffs_of(g, step):
+    """The R x K differences of a 1 x K g's every step-th entry against
+    all: the rows mi_inner_mean(g, step, ...) takes, so step = mod_order
+    gives mutual_info_mc's n_active x K class rows."""
+    return g[0, ::step, None] - g[0, None, :]
+
+
+def one(g, step, rule):
+    """mi_inner_mean's estimate of a 1 x K g, as a float."""
+    bits = mi_inner_mean(g, step, *rule)
+    assert isinstance(bits, np.ndarray) and bits.shape == (1,)
+    return float(bits[0])
 
 
 def rule_for(n_nodes):
@@ -77,16 +90,16 @@ def test_numpy_matches_reference():
     # codebook on 2 antennas
     for step in (1, 4):
         rng = np.random.default_rng(1)
-        diffs = random_diffs(rng, 8, 1.0, step)
-        rule = rule_for(16)
-        assert mi_inner_mean(diffs, *rule) == pytest.approx(
+        g = random_channel(rng, 8, 1.0)
+        diffs, rule = diffs_of(g, step), rule_for(16)
+        assert one(g, step, rule) == pytest.approx(
             reference_mean(diffs, *expand(len(diffs), *rule)), rel=1e-12)
 
 
 def test_dense_helper_matches_reference():
     for step in (1, 4):
         rng = np.random.default_rng(2)
-        diffs = random_diffs(rng, 8, 1.0, step)
+        diffs = diffs_of(random_channel(rng, 8, 1.0), step)
         R = len(diffs)
         noise = crandn_t(rng, R, 16)
         dense = 3.0 - float(dense_log2_sums(diffs, noise).mean())
@@ -106,10 +119,10 @@ SEPARABLE_CASES = [(8, 12, 1.0, 1), (7, 2, 3.0, 1), (32, 500, 0.5, 1),
                          ids=case_ids(SEPARABLE_CASES))
 def test_separable_matches_dense_grid(K, n_noise, scale, step):
     rng = np.random.default_rng(K + n_noise)
-    diffs = random_diffs(rng, K, scale, step)
+    g = random_channel(rng, K, scale)
     rule = rule_for(n_noise)
-    assert mi_inner_mean(diffs, *rule) == \
-        pytest.approx(dense_value(diffs, rule), rel=1e-12)
+    assert one(g, step, rule) == \
+        pytest.approx(dense_value(diffs_of(g, step), rule), rel=1e-12)
 
 
 BLOCK_CASES = [(7, 16, 1.0, 1), (7, 1, 3.0, 1), (32, 3, 0.5, 1),
@@ -124,15 +137,16 @@ def test_blocks_match_reference(K, T, scale, step, monkeypatch):
     # codebook over several blocks, and the 8 antenna rows of a 64-entry
     # 8-PSK codebook
     rng = np.random.default_rng(K + T)
-    diffs = random_diffs(rng, K, scale, step)
+    g = random_channel(rng, K, scale)
     rule = rule_for(T)
-    whole = mi_inner_mean(diffs, *rule)
-    set_block_rows(monkeypatch, diffs, rule, 3)
+    whole = one(g, step, rule)
+    set_block_rows(monkeypatch, K, rule, 3)
     # the workspace the blocked call runs in, not one cached before
-    blocked, rows = call_with_workspace(monkeypatch, diffs, rule)
+    (blocked,), rows = call_with_workspace(monkeypatch, g, step, rule)
     assert rows == 3
     assert blocked == pytest.approx(whole, rel=1e-13)
-    assert blocked == pytest.approx(dense_value(diffs, rule), rel=1e-12)
+    assert blocked == pytest.approx(dense_value(diffs_of(g, step), rule),
+                                    rel=1e-12)
 
 
 # (K, n_noise, scale, step); K = 40 at n_noise 500 runs in blocks of 24
@@ -144,13 +158,14 @@ WORKSPACE_CASES = [(32, 500, 0.5, 1), (8, 12, 1.0, 1), (40, 500, 1.0, 1),
 
 
 def workspace_inputs(k):
+    """(g, step, rule) of WORKSPACE_CASES[k]."""
     K, n_noise, scale, step = WORKSPACE_CASES[k]
     rng = np.random.default_rng(100 + k)
-    return random_diffs(rng, K, scale, step), rule_for(n_noise)
+    return random_channel(rng, K, scale), step, rule_for(n_noise)
 
 
-def call_with_workspace(monkeypatch, diffs, rule):
-    """(mi_inner_mean(diffs, *rule), the rows of the workspace it ran
+def call_with_workspace(monkeypatch, g, step, rule):
+    """(mi_inner_mean(g, step, *rule), the rows of the workspace it ran
     in), read by a spy on metrics._mi_workspace."""
     shapes = []
     workspace = metrics._mi_workspace
@@ -160,47 +175,48 @@ def call_with_workspace(monkeypatch, diffs, rule):
         return workspace(*args)
 
     monkeypatch.setattr(metrics, "_mi_workspace", spy)
-    value = mi_inner_mean(diffs, *rule)
+    value = mi_inner_mean(g, step, *rule)
     monkeypatch.setattr(metrics, "_mi_workspace", workspace)
     [(rows, K, m)] = shapes
-    assert (K, m) == (diffs.shape[-1], len(rule[0]))
+    assert (K, m) == (g.shape[-1], len(rule[0]))
     return value, rows
 
 
 def test_partial_last_block_under_default_budget(monkeypatch):
-    diffs, rule = workspace_inputs(2)
-    _, rows = call_with_workspace(monkeypatch, diffs, rule)
-    assert 1 < rows < len(diffs) and len(diffs) % rows
+    g, step, rule = workspace_inputs(2)
+    _, rows = call_with_workspace(monkeypatch, g, step, rule)
+    R = g.shape[1] // step
+    assert 1 < rows < R and R % rows
 
 
 def test_workspace_independent_of_call_history():
     # interleaved shapes and a repeated call give the values of calls on
     # newly built workspaces, bit for bit, and agree with the dense formula
     inputs = [workspace_inputs(k) for k in range(len(WORKSPACE_CASES))]
-    here = [mi_inner_mean(diffs, *rule) for diffs, rule in inputs]
-    here.append(mi_inner_mean(inputs[0][0], *inputs[0][1]))
+    here = [one(*case) for case in inputs]
+    here.append(one(*inputs[0]))
     fresh = []
-    for diffs, rule in inputs:
+    for case in inputs:
         metrics._mi_workspace.cache_clear()
-        fresh.append(mi_inner_mean(diffs, *rule))
+        fresh.append(one(*case))
     assert here == fresh + fresh[:1]
-    for value, (diffs, rule) in zip(here, inputs):
-        assert value == pytest.approx(dense_value(diffs, rule), rel=1e-12)
+    for value, (g, step, rule) in zip(here, inputs):
+        assert value == pytest.approx(dense_value(diffs_of(g, step), rule),
+                                      rel=1e-12)
 
 
 def test_workspace_cells_written_before_read(monkeypatch):
     # every buffer filled with NaN between calls: a cell read before it
-    # is written turns the estimate NaN. One group of 40 rows in blocks
-    # of 24, then 5 groups of 8 rows in blocks of 16, the last holding 8
-    cases = [workspace_inputs(2), (stack_inputs(5, 32, 20, 4), rule_for(20))]
-    for k, (diffs, rule) in enumerate(cases):
+    # is written turns the estimate NaN. One channel of 40 rows in blocks
+    # of 24, then 5 channels of 8 rows in blocks of 16, the last holding 8
+    cases = [workspace_inputs(2), (stack_inputs(5, 32, 20), 4, rule_for(20))]
+    for k, (g, step, rule) in enumerate(cases):
         if k:
-            set_block_rows(monkeypatch, diffs, rule, 16)
-        first, rows = call_with_workspace(monkeypatch, diffs, rule)
-        for buf in metrics._mi_workspace(rows, diffs.shape[-1],
-                                         len(rule[0])):
+            set_block_rows(monkeypatch, g.shape[-1], rule, 16)
+        first, rows = call_with_workspace(monkeypatch, g, step, rule)
+        for buf in metrics._mi_workspace(rows, g.shape[-1], len(rule[0])):
             buf[...] = np.nan
-        again = mi_inner_mean(diffs, *rule)
+        again = mi_inner_mean(g, step, *rule)
         assert np.array_equal(again, first) and not np.isnan(first).any()
 
 
@@ -225,66 +241,65 @@ def test_workspace_starts_on_cache_line():
         assert buf.ctypes.data % 64 == 0
 
 
-def stack_inputs(G, K, n_noise, step):
-    """G groups of random_diffs, each its own whitened channel."""
+def stack_inputs(G, K, n_noise):
+    """A G x K g of G random_channel rows at scales from 0.3 to 2."""
     rng = np.random.default_rng(G * K + n_noise)
-    return np.array([random_diffs(rng, K, scale, step)
-                     for scale in np.linspace(0.3, 2.0, G)])
+    return np.concatenate([random_channel(rng, K, scale)
+                           for scale in np.linspace(0.3, 2.0, G)])
 
 
-def set_block_rows(monkeypatch, diffs, rule, rows):
-    """A block budget of the given rows for diffs' K and the rule: the
+def set_block_rows(monkeypatch, K, rule, rows):
+    """A block budget of the given rows for K entries and the rule: the
     coefficients, factors and sums of a row take 8 (4 K + 2 m K + m^2)
     bytes."""
-    K, m = diffs.shape[-1], len(rule[0])
+    m = len(rule[0])
     monkeypatch.setattr(metrics, "MI_BLOCK_BYTES",
                         rows * 8 * (4 * K + 2 * m * K + m * m))
 
 
 # (G, K, n_noise, step, budget rows or None for MI_BLOCK_BYTES, rows of
-# the block the stack runs in): 2 groups a block with a shorter last
-# block; blocks of 7 rows across groups of 2; one block of all groups;
-# groups larger than a block, in blocks of 3 rows and of 1; and 27
-# default-budget groups of 8 rows at the 9 x 9 rule of 80 nodes (QPSK at
-# n_noise 20), 78 a block, so blocks straddle groups
+# the block the stack runs in): 2 channels a block with a shorter last
+# block; blocks of 7 rows across channels of 2; one block of all
+# channels; channels larger than a block, in blocks of 3 rows and of 1;
+# 27 default-budget channels of 8 rows at the 9 x 9 rule of 80 nodes
+# (QPSK at n_noise 20), 78 a block, so blocks straddle channels; and
+# 8-PSK on 8 antennas, whose 3-row blocks straddle channels of 8 rows
 STACK_CASES = [(5, 32, 20, 4, 16, 16), (4, 8, 12, 4, 7, 7),
                (3, 8, 50, 2, None, 12), (3, 32, 50, 4, 3, 3),
-               (2, 7, 2, 1, 1, 1), (27, 32, 80, 4, None, 78)]
+               (2, 7, 2, 1, 1, 1), (27, 32, 80, 4, None, 78),
+               (4, 64, 40, 8, 3, 3)]
 
 
 @pytest.mark.parametrize("G, K, n_noise, step, budget, rows", STACK_CASES)
 def test_stack_equals_single_calls(G, K, n_noise, step, budget, rows,
                                    monkeypatch):
-    diffs, rule = stack_inputs(G, K, n_noise, step), rule_for(n_noise)
+    g, rule = stack_inputs(G, K, n_noise), rule_for(n_noise)
     if budget:
-        set_block_rows(monkeypatch, diffs, rule, budget)
-    stacked, got = call_with_workspace(monkeypatch, diffs, rule)
+        set_block_rows(monkeypatch, K, rule, budget)
+    stacked, got = call_with_workspace(monkeypatch, g, step, rule)
     assert got == rows
     assert isinstance(stacked, np.ndarray) and stacked.shape == (G,)
-    singles = [mi_inner_mean(d, *rule) for d in diffs]
-    assert all(type(v) is float for v in singles)
+    singles = [one(g[i:i + 1], step, rule) for i in range(G)]
     assert stacked.tolist() == singles
-    # two leading axes: the same estimates in their shape
-    if G % 2 == 0:
-        pairs = mi_inner_mean(diffs.reshape(2, G // 2, *diffs.shape[1:]),
-                              *rule)
-        assert pairs.shape == (2, G // 2)
-        assert pairs.ravel().tolist() == singles
+    # split into two calls: the same estimates
+    halves = [mi_inner_mean(part, step, *rule)
+              for part in (g[:G // 2], g[G // 2:])]
+    assert np.concatenate(halves).tolist() == singles
 
 
 def test_estimates_independent_of_block_split(monkeypatch):
-    # one stack of 5 groups of 8 rows under budgets of 1 row, 3 rows
-    # (a group split over blocks), 12 rows (blocks straddling two
-    # groups) and the default (one block): bit-identical estimates
-    diffs, rule = stack_inputs(5, 32, 20, 4), rule_for(20)
+    # one stack of 5 channels of 8 rows under budgets of 1 row, 3 rows
+    # (a channel split over blocks), 12 rows (blocks straddling two
+    # channels) and the default (one block): bit-identical estimates
+    g, rule = stack_inputs(5, 32, 20), rule_for(20)
     default = metrics.MI_BLOCK_BYTES
     results = []
     for budget, want in [(1, 1), (3, 3), (12, 12), (None, 40)]:
         if budget:
-            set_block_rows(monkeypatch, diffs, rule, budget)
+            set_block_rows(monkeypatch, 32, rule, budget)
         else:
             monkeypatch.setattr(metrics, "MI_BLOCK_BYTES", default)
-        bits, rows = call_with_workspace(monkeypatch, diffs, rule)
+        bits, rows = call_with_workspace(monkeypatch, g, 4, rule)
         assert rows == want
         results.append(bits.tolist())
     assert all(r == results[0] for r in results)
@@ -294,9 +309,10 @@ def test_estimates_independent_of_block_split(monkeypatch):
                                   (64, 127), (2, 2)])
 def test_workspace_within_block_budget(K, m, monkeypatch):
     # all three workspace arrays count: a block of more than one row fits
-    # in MI_BLOCK_BYTES, and takes as many rows as fit
+    # in MI_BLOCK_BYTES, and takes as many rows as fit; 130 channels of
+    # one row each
     rule = _gauss_hermite(m)
-    _, rows = call_with_workspace(monkeypatch, np.zeros((130, K)), rule)
+    _, rows = call_with_workspace(monkeypatch, np.zeros((130, K)), K, rule)
     used = sum(buf.nbytes for buf in metrics._mi_workspace(rows, K, m))
     assert used // rows == 8 * (4 * K + 2 * m * K + m * m)
     assert rows == 1 or used <= metrics.MI_BLOCK_BYTES
@@ -304,33 +320,44 @@ def test_workspace_within_block_budget(K, m, monkeypatch):
 
 
 def test_empty_stack_gives_empty_array():
+    bits = mi_inner_mean(np.zeros((0, 32)), 4, *rule_for(20))
+    assert isinstance(bits, np.ndarray) and bits.shape == (0,)
+    # and mutual_info of no channels, with any leading axes
     for lead in [(0,), (2, 0)]:
-        bits = mi_inner_mean(np.zeros(lead + (8, 32)), *rule_for(20))
+        bits = metrics.mutual_info(np.zeros(lead + (32,), dtype=complex),
+                                   np.ones(lead), 4, 20)
         assert isinstance(bits, np.ndarray) and bits.shape == lead
 
 
 def test_zero_diffs_gives_zero():
     # all hypotheses identical: every inner sum is exactly K, and the
-    # estimate exactly +0.0, of one group or of each in a stack
-    bits = mi_inner_mean(np.zeros((8, 8)), *rule_for(50))
+    # estimate exactly +0.0, of one channel or of each in a stack
+    bits = one(np.zeros((1, 8)), 1, rule_for(50))
     assert bits == 0.0 and math.copysign(1.0, bits) == 1.0
-    stacked = mi_inner_mean(np.zeros((3, 8, 8)), *rule_for(50))
+    stacked = mi_inner_mean(np.zeros((3, 8)), 1, *rule_for(50))
     assert stacked.tolist() == [0.0] * 3
     assert not np.signbit(stacked).any()
 
 
 def test_shape_validation():
     x, w = np.zeros(2), np.zeros(2)
-    # 3 rows against 4 entries is legal, alone or as 2 groups; the rule
-    # is one 1-D x and w
-    assert mi_inner_mean(np.zeros((3, 4)), x, w) == 0.0
-    assert mi_inner_mean(np.zeros((2, 3, 4)), x, w).tolist() == [0.0, 0.0]
+    # 2 rows against 4 entries is legal, of one channel or each of 2; the
+    # rule is one 1-D x and w
+    assert mi_inner_mean(np.zeros((1, 4)), 2, x, w).tolist() == [0.0]
+    assert mi_inner_mean(np.zeros((2, 4)), 2, x, w).tolist() == [0.0, 0.0]
     with pytest.raises(ValueError):
-        mi_inner_mean(np.zeros(3), x, w)
+        mi_inner_mean(np.zeros(3), 1, x, w)
     with pytest.raises(ValueError):
-        mi_inner_mean(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros((3, 2)))
+        mi_inner_mean(np.zeros((2, 3, 4)), 2, x, w)
+    # mod_order must divide the entries into whole antennas
+    for mod_order in (0, 3):
+        with pytest.raises(ValueError):
+            mi_inner_mean(np.zeros((1, 4)), mod_order, x, w)
     with pytest.raises(ValueError):
-        mi_inner_mean(np.zeros((3, 3)), x, np.zeros(3))
+        mi_inner_mean(np.zeros((1, 3)), 1, np.zeros((3, 2)),
+                      np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        mi_inner_mean(np.zeros((1, 3)), 1, x, np.zeros(3))
 
 
 class TestGridRule:
@@ -390,9 +417,10 @@ class TestGridRule:
         # a difference at minus a corner node x + i y of the order-300
         # grid makes a factor pair exp(x^2 + y^2); the nodes the weight
         # floor drops keep it finite, so the estimate is finite too
+        # (g = [0, -d] gives its symbol-1 entry the differences [0, d])
         x, w = _mi_rule(300)
         d = -(x[-1] + 1j * x[-1])
-        bits = mi_inner_mean(np.array([[0.0, d]]), x, w)
+        bits = one(np.array([[0.0, -d]]), 2, (x, w))
         assert 0.0 <= bits <= 1.0
 
     def test_cached_and_read_only(self):
@@ -402,9 +430,10 @@ class TestGridRule:
 
 
 def log_sum_exp_value(diffs, x, w):
-    """mi_inner_mean(diffs, x, w) for an R x K diffs, each grid node's
-    inner sum taken as a log-sum-exp: finite at any order and scale,
-    where the kernel's exp(x^2) factors of the full rule overflow."""
+    """mi_inner_mean's estimate from one channel's R x K differences
+    (diffs_of), each grid node's inner sum taken as a log-sum-exp: finite
+    at any order and scale, where the kernel's exp(x^2) factors of the
+    full rule overflow."""
     a, b = diffs.real[:, None, :], diffs.imag[:, None, :]
     im_part = -b * (b + 2.0 * x[:, None])
     per_row = np.zeros(len(diffs))
@@ -447,7 +476,7 @@ class TestMiRule:
         rounding = 16 * EPS * (math.log2(K) + 2.0)
         rng = np.random.default_rng(1000 * K + m)
         for scale in (0.05, 0.3, 1.0, 3.0, 10.0):
-            diffs = random_diffs(rng, K, scale, 4)
-            floored = mi_inner_mean(diffs, kept_x, kept_w)
-            assert abs(floored - log_sum_exp_value(diffs, x, w)) <= \
-                bound + rounding
+            g = random_channel(rng, K, scale)
+            floored = one(g, 4, (kept_x, kept_w))
+            full = log_sum_exp_value(diffs_of(g, 4), x, w)
+            assert abs(floored - full) <= bound + rounding

@@ -3,6 +3,7 @@ and the BER tally against an antenna-domain reference."""
 
 import math
 import statistics
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -274,25 +275,41 @@ class TestMutualInfo:
         half = mutual_info_mc(u, "bob", ch, point, 250)
         assert abs(full - half) < 0.03
 
-    def test_chunks_equal_single_calls(self, monkeypatch):
-        # 150 QPSK channels of 4 KiB of differences each go to the kernel
-        # in 3 equal chunks of 50 (within half of MI_BLOCK_BYTES), all on
-        # one workspace shape, and each estimate is a single call's
+    def test_one_kernel_call_equals_single_calls(self, monkeypatch):
+        # 150 QPSK channels reach the kernel in one call, on one
+        # workspace shape, and each estimate is a single call's
         assert metrics.MI_BLOCK_BYTES == 480 * 1024
         rng = np.random.default_rng(31)
         r = 3.0 * crandn(rng, 3, 50, 32)
         power = rng.uniform(0.5, 2.0, (3, 50))
         shapes = []
         kernel = metrics.mi_inner_mean
-        monkeypatch.setattr(metrics, "mi_inner_mean", lambda diffs, *rule: (
-            shapes.append(diffs.shape), kernel(diffs, *rule))[1])
+        monkeypatch.setattr(metrics, "mi_inner_mean", lambda g, *args: (
+            shapes.append(g.shape), kernel(g, *args))[1])
         metrics._mi_workspace.cache_clear()
         bits = mutual_info(r, power, 4, 500)
-        assert shapes == [(50, 8, 32)] * 3
+        assert shapes == [(150, 32)]
         assert metrics._mi_workspace.cache_info().misses == 1
         assert bits.shape == (3, 50)
         for idx in np.ndindex(3, 50):
             assert bits[idx] == mutual_info(r[idx], power[idx], 4, 500)
+
+    def test_peak_memory_within_three_inputs(self):
+        # one call on the benchmark's sr_sweep range, 162 QPSK channels at
+        # n_noise 500, after a warm-up call builds the kernel's workspace:
+        # the whitened channels and the per-row estimates, but no array of
+        # differences
+        rng = np.random.default_rng(32)
+        r = 3.0 * crandn(rng, 162, 32)
+        power = rng.uniform(0.5, 2.0, 162)
+        mutual_info(r, power, 4, 500)
+        tracemalloc.start()
+        try:
+            mutual_info(r, power, 4, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * r.nbytes
 
     def test_stacked_equals_single_calls(self):
         # MI, SJNR and the BER tally of a stack, row by row, against
@@ -460,18 +477,22 @@ class TestLatticeNoise:
         assert abs(iid.mean() - rule) <= 4.0 * se
 
 
-def whitened_bob_diffs(mod_order, snr_db):
-    """(cfg, ch, u, diffs): Bob's max_sjnr combiner u in realization 0 of
-    the default system with mod_order-PSK at one SNR, and the K x K
-    differences of its whitened channel."""
+def whitened_bob_channel(mod_order, snr_db):
+    """(cfg, ch, u, g): Bob's max_sjnr combiner u in realization 0 of the
+    default system with mod_order-PSK at one SNR, and its whitened
+    channel g of K entries."""
     nv = 10.0 ** (-snr_db / 10.0)
     cfg = SystemConfig(mod_order=mod_order, noise_var_bob=nv,
                        noise_var_eve=nv)
     ch = realize_channels(cfg, 0)
     u = sjnr_combiner(ch, cfg)
     r, power = scalar_channel(u, "bob", ch, cfg)
-    g = r / math.sqrt(power)
-    return cfg, ch, u, g[:, None] - g[None, :]
+    return cfg, ch, u, r / math.sqrt(power)
+
+
+def all_diffs(g):
+    """The K x K differences g_i - g_j of every entry of g."""
+    return g[:, None] - g[None, :]
 
 
 class TestClassEstimator:
@@ -484,8 +505,8 @@ class TestClassEstimator:
         # rotations by multiples of 90 degrees map the Gauss-Hermite
         # product grid onto itself, so the entries of one antenna agree to
         # rounding
-        _, _, _, diffs = whitened_bob_diffs(mod_order, snr_db)
-        means = gh_entry_means(diffs, 96).reshape(-1, mod_order)
+        _, _, _, g = whitened_bob_channel(mod_order, snr_db)
+        means = gh_entry_means(all_diffs(g), 96).reshape(-1, mod_order)
         assert np.max(np.ptp(means, axis=1)) <= 1e-12
 
     @pytest.mark.parametrize("snr_db", [0.0, 5.0])
@@ -494,7 +515,7 @@ class TestClassEstimator:
         # the spread within a class is the quadrature's own error, and it
         # falls with the order (0 dB: 7.2e-8, 1.9e-9, 1.7e-11; 5 dB:
         # 2.4e-7, 1.2e-8, 5.8e-10 at orders 60, 96, 150)
-        _, _, _, diffs = whitened_bob_diffs(8, snr_db)
+        diffs = all_diffs(whitened_bob_channel(8, snr_db)[3])
         bounds = {60: 1e-6, 96: 5e-8, 150: 3e-9}
         spreads = [float(np.max(np.ptp(gh_entry_means(diffs, order)
                                        .reshape(-1, 8), axis=1)))
@@ -509,10 +530,11 @@ class TestClassEstimator:
         # every entry's row; errors against order 96 at 0 dB (measured
         # ratios 0.11, 0.04, 0.003 for M = 2, 4, 8)
         n_noise = 100
-        cfg, ch, u, diffs = whitened_bob_diffs(mod_order, 0.0)
-        K = len(diffs)
-        exact = math.log2(K) - float(gh_entry_means(diffs, 96).mean())
-        every_entry = mi_inner_mean(diffs, *_gauss_hermite(10))
+        cfg, ch, u, g = whitened_bob_channel(mod_order, 0.0)
+        K = len(g)
+        exact = math.log2(K) - float(gh_entry_means(all_diffs(g), 96).mean())
+        # mod_order 1: every entry is its own antenna's row
+        [every_entry] = mi_inner_mean(g[None], 1, *_gauss_hermite(10))
         assert abs(mutual_info_mc(u, "bob", ch, cfg, n_noise) - exact) \
             < abs(every_entry - exact)
 
