@@ -71,11 +71,14 @@ def max_rp_zfc(chset, cfg, noise_var, p_m):
 
     Restricts the combiner to the null space of F P_JM, spanned by the
     orthonormal columns of U, and maximizes receive power there: u = U eta
-    with eta the dominant eigenvector of U^H H T T^H H^H U. Raises
-    ValueError when the jamming subspace has full row rank.
+    with eta the dominant eigenvector of U^H H T T^H H^H U. F P_JM has
+    full column rank n_mallory - 1 for a Gaussian F, so U takes that
+    rank without reading singular values, and a stack builds whatever
+    the numerical ranks of its matrices. Raises ValueError when the
+    jamming subspace fills the receive space.
     """
     jam = chset.F_JM
-    U = null_space_basis(jam)
+    U = null_space_basis(jam, rank=cfg.n_mallory - 1)
     if U.shape[-1] == 0:
         raise ValueError(
             f"ZFC infeasible: {jam.shape[-1]} jamming streams fill the "

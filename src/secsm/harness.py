@@ -3,10 +3,11 @@ jamming power, parallel Monte-Carlo execution, and CSV export.
 
 A sweep is a grid over (SNR, P_M, method). Channel realizations are the
 parallel work items; every Monte-Carlo draw comes from a generator
-derived from (seed, stream, realization, grid indices), so results are
-byte-identical for any worker count. The SNR axis sets both receiver
-noise variances to 10^(-snr/10) W (unit-power reference); the transmit
-powers enter separately through the system configuration.
+derived from (seed, stream, realization), so results are byte-identical
+for any worker count, and every grid cell of a realization shares its
+draws. The SNR axis sets both receiver noise variances to 10^(-snr/10) W
+(unit-power reference); the transmit powers enter separately through
+the system configuration.
 """
 
 import contextlib
@@ -251,7 +252,8 @@ def _realization_task(cfg, spec, rs):
     build per method, one scalar-channel broadcast for Bob and one for
     the attacker (at P_M = 0, where its self-interference cancels
     exactly), one SJNR and one MI call, and one BER call per trial
-    count, on one generator per (realization, SNR, P_M)."""
+    count, on one generator per realization: every (SNR, P_M, method)
+    cell of a realization detects the same trials."""
     chs = stack_channels([realize_channels(cfg, r, an_mode=spec.an_mode)
                           for r in rs])
     chs = ChannelSet(*(getattr(chs, f.name)[:, None, None]
@@ -274,10 +276,9 @@ def _realization_task(cfg, spec, rs):
         if lo < hi:
             at = slice(lo - rs.start, hi - rs.start)
             counts = metrics._ber_counts(
-                chans[0][at].reshape(-1, M, codebook.size),
-                chans[1][at].reshape(-1, M), codebook, n,
-                [derive_rng(cfg.seed, _STREAM_BER, k, si, pi)
-                 for k in range(lo, hi) for si in range(S) for pi in range(P)])
+                chans[0][at].reshape(hi - lo, -1, codebook.size),
+                chans[1][at].reshape(hi - lo, -1), codebook, n,
+                [derive_rng(cfg.seed, _STREAM_BER, k) for k in range(lo, hi)])
             errors[at], squared[at] = (c.reshape(-1, S, P, M) for c in counts)
     sjnr = metrics.channel_sjnr(*chans)
     eve = metrics._scalar_channels(

@@ -26,6 +26,10 @@ BER_BLOCK_BYTES = 280 * 1024
 # bytes. 32 entries on the 35 x 35 floored grid of n_noise 500 take 28
 # KiB a row, 17 rows a block; a 3 x 3 grid (n_noise 2) up to 186 rows.
 MI_BLOCK_BYTES = 480 * 1024
+# mi_inner_mean clamps each part of its differences to +-MI_DIFF_BOUND:
+# on _mi_rule's nodes every factor stays normal (at least exp(-644)),
+# and only factors below exp(-156) change.
+MI_DIFF_BOUND = 20.0
 
 
 @dataclass(frozen=True)
@@ -198,14 +202,15 @@ def _aligned_empty(shape, dtype=np.float64):
 @functools.lru_cache(maxsize=1)
 def _mi_workspace(rows, K, m):
     """The coefficient, factor and sum buffers of one mi_inner_mean
-    block of rows against K codebook entries on an m x m grid. Kept for
-    the last shape, a sweep has one, so a call allocates no large array:
-    fresh factors past glibc's 128 KiB mmap threshold fault in new pages.
-    Per process and not thread-safe; secsm runs in parallel with
-    processes.
+    block of rows against K codebook entries on an m x m grid: coef
+    (2, 2, rows, K), the factors a (rows, m, K) and b (rows, K, m), and
+    sums (rows, m, m). Kept for the last shape, a sweep has one, so a
+    call allocates no large array: fresh factors past glibc's 128 KiB
+    mmap threshold fault in new pages. Per process and not thread-safe;
+    secsm runs in parallel with processes.
     """
-    return (_aligned_empty((2, rows, 2, K)),
-            _aligned_empty((2, rows, m, K)), _aligned_empty((rows, m, m)))
+    return (_aligned_empty((2, 2, rows, K)), _aligned_empty((rows, m, K)),
+            _aligned_empty((rows, K, m)), _aligned_empty((rows, m, m)))
 
 
 def mi_inner_mean(g, mod_order, x, w):
@@ -220,12 +225,26 @@ def mi_inner_mean(g, mod_order, x, w):
     (build_codebook orders entries a * mod_order + k), d_ij = g_i - g_j
     its differences, and x, w one 1-D rule for both grid axes of every
     row. With d = a + i b the exponent is
-    -a(a + 2x) - b(b + 2y), so S_i = A_i B_i^T for the factors
-    A_i[s, j] = exp(-a_ij (a_ij + 2 x_s)) and B_i[q, j] likewise in b:
-    2 K m exponentials per row. Each factor is at most exp(x_s^2), and a
-    row's own entry contributes exactly 1, so a channel without signal
-    gives exactly +0.0. The sums are scaled by 1/K as a product, which
-    is the quotient bit for bit for a power-of-two K (every codebook).
+    -a(a + 2x) - b(b + 2y), so S_i = A_i B_i for the m x K factor
+    A_i[s, j] = exp(-a_ij (a_ij + 2 x_s)) and the K x m factor
+    B_i[j, q] = exp(-b_ij (b_ij + 2 x_q)), each stored as the product
+    reads it: 2 K m exponentials and one plain matrix product per row.
+    Each factor is at most exp(x_s^2), and a row's own entry contributes
+    exactly 1, so S_isq >= 1 and a channel without signal gives exactly
+    +0.0. The sums are scaled by 1/K as a product, which is the quotient
+    bit for bit for a power-of-two K (every codebook).
+
+    No factor is subnormal: every block clamps its difference parts (Re
+    and Im) to +-MI_DIFF_BOUND, 20. On _mi_rule's nodes, all within 6.1,
+    a factor is then at least exp(-20 (20 + 12.2)) = exp(-644), and a
+    part the clamp changes gives a factor of at most
+    exp(-20 (20 - 12.2)) = exp(-156) before and after it: a term below
+    exp(-156 + 37.2), some 2^-171, far below half an ulp of a sum of at
+    least 1, so the estimates are the unclamped ones. On a wider rule (a
+    full Gauss-Hermite rule of order 25 or more) a clamped term can count
+    in its sum, but only at node pairs whose weight, about
+    exp(-x^2 - y^2), keeps its share of the estimate below about
+    exp(-100).
 
     Rows run in blocks of as many as fit in MI_BLOCK_BYTES of workspace
     (_mi_workspace), at least one, each writing its differences straight
@@ -240,7 +259,7 @@ def mi_inner_mean(g, mod_order, x, w):
     (N, K), m, A = g.shape, len(x), g.shape[1] // mod_order
     rows = max(1, min(N * A,
                       MI_BLOCK_BYTES // (8 * (4 * K + 2 * m * K + m * m))))
-    coef, factors, sums = _mi_workspace(rows, K, m)
+    coef, fa, fb, sums = _mi_workspace(rows, K, m)
     # Re [0] and Im [1] of every entry (2 x N x K) and of each row's own
     parts = np.moveaxis(g.view(np.float64).reshape(N, K, 2), -1, 0)
     own = parts[:, :, ::mod_order].reshape(2, -1, 1)
@@ -249,16 +268,19 @@ def mi_inner_mean(g, mod_order, x, w):
     for start in range(0, N * A, rows):
         n = min(rows, N * A - start)
         # the exponent's coefficients [-2 d, -d^2] of the nodes [x, 1],
-        # per part d (Re, Im) of the rows' differences: 2 x n x 2 x K
-        c, f, s = coef[:, :n], factors[:, :n], sums[:n]
-        d = c[:, :, 1]
+        # per part d (Re, Im) of the rows' differences: 2 x 2 x n x K,
+        # each coefficient's n x K contiguous
+        c, a, b, s = coef[:, :, :n], fa[:n], fb[:n], sums[:n]
+        d = c[:, 1]
         np.subtract(own[:, start:start + n],
                     parts[:, np.arange(start, start + n) // A], out=d)
-        np.multiply(d, -2.0, out=c[:, :, 0])
+        np.clip(d, -MI_DIFF_BOUND, MI_DIFF_BOUND, out=d)
+        np.multiply(d, -2.0, out=c[:, 0])
         np.multiply(d, d, out=d)
         np.negative(d, out=d)
-        np.exp(np.matmul(nodes, c, out=f), out=f)
-        np.matmul(f[0], f[1].transpose(0, 2, 1), out=s)
+        np.exp(np.matmul(nodes, c[0].transpose(1, 0, 2), out=a), out=a)
+        np.exp(np.matmul(c[1].transpose(1, 2, 0), nodes.T, out=b), out=b)
+        np.matmul(a, b, out=s)
         s *= 1.0 / K
         np.log2(s, out=s)
         # w^T log2 S_i w one row at a time: a single matrix-vector

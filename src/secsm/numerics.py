@@ -89,13 +89,15 @@ def max_eigvec_hermitian(A):
     return unit_rows(canonical_phase(vecs[..., -1]))
 
 
-def null_space_basis(B):
+def null_space_basis(B, rank=None):
     """Orthonormal basis of the orthogonal complement of the columns of B.
 
     For an n x m input the result U is n x k with U^H B = 0 and
     k = n - rank(B), the rank determined by singular values above
-    RANK_RTOL * sigma_max. A zero (or empty) B yields the identity basis;
-    a full-row-rank B yields an empty n x 0 basis, which callers must
+    RANK_RTOL * sigma_max, or the given rank of every matrix, which a
+    caller whose geometry fixes it passes so that no singular value is
+    compared. A zero (or empty) B yields the identity basis; a
+    full-row-rank B yields an empty n x 0 basis, which callers must
     treat as an infeasible constraint. A stack of matrices of one rank
     gives a stack of bases from one stacked SVD.
     """
@@ -109,10 +111,13 @@ def null_space_basis(B):
     if B.shape[-1] == 0 or not np.any(B):
         return np.zeros(B.shape[:-2] + (1, 1)) + np.eye(n, dtype=complex)
     U, s, _ = np.linalg.svd(B, full_matrices=True)
-    rank = np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
-    if np.any(rank != rank.flat[0]):
-        raise ValueError(f"ranks {rank.min()} to {rank.max()} in one stack")
-    return np.ascontiguousarray(U[..., rank.flat[0]:])
+    if rank is None:
+        ranks = np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
+        if np.any(ranks != ranks.flat[0]):
+            raise ValueError(
+                f"ranks {ranks.min()} to {ranks.max()} in one stack")
+        rank = ranks.flat[0]
+    return np.ascontiguousarray(U[..., rank:])
 
 
 def _interference_factor(V, noise_var):

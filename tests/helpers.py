@@ -251,8 +251,9 @@ def point_config(cfg, snr_db, p_m):
 def realization_reference(cfg, spec, r, ber_trials):
     """harness._realization_task computed one grid point and one method
     at a time: each combiner built alone at its point (point_config), and
-    each MI, SJNR and BER tally from a single call, the BER tally on the
-    point's rng stream, with realization r's share ber_trials of
+    each MI, SJNR and BER tally from a single call, the BER tally on a
+    fresh generator of realization r's rng stream (every cell detects
+    the same trials), with realization r's share ber_trials of
     spec.n_ber_trials given by the caller. Returns the task's
     {quantity: (SNR, P_M, method) array}."""
     chset = realize_channels(cfg, r, an_mode=spec.an_mode)
@@ -279,5 +280,5 @@ def realization_reference(cfg, spec, r, ber_trials):
                                         codebook, ber_trials,
                                         [derive_rng(cfg.seed,
                                                     harness._STREAM_BER,
-                                                    r, si, pi)])
+                                                    r)])
     return out

@@ -158,6 +158,20 @@ class TestMaxRpZfc:
         with pytest.raises(ValueError, match="ZFC infeasible"):
             max_rp_zfc(ch, cfg, *cfg_point(cfg))
 
+    def test_stack_with_zero_jamming_channel(self):
+        # the rank comes from the geometry, not from each matrix's
+        # singular values: a realization whose F P_JM is zero (rank 0)
+        # among rank-3 ones builds, and every other row is its single
+        # build bit for bit
+        cfg = SystemConfig(n_mallory=4)
+        chsets = [realize_channels(cfg, r) for r in range(4)]
+        chsets[2] = replace(chsets[2], F=np.zeros_like(chsets[2].F))
+        us = max_rp_zfc(stack_channels(chsets), cfg, *cfg_point(cfg)).u
+        assert us.shape == (4, cfg.n_rx) and np.isfinite(us).all()
+        for r in (0, 1, 3):
+            single = max_rp_zfc(chsets[r], cfg, *cfg_point(cfg)).u
+            assert us[r].tobytes() == single.tobytes()
+
     def test_feasible_exactly_when_n_mallory_at_most_n_rx(self):
         # rank(F P_JM) = n_mallory - 1 almost surely, so the null space
         # has width n_rx - n_mallory + 1 in every realization or in none;

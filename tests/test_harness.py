@@ -571,6 +571,20 @@ class TestRunSweep:
         assert run_sweep(cfg, replace(spec, methods=others)) == [
             rec for rec in full if rec.method is not Method.MAX_RP_ZFC]
 
+    def test_ber_independent_of_other_snr_points(self):
+        # a realization's cells share its BER trials, so an SNR point put
+        # in front of the grid leaves every other cell's tally as it was
+        cfg = SystemConfig(seed=6)
+        spec = tiny_spec(snr_grid_db=(0.0, 10.0), p_m_list=(1.0, 4.0),
+                         methods=tuple(Method), n_realizations=3,
+                         n_ber_trials=300)
+        grid = run_sweep(cfg, spec)
+        wider = run_sweep(cfg, replace(spec, snr_grid_db=(-5.0, 0.0, 10.0)))
+        assert len(wider) == len(grid) + 8
+        assert ([rec.trial_counts["n_bit_errors"] for rec in wider[8:]]
+                == [rec.trial_counts["n_bit_errors"] for rec in grid])
+        assert sum(rec.trial_counts["n_bit_errors"] for rec in grid) > 0
+
     def test_no_signal_power(self):
         # beta = 0 puts all of Alice's power into AN: Bob sees no signal
         spec = tiny_spec(snr_grid_db=(0.0, 10.0), methods=tuple(Method),
@@ -696,12 +710,12 @@ class TestRunSweep:
                 "mutual_info": 1, "_ber_counts": 1, "eigvalsh": 1}
         # per realization: its draws (the AN null space and the jamming
         # precoder take an SVD each, the attacker's receive vector an
-        # eigh) and one BER generator per (SNR, P_M); per range: the
+        # eigh) and one BER generator, whatever the grid; per range: the
         # stacked builds, an SVD of max_rp_zfc's constraint and of each
         # of the two interference factors, and an eigh per method
         assert {k: grid[k] for k in ("realize_channels", "derive_rng",
                                      "svd", "eigh")} == {
-            "realize_channels": 3, "derive_rng": 18, "svd": 2 * 3 + 3,
+            "realize_channels": 3, "derive_rng": 3, "svd": 2 * 3 + 3,
             "eigh": 3 + 4}
         point_free = run((-5.0, 0.0, 5.0), (1.0, 4.0), POINT_FREE)
         assert point_free["svd"] == 2 * 3 + 1 and point_free["eigh"] == 3 + 2

@@ -237,8 +237,66 @@ def test_aligned_empty_starts_on_cache_line(shape, dtype):
 
 
 def test_workspace_starts_on_cache_line():
-    for buf in metrics._mi_workspace(3, 32, 45):
-        assert buf.ctypes.data % 64 == 0
+    # coefficients, both factors as the grid product reads them, sums
+    bufs = metrics._mi_workspace(3, 32, 45)
+    assert [buf.shape for buf in bufs] == [(2, 2, 3, 32), (3, 45, 32),
+                                           (3, 32, 45), (3, 45, 45)]
+    for buf in bufs:
+        assert buf.ctypes.data % 64 == 0 and buf.flags.c_contiguous
+
+
+def subnormal_count(a):
+    """The entries of a strictly between zero and the smallest normal."""
+    return int(np.count_nonzero((a != 0.0)
+                                & (np.abs(a) < np.finfo(float).tiny)))
+
+
+# (SNRs in dB of channels of 8 rows, rows a block): all in one block;
+# a wide channel ending the first block and filling the last; one
+# straddling two blocks, its last 2 rows opening the last block
+@pytest.mark.parametrize("snrs, rows", [((0.0, 20.0, 30.0, 40.0), 32),
+                                        ((0.0, 40.0), 12),
+                                        ((0.0, 40.0, 0.0), 14)])
+def test_high_snr_factors_stay_normal(snrs, rows, monkeypatch):
+    # 32 entries at n_noise 500; the workspace keeps the last block's
+    # factors and, past its rows, the block's before: the clamped call
+    # leaves no subnormal factor, the unclamped one (an infinite bound)
+    # does, and both give the same estimates bit for bit, each a call on
+    # its channel alone's
+    rng = np.random.default_rng(36)
+    g = np.concatenate([10.0 ** (snr / 20.0) * random_channel(rng, 32, 1.0)
+                        for snr in snrs])
+    rule = rule_for(500)
+    set_block_rows(monkeypatch, 32, rule, rows)
+    clamped, used = call_with_workspace(monkeypatch, g, 4, rule)
+    assert used == rows
+    _, a, b, _ = metrics._mi_workspace(rows, 32, len(rule[0]))
+    assert subnormal_count(a) == subnormal_count(b) == 0
+    monkeypatch.setattr(metrics, "MI_DIFF_BOUND", math.inf)
+    unclamped = mi_inner_mean(g, 4, *rule)
+    assert subnormal_count(a) + subnormal_count(b) > 0
+    assert clamped.tobytes() == unclamped.tobytes()
+    monkeypatch.undo()
+    assert clamped.tolist() == [one(g[i:i + 1], 4, rule)
+                                for i in range(len(snrs))]
+
+
+@pytest.mark.parametrize("m", [35, 64, 174])
+def test_clamp_exact_on_full_rules(m, monkeypatch):
+    # full rules with nodes out to 7.5, 10.5 and 18.6, where a clamped
+    # difference part can count in a sum, but only at nodes whose weight
+    # hides it: 20-40 dB channels give the unclamped estimates bit for
+    # bit; a bound of 8 moves them, so the clamp is reached
+    rng = np.random.default_rng(37)
+    g = np.concatenate([10.0 ** (snr / 20.0) * random_channel(rng, 32, 1.0)
+                        for snr in (20.0, 30.0, 40.0)])
+    rule = _gauss_hermite(m)
+    clamped = mi_inner_mean(g, 4, *rule)
+    monkeypatch.setattr(metrics, "MI_DIFF_BOUND", math.inf)
+    unclamped = mi_inner_mean(g, 4, *rule)
+    assert clamped.tobytes() == unclamped.tobytes()
+    monkeypatch.setattr(metrics, "MI_DIFF_BOUND", 8.0)
+    assert np.all(mi_inner_mean(g, 4, *rule) != unclamped)
 
 
 def stack_inputs(G, K, n_noise):
@@ -250,8 +308,8 @@ def stack_inputs(G, K, n_noise):
 
 def set_block_rows(monkeypatch, K, rule, rows):
     """A block budget of the given rows for K entries and the rule: the
-    coefficients, factors and sums of a row take 8 (4 K + 2 m K + m^2)
-    bytes."""
+    coefficients, both factors and sums of a row take 8 (4 K + 2 m K +
+    m^2) bytes."""
     m = len(rule[0])
     monkeypatch.setattr(metrics, "MI_BLOCK_BYTES",
                         rows * 8 * (4 * K + 2 * m * K + m * m))
@@ -308,7 +366,7 @@ def test_estimates_independent_of_block_split(monkeypatch):
 @pytest.mark.parametrize("K, m", [(32, 45), (32, 3), (40, 45), (8, 9),
                                   (64, 127), (2, 2)])
 def test_workspace_within_block_budget(K, m, monkeypatch):
-    # all three workspace arrays count: a block of more than one row fits
+    # all four workspace arrays count: a block of more than one row fits
     # in MI_BLOCK_BYTES, and takes as many rows as fit; 130 channels of
     # one row each
     rule = _gauss_hermite(m)

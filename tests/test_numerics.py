@@ -120,6 +120,15 @@ class TestNullSpace:
         with pytest.raises(ValueError, match="ranks 1 to 2 in one stack"):
             null_space_basis(B)
 
+    def test_given_rank_skips_detection(self):
+        # the same stack with the rank given: one basis shape, and the
+        # detected bases where the rank is right
+        B = crandn_t(np.random.default_rng(29), 2, 4, 2)
+        B[1, :, 1] = 2.0 * B[1, :, 0]
+        U = null_space_basis(B, rank=2)
+        assert U.shape == (2, 4, 2)
+        assert U[0].tobytes() == null_space_basis(B[0]).tobytes()
+
     def test_zero_matrix_identity(self):
         U = null_space_basis(np.zeros((4, 2)))
         np.testing.assert_array_equal(U, np.eye(4))
